@@ -38,18 +38,20 @@ class CliError(Exception):
 
 
 def resolve_model(spec: str) -> FourManifoldModel:
-    """A model file path, or a builtin name like ``e1``, ``yn:3``, ``xn:2``."""
-    try:
-        with open(spec) as fh:
-            return FourManifoldModel.from_dict(json.load(fh))
-    except FileNotFoundError:
-        pass
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load model file {spec!r}: {exc}") from exc
+    """A builtin name like ``e1``, ``yn:3``, ``xn:2``, or else a model file path.
+
+    Builtin names come first, so a file of the same name cannot shadow them.
+    """
     name, _, param = spec.partition(":")
     builder = BUILTIN_MODELS.get(name.lower())
     if builder is None:
-        raise CliError(f"no model file or builtin named {spec!r}")
+        try:
+            with open(spec) as fh:
+                return FourManifoldModel.from_dict(json.load(fh))
+        except FileNotFoundError:
+            raise CliError(f"no model file or builtin named {spec!r}") from None
+        except (OSError, ValueError, KeyError) as exc:
+            raise CliError(f"cannot load model file {spec!r}: {exc}") from exc
     if name.lower() == "e1":
         return builder(0)
     if not param:

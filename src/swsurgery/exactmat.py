@@ -1,8 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are row-major tuples of tuples. Everything is pure, deterministic,
-and floating-point free; integer routines stay in ``int``, rational ones use
-``fractions.Fraction``.
+and floating-point free.  Inverses stay in ``int``: ``bareiss_adjugate``
+returns the determinant and the integer adjugate, and callers build a
+``fractions.Fraction`` only where a rational entry is output (linear
+plumbing chains skip elimination altogether and take their adjugate from
+continuants, see ``plumbing``).  Only the rank and signature routines
+``gauss_rank`` and ``symmetric_diagonalize`` work over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -74,33 +78,35 @@ def bareiss_det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _gauss_jordan(m, rhs):
-    """Row-reduce [m | rhs] over Q; returns the transformed rhs block."""
+def bareiss_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Determinant and adjugate of an integer matrix: ``m * adj == det * I``.
+
+    Fraction-free Gauss-Jordan on [m | I]: after the step on column k every
+    entry is a (k+1)-minor of the augmented matrix, so each division by the
+    previous pivot is exact.  The left block ends as the last pivot times I
+    and the right block as the matching multiple of the inverse.  Raises
+    SingularMatrixError when m is singular.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(x) for x in rrow] for row, rrow in zip(m, rhs)]
-    width = len(a[0]) if a else 0
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(f"singular at column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
+    a = [[int(x) for x in row] + list(e) for row, e in zip(m, identity(n))]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                raise SingularMatrixError(f"singular at column {k}")
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return freeze(row[n:width] for row in a)
-
-
-def rational_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
-    return _gauss_jordan(m, identity(len(m)))
-
-
-def solve_exact(m, v) -> tuple[Fraction, ...]:
-    """Solve m x = v exactly; raises SingularMatrixError if m is singular."""
-    col = _gauss_jordan(m, tuple((x,) for x in v))
-    return tuple(row[0] for row in col)
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    # the last pivot is the determinant of the row-swapped matrix
+    return sign * prev, freeze([sign * x for x in row[n:]] for row in a)
 
 
 def gauss_rank(m) -> int:

@@ -19,10 +19,13 @@ from math import gcd
 
 from .exactmat import (
     SingularMatrixError,
+    bareiss_adjugate,
     bareiss_det,
     freeze,
     hnf_row_basis,
-    rational_inverse,
+    matmul,
+    transpose,
+    vec_mat,
 )
 from .lattice import (
     HomologyClass,
@@ -121,26 +124,60 @@ def e6_tilde_tree() -> PlumbingChain:
 
 @dataclass(frozen=True)
 class PlumbingForm:
-    """Intersection matrix of a chain with exact determinant and inverse."""
+    """Intersection matrix of a plumbing with its exact determinant and adjugate.
+
+    ``matrix * adj == det * I`` in integers; ``adj`` is None only for a
+    singular graph that is not a linear chain.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
     det: int
+    adj: tuple[tuple[int, ...], ...] | None
 
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.det == 0:
             raise SingularMatrixError("plumbing matrix is singular")
-        return rational_inverse(self.matrix)
+        return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.adj)
 
 
 @lru_cache(maxsize=None)
 def intersection_matrix(chain: PlumbingChain) -> PlumbingForm:
     m = chain.matrix()
-    return PlumbingForm(m, bareiss_det(m))
+    if chain.is_linear():
+        return PlumbingForm(m, *_continuant_adjugate(chain))
+    try:
+        return PlumbingForm(m, *bareiss_adjugate(m))
+    except SingularMatrixError:
+        return PlumbingForm(m, 0, None)
 
 
-@lru_cache(maxsize=None)
-def _chain_inverse(chain: PlumbingChain):
-    return intersection_matrix(chain).inverse()
+def _continuant_adjugate(chain: PlumbingChain):
+    """Determinant and adjugate of a linear chain from its continuants, in O(n^2).
+
+    Along the path v_0, ..., v_{n-1} with weights w, lead[k] is the
+    determinant of the first k vertices and tail[k] that of v_k, ..., v_{n-1}.
+    With unit edges the determinant is lead[n] and, for i <= j,
+    adj[v_i][v_j] = (-1)^(i+j) lead[i] tail[j+1] (Neumann, A calculus for
+    plumbing, 1981).  This holds for singular chains too.
+    """
+    order = _linear_order(chain)
+    w = [chain.weights[v] for v in order]
+    n = len(w)
+    lead = [1, w[0]]
+    for k in range(1, n):
+        lead.append(w[k] * lead[k] - lead[k - 1])
+    tail = [0] * (n + 2)
+    tail[n] = 1
+    for k in range(n - 1, -1, -1):
+        tail[k] = w[k] * tail[k + 1] - tail[k + 2]
+    signed_lead = [-x if i % 2 else x for i, x in enumerate(lead)]
+    signed_tail = [-tail[j + 1] if j % 2 else tail[j + 1] for j in range(n)]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        vi = order[i]
+        for j in range(i, n):
+            adj[vi][order[j]] = adj[order[j]][vi] = signed_lead[i] * signed_tail[j]
+    return lead[n], freeze(adj)
 
 
 @dataclass(frozen=True)
@@ -182,15 +219,14 @@ def boundary_lens_space(chain: PlumbingChain) -> LensSpace:
         raise ValueError("boundary computation implemented for linear chains only")
     if any(w > -2 for w in chain.weights):
         raise ValueError("continued fraction needs all weights <= -2")
-    ordered_weights = _linear_order(chain)
-    value = continued_fraction_value([-w for w in ordered_weights])
+    value = continued_fraction_value([-chain.weights[v] for v in _linear_order(chain)])
     return LensSpace(value.numerator, value.denominator)
 
 
 def _linear_order(chain: PlumbingChain) -> tuple[int, ...]:
-    """Weights listed along the chain starting from the first endpoint."""
+    """Vertices listed along the chain starting from the first endpoint."""
     if chain.size == 1:
-        return chain.weights
+        return (0,)
     adjacency = chain.adjacency()
     ends = [v for v in range(chain.size) if len(adjacency[v]) == 1]
     start = min(ends)
@@ -201,7 +237,7 @@ def _linear_order(chain: PlumbingChain) -> tuple[int, ...]:
         nxt = next(v for v in adjacency[current] if v != prev)
         order.append(nxt)
         prev, current = current, nxt
-    return tuple(chain.weights[v] for v in order)
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -358,14 +394,15 @@ def relative_square_of_restriction(emb: ConfigurationEmbedding, k) -> Fraction:
 
     With v the vector of pairings of k with the vertices and Q the chain
     matrix, the restriction is sum v_i gamma_i in the dual basis, whose Gram
-    is Q^(-1); the relative square is v^T Q^(-1) v.
+    is Q^(-1); the relative square is v^T Q^(-1) v = v^T adj(Q) v / det(Q),
+    summed over the nonzero v_i only.
     """
     form = intersection_matrix(emb.chain)
     if form.det == 0:
         raise SingularMatrixError("chain intersection matrix is singular")
-    v = emb.pairing_vector(k)
-    inv = _chain_inverse(emb.chain)
-    return sum(Fraction(v[i]) * inv[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+    support = [(i, x) for i, x in enumerate(emb.pairing_vector(k)) if x]
+    total = sum(x * y * form.adj[i][j] for i, x in support for j, y in support)
+    return Fraction(total, form.det)
 
 
 def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
@@ -424,29 +461,22 @@ def box_lift_search(emb: ConfigurationEmbedding, p: int, generators, bound: int 
     return hits
 
 
-def _overlattice_basis(gram_c, p: int):
+def _overlattice_basis(det_c: int, adj_c, p: int):
     """Basis of the index-p overlattice M = C + p C* inside C (x) Q.
 
-    C is the strict orthogonal complement; gluing in the rational ball
-    enlarges it to the unimodular lattice of the blown-down manifold, the
-    preimage of the order-p isotropic subgroup of the discriminant group.
-    Rows are returned in C-coordinates with denominator p; correctness
-    (integrality, |det| = 1) is checked by the caller.
+    C is the strict orthogonal complement, with Gram matrix G and
+    G * adj_c == det_c * I; gluing in the rational ball enlarges it to the
+    unimodular lattice of the blown-down manifold, the preimage of the
+    order-p isotropic subgroup of the discriminant group.  Rows are integer
+    C-coordinates scaled by den = |det_c|: C is spanned by den * I and p C*
+    by the rows of p * den * G^(-1) = +-p * adj_c.  Correctness (integrality,
+    |det| = 1) is checked by the caller.
     """
-    r = len(gram_c)
-    det = bareiss_det(gram_c)
-    if det == 0:
-        raise EmbeddingError("complement form is degenerate")
-    inv = rational_inverse(gram_c)
-    den = abs(det)
+    r = len(adj_c)
+    den = abs(det_c)
     rows = [[den if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(r):
-        row = [inv[i][j] * p * den for j in range(r)]
-        if any(x.denominator != 1 for x in row):
-            raise EmbeddingError("internal: dual basis did not clear denominators")
-        rows.append([int(x) for x in row])
-    basis = hnf_row_basis(rows)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in basis)
+    rows.extend([p * x for x in row] for row in adj_c)
+    return hnf_row_basis(rows)
 
 
 def rational_blowdown(
@@ -489,25 +519,21 @@ def rational_blowdown(
 
     complement = orthogonal_complement(X.lattice, emb.vertex_classes)
     gram_c = complement.gram
-    if abs(bareiss_det(gram_c)) != p * p:
+    # nondegenerate, as the ambient form and the verified chain form both are
+    det_c, adj_c = bareiss_adjugate(gram_c)
+    if abs(det_c) != p * p:
         raise EmbeddingError(
             f"complement discriminant is not p^2 = {p * p}; "
             "the configuration is not primitively embedded"
         )
-    basis = _overlattice_basis(gram_c, p)
+    basis = _overlattice_basis(det_c, adj_c, p)
     r = complement.rank
-    gram_m = []
-    for row_i in basis:
-        row = []
-        for row_j in basis:
-            entry = sum(
-                row_i[a] * gram_c[a][b] * row_j[b] for a in range(r) for b in range(r)
-            )
-            if entry.denominator != 1:
-                raise EmbeddingError("overlattice pairing is not integral")
-            row.append(int(entry))
-        gram_m.append(tuple(row))
-    gram_m = freeze(gram_m)
+    # the overlattice vectors are basis / den, so their Gram is B G B^T / den^2
+    den2 = det_c * det_c
+    scaled = matmul(matmul(basis, gram_c), transpose(basis))
+    if any(x % den2 for row in scaled for x in row):
+        raise EmbeddingError("overlattice pairing is not integral")
+    gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
     if abs(bareiss_det(gram_m)) != 1:
         raise EmbeddingError("overlattice is not unimodular")
     new_name = name or f"{X.name}_blowdown{p}"
@@ -515,16 +541,17 @@ def rational_blowdown(
         tuple(f"c{i}" for i in range(r)), gram_m, name=new_name
     )
 
-    inv_c = rational_inverse(gram_c)
-    basis_inv = rational_inverse(basis)
+    # a class with pairings v with C has C-coordinates v G^(-1) and
+    # M-coordinates v G^(-1) (B / den)^(-1) = v adj_c adj_b / divisor
+    det_b, adj_b = bareiss_adjugate(basis)
+    divisor = det_b if det_c > 0 else -det_b
 
     def push_down(k: HomologyClass) -> HomologyClass:
         pairings = [pair(k, w) for w in complement.vectors]
-        y = [sum(Fraction(pairings[a]) * inv_c[a][b] for a in range(r)) for b in range(r)]
-        z = [sum(y[a] * basis_inv[a][b] for a in range(r)) for b in range(r)]
-        if any(x.denominator != 1 for x in z):
+        z = vec_mat(vec_mat(pairings, adj_c), adj_b)
+        if any(x % divisor for x in z):
             raise EmbeddingError(f"class {k.coords} does not descend to the new lattice")
-        return HomologyClass(new_lattice, tuple(int(x) for x in z))
+        return HomologyClass(new_lattice, tuple(x // divisor for x in z))
 
     entries = {}
     for k, _ in X.sw.items():

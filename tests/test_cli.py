@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,14 @@ def test_plumbing_explicit_weights(capsys):
     assert code == 2  # mutually exclusive
 
 
+def test_plumbing_large_chain_inverse_bytes(capsys):
+    code, out, _ = run_cli(capsys, "plumbing", "cp", "--p", "120", "--invert", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "096800918d38e5274e4d18951e6ffb89e5a3eaa3902f301274934afadcf4bbf0"
+    )
+
+
 def test_sw_e1_surgery(capsys):
     code, out, _ = run_cli(capsys, "sw", "e1-surgery", "--knots", "1,3", "--json")
     assert code == 0
@@ -108,6 +117,15 @@ def test_lattice_ops_on_builtin(capsys):
                            "--class", "T+E0+E1+E2", "--json")
     assert code == 0
     assert json.loads(out)["value"] is True
+    code, out, _ = run_cli(capsys, "lattice", "pair", "--model", "e1",
+                           "--class", "T", "--class", "eta")
+    assert code == 0
+    assert "pair = 3" in out
+
+
+def test_builtin_model_not_shadowed_by_file(capsys, tmp_path, monkeypatch):
+    (tmp_path / "e1").write_text("not a model\n")
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "lattice", "pair", "--model", "e1",
                            "--class", "T", "--class", "eta")
     assert code == 0

@@ -5,12 +5,12 @@ import pytest
 
 from swsurgery.exactmat import (
     SingularMatrixError,
+    bareiss_adjugate,
     bareiss_det,
     hnf_row_basis,
     kernel_rows,
+    identity,
     matmul,
-    rational_inverse,
-    solve_exact,
     solve_mod2,
     symmetric_diagonalize,
     transpose,
@@ -37,13 +37,37 @@ def test_bareiss_multiplicative_random():
         assert bareiss_det(u) in (1, -1)
 
 
-def test_rational_inverse_and_solve():
+def test_bareiss_adjugate_inverse_and_singular():
     m = ((2, 1), (1, 1))
-    inv = rational_inverse(m)
+    det, adj = bareiss_adjugate(m)
+    assert (det, adj) == (1, ((1, -1), (-1, 2)))
+    inv = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
     assert matmul(m, inv) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert solve_exact(m, (3, 2)) == (Fraction(1), Fraction(1))
+    # a zero leading pivot forces a row swap, which flips the sign back
+    assert bareiss_adjugate(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))
+    assert bareiss_adjugate(()) == (1, ())
     with pytest.raises(SingularMatrixError):
-        rational_inverse(((1, 1), (1, 1)))
+        bareiss_adjugate(((1, 1), (1, 1)))
+
+
+def test_bareiss_adjugate_random_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    nonsingular = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        # sparse entries make zero pivots, and so row swaps, common
+        m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        det = int(sympy.Matrix(m).det())
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                bareiss_adjugate(m)
+            continue
+        nonsingular += 1
+        d, adj = bareiss_adjugate(m)
+        assert abs(d) == abs(det)
+        assert matmul(m, adj) == tuple(tuple(d * x for x in row) for row in identity(n))
+    assert nonsingular > 150
 
 
 def test_kernel_rows_saturated():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swsurgery.exactmat import SingularMatrixError
+from swsurgery.exactmat import SingularMatrixError, matmul
 from swsurgery.lattice import pair, square
 from swsurgery.manifold import Chamber
 from swsurgery.models import (
@@ -20,6 +22,7 @@ from swsurgery.plumbing import (
     ConfigurationEmbedding,
     EmbeddingError,
     LensSpace,
+    PlumbingChain,
     boundary_lens_space,
     box_lift_search,
     continued_fraction_value,
@@ -67,6 +70,102 @@ def test_singular_inverse_errors():
     assert tree_form.det == 0  # the tree supports a square-zero fiber class
     with pytest.raises(SingularMatrixError):
         tree_form.inverse()
+
+
+def _relabelled_chain(weights, labels, rng):
+    """The linear chain with the given weights along the path, vertex i of the
+    path named labels[i], edges in random order and orientation."""
+    n = len(weights)
+    named = [0] * n
+    for i, w in enumerate(weights):
+        named[labels[i]] = w
+    edges = [(labels[i], labels[i + 1])[::rng.choice((1, -1))] for i in range(n - 1)]
+    rng.shuffle(edges)
+    return PlumbingChain(tuple(named), tuple(edges))
+
+
+@st.composite
+def linear_chains(draw):
+    # small weights make zero leading continuants and singular chains common
+    weight = st.one_of(st.integers(-3, 3), st.integers(-80, 3))
+    n = draw(st.integers(1, 60))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    labels = draw(st.permutations(range(len(weights))))
+    return _relabelled_chain(weights, labels, draw(st.randoms(use_true_random=False)))
+
+
+def _sympy_fraction_rows(matrix):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in matrix.tolist())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(linear_chains())
+@example(PlumbingChain((0,), ()))
+@example(PlumbingChain((1, 1), ((0, 1),)))  # singular
+@example(PlumbingChain((1, 1, 1), ((2, 1), (0, 1))))  # lead[2] == 0, nonsingular
+@example(PlumbingChain((1, 1, 1, 1, 1), ((3, 4), (0, 1), (2, 3), (1, 2))))  # singular
+def test_linear_chain_form_matches_sympy(chain):
+    sympy = pytest.importorskip("sympy")
+    form = intersection_matrix(chain)
+    m = sympy.Matrix(chain.matrix())
+    det = int(m.to_DM().det())
+    assert form.matrix == chain.matrix()
+    assert form.det == det
+    if det == 0:
+        # the continuant adjugate stays an adjugate: matrix * adj == 0
+        assert not any(any(row) for row in matmul(form.matrix, form.adj))
+        with pytest.raises(SingularMatrixError):
+            form.inverse()
+    else:
+        assert form.inverse() == _sympy_fraction_rows(m.inv())
+
+
+def test_tree_forms_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(4, 12)
+        edges = tuple((rng.randrange(v), v) for v in range(1, n))
+        chain = PlumbingChain(tuple(rng.randint(-6, 1) for _ in range(n)), edges)
+        if chain.is_linear():
+            continue
+        form = intersection_matrix(chain)
+        m = sympy.Matrix(chain.matrix())
+        assert form.det == int(m.to_DM().det())
+        if form.det == 0:
+            with pytest.raises(SingularMatrixError):
+                form.inverse()
+        else:
+            assert form.inverse() == _sympy_fraction_rows(m.inv())
+
+
+def test_relative_square_on_general_chains_matches_cramer():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        weights = [rng.choice((-2, -2, rng.randint(-12, -1))) for _ in range(n)]
+        if rng.random() < 0.5:
+            chain = _relabelled_chain(weights, rng.sample(range(n), n), rng)
+        else:
+            edges = tuple((rng.randrange(v), v) for v in range(1, n))
+            chain = PlumbingChain(tuple(weights), edges)
+        v = [rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
+        emb = ConfigurationEmbedding(
+            ambient=None, chain=chain, profile_gram=chain.matrix(),
+            profile_pairings={f"g{i}": tuple(1 if j == i else 0 for j in range(n))
+                              for i in range(n)},
+        )
+        candidate = {f"g{i}": v[i] for i in range(n)}
+        if intersection_matrix(chain).det == 0:
+            with pytest.raises(SingularMatrixError):
+                relative_square_of_restriction(emb, candidate)
+            continue
+        xs = cramer_solve(chain.matrix(), v)
+        expected = sum(Fraction(vi) * xi for vi, xi in zip(v, xs))
+        assert relative_square_of_restriction(emb, candidate) == expected
+        checked += 1
+    assert checked > 200
 
 
 def test_boundary_lens_spaces():
