@@ -3,11 +3,14 @@
 All homology bookkeeping in the package reduces to exact arithmetic on these
 lattices: integer coordinate vectors against a fixed ordered basis of named
 generators, paired through an integer Gram matrix.  No floating point.
+Pairings and characteristic tests run over the sparse rows of the Gram
+(its nonzero entries only), so they cost O(n) on the diagonal forms of E(1)
+and its blowups and stay exact on any other Gram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exactmat import (
@@ -44,10 +47,16 @@ class IntersectionLattice:
     gram: tuple[tuple[int, ...], ...]
     name: str = ""
     relative: bool = False
+    # rows[i] = ((j, gram[i][j]), ...) over the nonzero entries of row i
+    rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(str(b) for b in self.basis))
-        object.__setattr__(self, "gram", freeze(tuple(int(x) for x in row) for row in self.gram))
+        gram = freeze(tuple(int(x) for x in row) for row in self.gram)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "rows", tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in gram
+        ))
         if len(set(self.basis)) != len(self.basis):
             raise ValueError("basis labels must be unique")
         if len(self.gram) != len(self.basis):
@@ -90,7 +99,7 @@ class IntersectionLattice:
 
 
 def same_lattice(a: IntersectionLattice, b: IntersectionLattice) -> bool:
-    return a.basis == b.basis and a.gram == b.gram
+    return a is b or (a.basis == b.basis and a.gram == b.gram)
 
 
 @dataclass(frozen=True)
@@ -141,12 +150,12 @@ def _require_same(x: HomologyClass, y: HomologyClass):
 def pair(x: HomologyClass, y: HomologyClass) -> int:
     """Intersection pairing x . y = x^T G y; symmetric and bilinear."""
     _require_same(x, y)
-    gram = x.lattice.gram
+    yc = y.coords
     total = 0
-    for i, xi in enumerate(x.coords):
+    for xi, row in zip(x.coords, x.lattice.rows):
         if xi:
-            row = gram[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y.coords) if yj)
+            for j, g in row:
+                total += xi * g * yc[j]
     return total
 
 
@@ -154,12 +163,27 @@ def square(x: HomologyClass) -> int:
     return pair(x, x)
 
 
+def gram_image(x: HomologyClass) -> tuple[int, ...]:
+    """G x, so that x . y is the dot product of y's coordinates with it."""
+    c = x.coords
+    image = []
+    for row in x.lattice.rows:
+        total = 0
+        for j, g in row:
+            total += g * c[j]
+        image.append(total)
+    return tuple(image)
+
+
 def is_characteristic(k: HomologyClass) -> bool:
     """True iff k . x == x . x mod 2 for every x (checked on the basis)."""
+    c = k.coords
     gram = k.lattice.gram
-    for i in range(k.lattice.rank):
-        kdot = sum(gram[i][j] * cj for j, cj in enumerate(k.coords) if cj)
-        if (kdot - gram[i][i]) % 2:
+    for i, row in enumerate(k.lattice.rows):
+        kx = 0
+        for j, g in row:
+            kx += g * c[j]
+        if (kx - gram[i][i]) % 2:
             return False
     return True
 
@@ -236,11 +260,7 @@ def orthogonal_complement(lattice: IntersectionLattice, classes) -> Sublattice:
     umat = tuple(u.coords for u in classes)
     if gauss_rank(umat) != len(classes):
         raise ValueError("complement input classes are linearly dependent")
-    pairing_rows = tuple(
-        tuple(sum(lattice.gram[i][j] * u.coords[i] for i in range(lattice.rank)) for j in range(lattice.rank))
-        for u in classes
-    )
-    basis_rows = kernel_rows(pairing_rows)
+    basis_rows = kernel_rows(tuple(gram_image(u) for u in classes))
     vectors = tuple(HomologyClass(lattice, row) for row in basis_rows)
     gram = freeze(tuple(pair(v, w) for w in vectors) for v in vectors)
     return Sublattice(lattice, vectors, gram)

@@ -9,11 +9,13 @@ by the underlying theory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .lattice import (
     HomologyClass,
     IntersectionLattice,
+    gram_image,
     is_characteristic,
     pair,
     same_lattice,
@@ -315,23 +317,26 @@ def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
     consistent with a blowup; with no magnitude >= 2 class the test is silent.
     """
     items = X.sw.items()
-    high = [(k, v) for k, v in items if abs(v) >= 2]
-    if not high:
+    high_coords = {k.coords for k, v in items if abs(v) >= 2}
+    if not high_coords:
         return MinimalityVerdict("inconclusive")
+    # (k1 - k2)^2 = k1^2 + k2^2 - 2 k1.(G k2), with G k and k^2 taken once per entry
+    entries = []
+    for k, v in items:
+        gk = gram_image(k)
+        entries.append((k.coords, abs(v), gk, sum(map(mul, k.coords, gk))))
     pairs = []
-    for i, (k1, v1) in enumerate(items):
-        for k2, v2 in items[i + 1:]:
-            if abs(v1) == abs(v2) and square(k1 - k2) == -4:
-                pairs.append((k1, k2))
-    high_coords = {k.coords for k, _ in high}
-    paired = {k.coords for k1, k2 in pairs for k in (k1, k2)}
-    high_pairs = [(k1, k2) for k1, k2 in pairs
-                  if k1.coords in high_coords and k2.coords in high_coords]
+    for i, (c1, m1, _, sq1) in enumerate(entries):
+        for c2, m2, gk2, sq2 in entries[i + 1:]:
+            if m1 == m2 and sq1 + sq2 - 2 * sum(map(mul, c1, gk2)) == -4:
+                pairs.append((c1, c2))
+    paired = {c for pair_coords in pairs for c in pair_coords}
+    high_pairs = [(c1, c2) for c1, c2 in pairs if c1 in high_coords and c2 in high_coords]
     if not high_pairs:
         return MinimalityVerdict("minimal_certified")
     if high_coords <= paired:
-        k1, k2 = high_pairs[0]
-        return MinimalityVerdict("blowup_pair_found", (k1.coords, k2.coords), square(k1 - k2) // 4)
+        # the pair differs by 2E, so E^2 = (k1 - k2)^2 / 4 = -1
+        return MinimalityVerdict("blowup_pair_found", high_pairs[0], -1)
     return MinimalityVerdict("inconclusive")
 
 

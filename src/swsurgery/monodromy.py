@@ -2,7 +2,10 @@
 
 Words in the two Dehn twist generators are evaluated through the symplectic
 representation a -> [[1,1],[0,1]], b -> [[1,0],[-1,1]] (uppercase letters are
-inverses).  With this convention ab has trace 1 and order 6.
+inverses).  With this convention ab has trace 1 and order 6.  A parsed word
+is evaluated over its factor tree: every power, of a letter or of a
+parenthesized group, is taken by repeated squaring, so its cost grows with
+the logarithm of the exponent.
 """
 
 from __future__ import annotations
@@ -79,11 +82,16 @@ _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 @dataclass(frozen=True)
 class Factor:
-    """One top-level factor of a parsed word, boundaries as written."""
+    """One top-level factor of a parsed word, boundaries as written.
+
+    ``base`` is the matrix of ``base_letters``; the factor's matrix is
+    ``base ** power``.
+    """
 
     text: str
     base_letters: tuple[str, ...]
     power: int
+    base: IntegerMatrix2
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -106,12 +114,21 @@ def _expand(letters: tuple[str, ...], power: int) -> tuple[str, ...]:
     return inv * (-power)
 
 
+def _product(factors) -> IntegerMatrix2:
+    m = IntegerMatrix2.identity()
+    for f in factors:
+        m = m @ f.base ** f.power
+    return m
+
+
 def parse_word(text: str) -> MCGWord:
     """Parse a twist word.
 
     Grammar: word := atom+ with atom one of a, b, A, B (optionally ^int) or a
     parenthesized word with ^int; whitespace is ignored; negative and zero
     powers are allowed.  Raises WordSyntaxError with the offending position.
+    Nesting depth is bounded only by the input: open groups live on an
+    explicit stack of (position of '(', factors so far) frames.
     """
     pos = 0
     n = len(text)
@@ -138,44 +155,50 @@ def parse_word(text: str) -> MCGWord:
             return int(text[start:pos])
         return 1
 
-    def parse_sequence(depth: int) -> list[Factor]:
-        nonlocal pos
-        items: list[Factor] = []
-        while True:
-            skip_ws()
-            if pos >= n:
-                return items  # caller reports a missing ')' at the opening paren
-            ch = text[pos]
-            if ch == ")":
-                if not depth:
-                    raise WordSyntaxError("unbalanced ')'", pos)
-                return items
-            start = pos
-            if ch in GENERATORS:
-                pos += 1
-                power = parse_power()
-                items.append(Factor(text[start:pos], (ch,), power))
-            elif ch == "(":
-                pos += 1
-                inner = parse_sequence(depth + 1)
-                if pos >= n or text[pos] != ")":
-                    raise WordSyntaxError("unbalanced '('", start)
-                pos += 1
-                power = parse_power()
-                base = tuple(x for f in inner for x in f.letters)
-                items.append(Factor(text[start:pos], base, power))
-            else:
-                raise WordSyntaxError(f"unexpected character {ch!r}", pos)
-
-    factors = tuple(parse_sequence(0))
+    stack: list[tuple[int, list[Factor]]] = []
+    items: list[Factor] = []
+    while True:
+        skip_ws()
+        if pos >= n:
+            if stack:
+                raise WordSyntaxError("unbalanced '('", stack[-1][0])
+            break
+        ch = text[pos]
+        start = pos
+        if ch in GENERATORS:
+            pos += 1
+            power = parse_power()
+            items.append(Factor(text[start:pos], (ch,), power, GENERATORS[ch]))
+        elif ch == "(":
+            stack.append((pos, items))
+            items = []
+            pos += 1
+        elif ch == ")":
+            if not stack:
+                raise WordSyntaxError("unbalanced ')'", pos)
+            inner = items
+            start, items = stack.pop()
+            pos += 1
+            power = parse_power()
+            base_letters = tuple(x for f in inner for x in f.letters)
+            items.append(Factor(text[start:pos], base_letters, power, _product(inner)))
+        else:
+            raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+    factors = tuple(items)
     letters = tuple(x for f in factors for x in f.letters)
     return MCGWord(letters, factors)
 
 
 def evaluate(word: MCGWord | str) -> IntegerMatrix2:
-    """Product of the generator matrices; the empty word is the identity."""
+    """Product of the generator matrices; the empty word is the identity.
+
+    A parsed word is the product of its factors' ``base ** power``, each by
+    repeated squaring; a word built from bare letters is multiplied out.
+    """
     if isinstance(word, str):
         word = parse_word(word)
+    if word.factors:
+        return _product(word.factors)
     m = IntegerMatrix2.identity()
     for letter in word.letters:
         m = m @ GENERATORS[letter]
@@ -229,15 +252,14 @@ def verify_factorization(word: MCGWord | str, expected: MCGWord | str | None = N
     rhs = evaluate(target) if target is not None else IntegerMatrix2.identity()
     diags = []
     for f in word.factors:
-        base = evaluate(MCGWord(f.base_letters))
-        factor_matrix = base ** f.power
+        factor_matrix = f.base ** f.power
         diags.append(
             FactorDiagnostic(
                 text=f.text,
                 power=f.power,
-                base_trace=base.trace,
+                base_trace=f.base.trace,
                 factor_trace=factor_matrix.trace,
-                parabolic=base.trace == 2 and not base.is_identity(),
+                parabolic=f.base.trace == 2 and not f.base.is_identity(),
                 width=parabolic_width(factor_matrix),
             )
         )

@@ -2,13 +2,16 @@
 
 These deliberately avoid the package's own code paths: pairings by explicit
 double loops, signatures by Jacobi's leading-minor rule, determinants by the
-tridiagonal recurrence, linear solves by Cramer's rule.
+tridiagonal recurrence, linear solves by Cramer's rule, twist words one
+letter at a time, the blowup-pair test by squaring every difference.
 """
 
 from fractions import Fraction
 from itertools import islice, permutations
+from math import gcd
 
 from swsurgery.exactmat import bareiss_det
+from swsurgery.manifold import MinimalityVerdict
 
 
 def naive_pair(gram, x, y):
@@ -17,6 +20,57 @@ def naive_pair(gram, x, y):
         for j, yj in enumerate(y):
             total += xi * gram[i][j] * yj
     return total
+
+
+def naive_is_characteristic(gram, k):
+    """k . e_i == e_i . e_i mod 2 for every basis vector, by full rows."""
+    n = len(k)
+    return all((sum(gram[i][j] * k[j] for j in range(n)) - gram[i][i]) % 2 == 0 for i in range(n))
+
+
+WORD_GENERATORS = {"a": (1, 1, 0, 1), "b": (1, 0, -1, 1), "A": (1, -1, 0, 1), "B": (1, 0, 1, 1)}
+
+
+def naive_word_matrix(letters):
+    """Product of the generator matrices, one letter at a time, as (a, b, c, d)."""
+    a, b, c, d = 1, 0, 0, 1
+    for x in letters:
+        p, q, r, s = WORD_GENERATORS[x]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
+
+
+def naive_parabolic_width(m):
+    """gcd of the entries of m - id for trace-2 non-identity m, else None."""
+    a, b, c, d = m
+    if a + d != 2 or m == (1, 0, 0, 1):
+        return None
+    return gcd(gcd(abs(a - 1), abs(b)), gcd(abs(c), abs(d - 1)))
+
+
+def pairwise_minimality(model):
+    """Blowup-pair verdict by the pairwise rule: over i < j, a pair has equal
+    magnitudes and (k1 - k2)^2 == -4, squared by the naive double loop."""
+    gram = model.lattice.gram
+    entries = model.sw.entries
+    high = {c for c, v in entries if abs(v) >= 2}
+    if not high:
+        return MinimalityVerdict("inconclusive")
+    pairs = []
+    for i, (c1, v1) in enumerate(entries):
+        for c2, v2 in entries[i + 1:]:
+            diff = [x - y for x, y in zip(c1, c2)]
+            if abs(v1) == abs(v2) and naive_pair(gram, diff, diff) == -4:
+                pairs.append((c1, c2))
+    paired = {c for p in pairs for c in p}
+    high_pairs = [p for p in pairs if p[0] in high and p[1] in high]
+    if not high_pairs:
+        return MinimalityVerdict("minimal_certified")
+    if high <= paired:
+        c1, c2 = high_pairs[0]
+        diff = [x - y for x, y in zip(c1, c2)]
+        return MinimalityVerdict("blowup_pair_found", (c1, c2), naive_pair(gram, diff, diff) // 4)
+    return MinimalityVerdict("inconclusive")
 
 
 def minors_signature(gram):
@@ -73,12 +127,15 @@ def random_unimodular(rng, n, ops=12):
     return m
 
 
+def transformed_gram(p, diag_entries):
+    """Gram of a diagonal form in the basis whose vectors are the rows of p."""
+    n = len(diag_entries)
+    return tuple(
+        tuple(sum(p[i][k] * diag_entries[k] * p[j][k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
 def congruent_gram(rng, diag_entries):
     """Gram of a random basis change applied to a diagonal form."""
-    n = len(diag_entries)
-    p = random_unimodular(rng, n)
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            gram[i][j] = sum(p[i][k] * diag_entries[k] * p[j][k] for k in range(n))
-    return tuple(tuple(row) for row in gram)
+    return transformed_gram(random_unimodular(rng, len(diag_entries)), diag_entries)

@@ -60,6 +60,13 @@ def test_monodromy_check(capsys):
     assert code == 0
 
 
+def test_monodromy_check_deep_nesting(capsys):
+    nested = "(" * 3000 + "a" + ")" * 3000
+    code, out, _ = run_cli(capsys, "monodromy", "check", nested, "--equals", "a")
+    assert code == 0
+    assert "equal   True" in out
+
+
 def test_monodromy_syntax_error(capsys):
     code, _, err = run_cli(capsys, "monodromy", "check", "(ab")
     assert code == 2

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swsurgery.exactmat import bareiss_det
 from swsurgery.lattice import (
     DegenerateFormError,
     HomologyClass,
@@ -16,7 +19,7 @@ from swsurgery.lattice import (
 from swsurgery.models import class_from_coeffs, e6_sphere_classes, zn_c7_classes, zn_chamber
 from swsurgery.plumbing import cp_chain, intersection_matrix
 
-from .oracles import congruent_gram, minors_signature, naive_pair
+from .oracles import congruent_gram, minors_signature, naive_is_characteristic, naive_pair
 
 
 def test_defining_squares(e1_model):
@@ -191,3 +194,40 @@ def test_serialization_round_trip(e1_model):
     assert back.gram == e1_model.lattice.gram
     k = e1_model.marked_class("T")
     assert k.to_dict("E1") == {"lattice": "E1", "coords": [3] + [-1] * 9}
+
+
+@st.composite
+def lattices_with_vectors(draw):
+    """A random symmetric Gram of rank 1-12 (about half non-diagonal, degenerate
+    ones as relative lattices) with three coordinate vectors."""
+    n = draw(st.integers(1, 12))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -5))
+    gram = [[0] * n for _ in range(n)]
+    diagonal = draw(st.booleans())
+    for i in range(n):
+        for j in (i,) if diagonal else range(i, n):
+            gram[i][j] = gram[j][i] = draw(entries)
+    relative = bareiss_det(gram) == 0 or draw(st.booleans())
+    lattice = IntersectionLattice(tuple(f"g{i}" for i in range(n)), gram, relative=relative)
+    vectors = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return lattice, draw(vectors), draw(vectors), draw(vectors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattices_with_vectors())
+def test_sparse_rows_match_dense_oracles(data):
+    lattice, x, y, k = data
+    gram = lattice.gram
+    assert pair(lattice.element(x), lattice.element(y)) == naive_pair(gram, x, y)
+    assert square(lattice.element(k)) == naive_pair(gram, k, k)
+    # the parities of the diagonal are characteristic in every diagonal lattice
+    parities = [gram[i][i] % 2 for i in range(lattice.rank)]
+    for v in (k, parities):
+        assert is_characteristic(lattice.element(v)) == naive_is_characteristic(gram, v)
+    # the sparse rows are derived data: equality, hash, repr and to_dict ignore them
+    twin = IntersectionLattice(lattice.basis, gram, relative=lattice.relative)
+    object.__setattr__(twin, "rows", ())
+    assert twin == lattice and hash(twin) == hash(lattice)
+    assert twin.to_dict() == lattice.to_dict() == {"basis": list(lattice.basis),
+                                                    "gram": [list(r) for r in gram]}
+    assert "rows" not in repr(lattice)

@@ -1,5 +1,11 @@
-import pytest
+import random
 
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swsurgery.knots import TwistKnot, knot_surgery_manifold
 from swsurgery.lattice import IntersectionLattice, pair, square
 from swsurgery.manifold import (
     Chamber,
@@ -15,7 +21,9 @@ from swsurgery.manifold import (
     minimality_check,
     wall_crossing_delta,
 )
-from swsurgery.models import class_from_coeffs, zn_chamber
+from swsurgery.models import class_from_coeffs, e1, zn_chamber
+
+from .oracles import pairwise_minimality, random_unimodular, transformed_gram
 
 
 def diag_model(name, plus, minus, sw_pairs=None, note=None):
@@ -188,13 +196,12 @@ def _diag_lattice(name, plus, minus):
     )
 
 
-def test_minimality_verdicts():
+def _minimality_tables():
     # square-3 pair: (k - (-k))^2 = 12 != -4 certifies minimality
     lat = _diag_lattice("m", 1, 6)
     k = lat.element((3, 1, 1, 1, 1, 1, 1))  # characteristic, square 3
     assert square(k) == 3
     model = make_model("m", lat, 9, -5, True, sw=SWTable.from_pairs(lat, {k: 2, -k: -2}))
-    assert minimality_check(model).status == "minimal_certified"
 
     # blowup-shaped table: partners differ by 2E
     lat2 = _diag_lattice("m2", 1, 2)
@@ -203,15 +210,76 @@ def test_minimality_verdicts():
     assert square(kp - km) == -4
     table = SWTable.from_pairs(lat2, {kp: 5, km: 5, -kp: -5, -km: -5})
     model2 = make_model("m2", lat2, 5, -1, True, sw=table)
-    verdict = minimality_check(model2)
-    assert verdict.status == "blowup_pair_found"
-    assert verdict.e_square == -1
 
     # empty and magnitude-one tables are inconclusive
     empty = make_model("m3", lat, 9, -5, True)
-    assert minimality_check(empty).status == "inconclusive"
     ones = make_model("m4", lat, 9, -5, True, sw=SWTable.from_pairs(lat, {k: 1, -k: -1}))
+    return model, model2, empty, ones
+
+
+def test_minimality_verdicts():
+    model, model2, empty, ones = _minimality_tables()
+    assert minimality_check(model).status == "minimal_certified"
+    verdict = minimality_check(model2)
+    assert verdict.status == "blowup_pair_found"
+    assert verdict.e_square == -1
+    assert minimality_check(empty).status == "inconclusive"
     assert minimality_check(ones).status == "inconclusive"
+
+
+def test_minimality_matches_pairwise_oracle_on_surgered_models():
+    rng = random.Random(17)
+    models = list(_minimality_tables())
+    for _ in range(25):
+        X = e1()
+        for _ in range(rng.randint(1, 4)):
+            X = knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(rng.randint(-30, 30)))
+        for _ in range(rng.randint(0, 4)):
+            X = blowup(X)
+        models.append(X)
+    verdicts = [minimality_check(X) for X in models]
+    assert verdicts == [pairwise_minimality(X) for X in models]
+    assert {v.status for v in verdicts} == {"minimal_certified", "blowup_pair_found", "inconclusive"}
+
+
+@st.composite
+def congruent_models(draw):
+    """A model on <1> + n<-1> (n = 9..11) seen through a random unimodular basis
+    change, so its Gram is not diagonal.  SW classes are drawn in diagonal
+    coordinates (odd entries, so characteristic), some with a partner that
+    differs by 2e_i, with magnitudes 1-3, and mapped by the inverse transpose."""
+    n = draw(st.integers(9, 11))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    change = random_unimodular(rng, n + 1)
+    gram = transformed_gram(change, (1,) + (-1,) * n)
+    inv_t = sympy.Matrix(change).inv().T
+    lattice = IntersectionLattice(tuple(f"g{i}" for i in range(n + 1)), gram, name="congruent")
+    odd = st.sampled_from((1, -1, 1, -1, 3, -3))
+    entries = {}
+    for _ in range(draw(st.integers(1, 4))):
+        y = [draw(st.sampled_from((1, 3, 5, 7, 9, 11)))] + [draw(odd) for _ in range(n)]
+        value = draw(st.integers(1, 3))
+        drawn = [(y, value)]
+        ones = [i for i in range(1, n + 1) if abs(y[i]) == 1]
+        if ones and draw(st.booleans()):
+            i = draw(st.sampled_from(ones))
+            partner = y[:i] + [-y[i]] + y[i + 1:]
+            drawn.append((partner, draw(st.sampled_from((value, value, value % 3 + 1)))))
+        for y, value in drawn:
+            if y[0] ** 2 - sum(t * t for t in y[1:]) < 9 - n:
+                continue  # negative formal dimension
+            x = tuple(int(t) for t in inv_t * sympy.Matrix(y))
+            neg = tuple(-t for t in x)
+            if x not in entries and neg not in entries:
+                entries[x], entries[neg] = value, -value
+    table = SWTable(lattice, tuple(entries.items()))
+    return make_model("congruent", lattice, n + 3, 1 - n, True, sw=table)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(congruent_models())
+def test_minimality_matches_pairwise_oracle_on_non_diagonal_lattices(model):
+    assert minimality_check(model) == pairwise_minimality(model)
 
 
 def test_fingerprint(e1_model):

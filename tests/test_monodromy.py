@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swsurgery.monodromy import (
     GENERATORS,
@@ -12,6 +14,8 @@ from swsurgery.monodromy import (
     parse_word,
     verify_factorization,
 )
+
+from .oracles import naive_parabolic_width, naive_word_matrix
 
 E6_WORD = "(ab)^4a^2(Aba)b"
 I6_WORD = "a^6(A^3ba^3)(baB)^2b^2(Bab)"
@@ -65,7 +69,8 @@ def test_parse_round_trip():
 
 
 def test_parse_errors_with_position():
-    for bad, pos in (("(ab", 0), ("ab)", 2), ("x", 0), ("a^", 2), ("(ab)^x", 5)):
+    for bad, pos in (("(ab", 0), ("ab)", 2), ("x", 0), ("a^", 2), ("(ab)^x", 5),
+                     ("a((b)", 1), ("((a)^2", 0), ("(a))", 3), ("(((a)^x))", 6)):
         with pytest.raises(WordSyntaxError) as err:
             parse_word(bad)
         assert err.value.position == pos
@@ -117,3 +122,58 @@ def test_matrix_type():
     m = evaluate("aabAB")
     assert (m @ m.inverse()).is_identity()
     assert m ** -2 == (m.inverse()) ** 2
+
+
+def test_powers_by_repeated_squaring():
+    assert evaluate("a^1000000") == IntegerMatrix2(1, 1000000, 0, 1)
+    assert evaluate("(Ab^3)^0") == IntegerMatrix2.identity()
+
+
+def test_deep_nesting_parses():
+    depth = 3000
+    word = parse_word("(" * depth + "a" + ")" * depth)
+    assert word.letters == ("a",)
+    assert evaluate(word) == GENERATORS["a"]
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("(" * depth + "a" + ")" * (depth - 1))
+    assert err.value.position == 0
+
+
+@st.composite
+def twist_words(draw, depth=4, budget=400):
+    """Text of a random word: nested groups up to ``depth`` deep, empty groups
+    included, exponents in [-20, 20] kept small enough that no group expands
+    to more than ``budget`` letters.  Returns (text, number of letters)."""
+    parts, length = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        if depth and draw(st.booleans()):
+            inner, size = draw(twist_words(depth - 1, budget))
+            atom = f"({inner})"
+        else:
+            atom, size = draw(st.sampled_from("abAB")), 1
+        bound = min(20, budget // max(size, 1))
+        power = draw(st.none() | st.integers(-bound, bound))
+        if power is not None:
+            atom += f"^{power}"
+        parts.append(atom)
+        length += size * abs(1 if power is None else power)
+    return "".join(parts), length
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(twist_words())
+def test_factor_tree_matches_letter_product(drawn):
+    text, length = drawn
+    word = parse_word(text)
+    assert len(word.letters) == length
+    assert evaluate(text) == IntegerMatrix2(*naive_word_matrix(word.letters))
+    report = verify_factorization(text)
+    assert len(report.factors) == len(word.factors)
+    for d, f in zip(report.factors, word.factors):
+        base = naive_word_matrix(f.base_letters)
+        factor = naive_word_matrix(f.letters)
+        assert (d.text, d.power) == (f.text, f.power)
+        assert d.base_trace == base[0] + base[3]
+        assert d.factor_trace == factor[0] + factor[3]
+        assert d.parabolic == (base[0] + base[3] == 2 and base != (1, 0, 0, 1))
+        assert d.width == naive_parabolic_width(factor)
