@@ -53,9 +53,10 @@ from .monodromy import (
     verify_factorization,
 )
 from .pipelines import (
-    ConstructionScript,
+    FAMILIES,
     build_b7_family,
     build_b8_family,
+    build_family,
     build_Qn,
     build_Xn,
     verify_paper,
@@ -66,7 +67,6 @@ from .plumbing import (
     LensSpace,
     PlumbingChain,
     boundary_lens_space,
-    box_lift_search,
     cp_chain,
     e6_tilde_tree,
     find_characteristic_lifts,

@@ -14,23 +14,14 @@ from . import pipelines
 from .knots import e1_knot_surgery_sw
 from .lattice import HomologyClass, is_characteristic, pair, square
 from .manifold import FourManifoldModel
-from .models import e1, v_n, w_n, y_n, z_n
+from .models import class_from_coeffs, e1, v_n, w_n, y_n, z_n
 from .monodromy import WordSyntaxError, verify_factorization
 from .plumbing import PlumbingChain, boundary_lens_space, cp_chain, intersection_matrix
 from . import __version__
 from .report import REPORT_VERSION
 
-BUILTIN_MODELS = {
-    "e1": lambda n: e1(),
-    "yn": y_n,
-    "zn": z_n,
-    "vn": v_n,
-    "wn": w_n,
-    "xn": lambda n: pipelines.build_Xn(n)[0],
-    "qn": lambda n: pipelines.build_Qn(n)[0],
-    "b7": lambda n: pipelines.build_b7_family(n)[0],
-    "b8": lambda n: pipelines.build_b8_family(n)[0],
-}
+# the family models (xn:2, qn:1, ...) come from pipelines.FAMILIES
+BUILTIN_MODELS = {"yn": y_n, "zn": z_n, "vn": v_n, "wn": w_n}
 
 
 class CliError(Exception):
@@ -43,8 +34,8 @@ def resolve_model(spec: str) -> FourManifoldModel:
     Builtin names come first, so a file of the same name cannot shadow them.
     """
     name, _, param = spec.partition(":")
-    builder = BUILTIN_MODELS.get(name.lower())
-    if builder is None:
+    key = name.lower()
+    if key != "e1" and key not in BUILTIN_MODELS and key not in pipelines.FAMILIES:
         try:
             with open(spec) as fh:
                 return FourManifoldModel.from_dict(json.load(fh))
@@ -52,15 +43,17 @@ def resolve_model(spec: str) -> FourManifoldModel:
             raise CliError(f"no model file or builtin named {spec!r}") from None
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot load model file {spec!r}: {exc}") from exc
-    if name.lower() == "e1":
-        return builder(0)
+    if key == "e1":
+        return e1()
     if not param:
         raise CliError(f"builtin {name!r} needs a parameter, e.g. {name}:2")
     try:
         n = int(param)
     except ValueError:
         raise CliError(f"bad model parameter {param!r}") from None
-    return builder(n)
+    if key in pipelines.FAMILIES:
+        return pipelines.build_family(key, n)[0]
+    return BUILTIN_MODELS[key](n)
 
 
 _CLASS_TERM = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*\*?\s*(?P<name>[A-Za-z][A-Za-z0-9_]*)?\s*")
@@ -68,7 +61,6 @@ _CLASS_TERM = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*\*?\s*(?P<name
 
 def parse_class(model: FourManifoldModel, text: str) -> HomologyClass:
     """Parse expressions like ``T+E0+E1+E2``, ``3*T - eps1``, or ``-K0``."""
-    marked = model.marked_classes
     total = model.lattice.zero()
     pos = 0
     first = True
@@ -85,13 +77,10 @@ def parse_class(model: FourManifoldModel, text: str) -> HomologyClass:
         value = factor * (int(coeff) if coeff else 1)
         if name is None:
             raise CliError(f"bare integer {coeff!r} in class expression (classes only)")
-        base = marked.get(name)
-        if base is None:
-            try:
-                base = model.lattice.basis_class(name)
-            except KeyError:
-                raise CliError(f"unknown class name {name!r}") from None
-        total = total + value * base
+        try:
+            total = total + class_from_coeffs(model, {name: value})
+        except KeyError:
+            raise CliError(f"unknown class name {name!r}") from None
         pos = m.end()
         first = False
     if first:
@@ -116,13 +105,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_family(args) -> int:
-    builders = {
-        "xn": pipelines.build_Xn,
-        "b7": pipelines.build_b7_family,
-        "b8": pipelines.build_b8_family,
-        "qn": pipelines.build_Qn,
-    }
-    model, rep = builders[args.family](args.n)
+    model, rep = pipelines.build_family(args.family, args.n)
     if args.model_out:
         with open(args.model_out, "w") as fh:
             json.dump(model.to_dict(), fh, sort_keys=True, indent=2)
@@ -262,13 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     vp = sub.add_parser("verify-paper", help="run the full golden verification suite")
-    vp.add_argument("--only", choices=["lattice", "fourmanifold", "knots", "monodromy",
-                                       "plumbing", "pipelines"])
+    vp.add_argument("--only", choices=pipelines.SECTIONS)
     vp.add_argument("--json", action="store_true")
     vp.set_defaults(func=cmd_verify_paper)
 
     fam = sub.add_parser("family", help="build one family member and verify it")
-    fam.add_argument("family", choices=["xn", "b7", "b8", "qn"])
+    fam.add_argument("family", choices=pipelines.FAMILIES)
     fam.add_argument("--n", type=int, required=True)
     fam.add_argument("--json", action="store_true")
     fam.add_argument("--model-out", help="also write the final model as JSON")

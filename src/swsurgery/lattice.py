@@ -45,7 +45,7 @@ class IntersectionLattice:
 
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
-    name: str = ""
+    name: str = field(default="", compare=False)  # a label: equality is basis and Gram
     relative: bool = False
     # rows[i] = ((j, gram[i][j]), ...) over the nonzero entries of row i
     rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
@@ -236,10 +236,6 @@ class Sublattice:
         if not self.vectors:
             return (0, 0)
         return _signature_cached(self.gram)
-
-    def as_lattice(self, name: str = "", prefix: str = "c", relative: bool = False):
-        labels = tuple(f"{prefix}{i}" for i in range(self.rank))
-        return IntersectionLattice(labels, self.gram, name=name, relative=relative)
 
 
 def orthogonal_complement(lattice: IntersectionLattice, classes) -> Sublattice:

@@ -156,7 +156,7 @@ class FourManifoldModel:
         return replace(self, name=name)
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "name": self.name,
             "basis": list(self.lattice.basis),
             "gram": [list(r) for r in self.lattice.gram],
@@ -168,9 +168,14 @@ class FourManifoldModel:
             "sw": [{"coords": list(c), "value": v} for c, v in self.sw.entries],
             "convention_note": self.sw.convention_note,
         }
+        if self.surgery_history:
+            data["surgery_history"] = [[list(t) for t in p.terms] for p in self.surgery_history]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourManifoldModel":
+        from .knots import LaurentPolynomial  # knots builds on this module
+
         lattice = IntersectionLattice(tuple(data["basis"]), data["gram"], name=data["name"])
         table = SWTable(
             lattice,
@@ -186,6 +191,10 @@ class FourManifoldModel:
             marked=tuple(sorted((k, tuple(v)) for k, v in data.get("marked", {}).items())),
             sw=table,
             pi1_note=data.get("pi1_note", ""),
+            surgery_history=tuple(
+                LaurentPolynomial(tuple(map(tuple, terms)))
+                for terms in data.get("surgery_history", ())
+            ),
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .knots import TwistKnot, knot_surgery_manifold
 from .lattice import HomologyClass, IntersectionLattice
-from .manifold import Chamber, FourManifoldModel, SWTable, blowup, make_model
+from .manifold import FourManifoldModel, SWTable, blowup, make_model
 from .plumbing import ConfigurationEmbedding, PlumbingChain, cp_chain, e6_tilde_tree
 
 E1_BASIS = ("eta",) + tuple(f"eps{i}" for i in range(1, 10))
@@ -116,105 +116,32 @@ def e6_embedding(model: FourManifoldModel) -> ConfigurationEmbedding:
     )
 
 
-def zn_c7_classes(zn: FourManifoldModel) -> tuple[HomologyClass, ...]:
-    """The order-7 chain in Z_n: the -9 sphere followed by five tree spheres.
-
-    u0 is the resolved pseudo-section plus two nodal fibers with its three
-    double points blown up; u1..u5 are S5, S4, S3, S2, S1.
-    """
-    u0 = class_from_coeffs(zn, {"eps9": 1, "T": 2, "E0": -2, "E1": -2, "E2": -2})
-    spheres = e6_sphere_classes(zn)
-    return (u0, spheres["S5"], spheres["S4"], spheres["S3"], spheres["S2"], spheres["S1"])
-
-
-def zn_c7_embedding(zn: FourManifoldModel) -> ConfigurationEmbedding:
-    return ConfigurationEmbedding(ambient=zn, chain=cp_chain(7), vertex_classes=zn_c7_classes(zn))
-
-
-def zn_chamber(zn: FourManifoldModel) -> Chamber:
-    """The period class 7h - 2 sum(e_i) - e3 - E0 - E1 - E2 orthogonal to the chain."""
-    coeffs = {"eta": 7, "eps3": -3, "E0": -1, "E1": -1, "E2": -1}
-    for i in (1, 2, 4, 5, 6, 7, 8, 9):
-        coeffs[f"eps{i}"] = -2
-    return Chamber(zn, class_from_coeffs(zn, coeffs))
-
-
-def b7_ambient(n: int) -> FourManifoldModel:
-    """Y_n blown up twice; hosts the order-5 chain."""
-    return blowup_times(y_n(n), 2, f"Y{n}#2cp2bar")
-
-
-def b7_c5_classes(model: FourManifoldModel) -> tuple[HomologyClass, ...]:
-    """Order-5 chain: u0 = pseudo-section + one nodal fiber, doubly blown up."""
-    u0 = class_from_coeffs(model, {"eps9": 1, "T": 1, "E0": -2, "E1": -2})
-    spheres = e6_sphere_classes(model)
-    return (u0, spheres["S5"], spheres["S4"], spheres["S3"])
-
-
-def b7_chamber(model: FourManifoldModel) -> Chamber:
-    coeffs = {"eta": 5, "eps1": -1, "eps2": -2, "eps3": -2, "eps4": -1, "eps5": -2,
-              "eps6": -1, "eps7": -1, "eps8": -1, "eps9": -2, "E0": -1, "E1": -1}
-    return Chamber(model, class_from_coeffs(model, coeffs))
-
-
-def b8_ambient(n: int) -> FourManifoldModel:
-    """Y_n blown up once; hosts the order-3 chain."""
-    return blowup_times(y_n(n), 1, f"Y{n}#cp2bar")
-
-
-def b8_c3_classes(model: FourManifoldModel) -> tuple[HomologyClass, ...]:
-    """Order-3 chain: u0 = pseudo-section with its double point blown up."""
-    u0 = class_from_coeffs(model, {"eps9": 1, "E0": -2})
-    spheres = e6_sphere_classes(model)
-    return (u0, spheres["S5"])
-
-
-def b8_chamber(model: FourManifoldModel) -> Chamber:
-    return Chamber(model, class_from_coeffs(model, {"eta": 4, "eps5": -2, "eps9": -2, "E0": -1}))
-
-
 # A hexagon of six -2 spheres summing to the fiber, realizing the cycle fiber
 # whose monodromy is the sixth power of a twist.  Exactly one component (c0)
 # meets the section eps9, in one point.  These explicit classes are a derived
 # realization; only their intersection profile is pinned by the construction.
-I6_HEXAGON_COEFFS = (
-    {"eps1": 1, "eps9": -1},                            # c0
-    {"eta": 1, "eps1": -1, "eps2": -1, "eps3": -1},     # c1
-    {"eps2": 1, "eps4": -1},                            # c2
-    {"eta": 1, "eps2": -1, "eps5": -1, "eps6": -1},     # c3
-    {"eps5": 1, "eps7": -1},                            # c4
-    {"eta": 1, "eps1": -1, "eps5": -1, "eps8": -1},     # c5
-)
+I6_HEXAGON_COEFFS = {
+    "c0": {"eps1": 1, "eps9": -1},
+    "c1": {"eta": 1, "eps1": -1, "eps2": -1, "eps3": -1},
+    "c2": {"eps2": 1, "eps4": -1},
+    "c3": {"eta": 1, "eps2": -1, "eps5": -1, "eps6": -1},
+    "c4": {"eps5": 1, "eps7": -1},
+    "c5": {"eta": 1, "eps1": -1, "eps5": -1, "eps8": -1},
+}
 
 
 def i6_hexagon_classes(model: FourManifoldModel) -> tuple[HomologyClass, ...]:
-    return tuple(class_from_coeffs(model, c) for c in I6_HEXAGON_COEFFS)
+    return tuple(class_from_coeffs(model, c) for c in I6_HEXAGON_COEFFS.values())
 
 
 def i6_hexagon_chain() -> PlumbingChain:
     return PlumbingChain((-2,) * 6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
 
 
-def wn_c7_classes(wn: FourManifoldModel) -> tuple[HomologyClass, ...]:
-    """Order-7 chain in W_n: the -9 sphere plus five hexagon components.
-
-    u0 = eps9 - 2 E0 - 2 E1 (the pseudo-section with both double points blown
-    up); dropping the hexagon component adjacent to c0 on one side leaves the
-    chain c0, c5, c4, c3, c2 hanging off u0.
-    """
-    u0 = class_from_coeffs(wn, {"eps9": 1, "E0": -2, "E1": -2})
-    c = i6_hexagon_classes(wn)
-    return (u0, c[0], c[5], c[4], c[3], c[2])
-
-
-def wn_c7_embedding(wn: FourManifoldModel) -> ConfigurationEmbedding:
-    return ConfigurationEmbedding(ambient=wn, chain=cp_chain(7), vertex_classes=wn_c7_classes(wn))
-
-
 # Intersection profile of the W_n chain: the five cycle components pair to
 # zero with T, E0, E1, and only the first vertex meets u0.  This is the data
-# the lift search actually consumes; the explicit realization above is
-# cross-checked against it.
+# the lift search actually consumes; the explicit realization (the qn row of
+# pipelines.FAMILIES) is cross-checked against it.
 WN_C7_PROFILE = {
     "gram": [list(row) for row in cp_chain(7).matrix()],
     "pairings": {
@@ -227,11 +154,3 @@ WN_C7_PROFILE = {
 
 def wn_c7_profile_embedding(wn: FourManifoldModel) -> ConfigurationEmbedding:
     return ConfigurationEmbedding.from_profile_dict(wn, cp_chain(7), WN_C7_PROFILE)
-
-
-def wn_chamber(wn: FourManifoldModel) -> Chamber:
-    """A positive-square class orthogonal to the W_n chain, found by solving
-    the six orthogonality conditions over the complement."""
-    coeffs = {"eta": 11, "eps2": -2, "eps4": -2, "eps5": -5, "eps6": -4,
-              "eps7": -5, "eps8": -6, "E0": 1, "E1": -1}
-    return Chamber(wn, class_from_coeffs(wn, coeffs))

@@ -10,7 +10,7 @@ the logarithm of the exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 
@@ -82,26 +82,36 @@ _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 @dataclass(frozen=True)
 class Factor:
-    """One top-level factor of a parsed word, boundaries as written.
+    """One factor of a parsed word, boundaries as written.
 
-    ``base`` is the matrix of ``base_letters``; the factor's matrix is
-    ``base ** power``.
+    ``inner`` holds the letter of a single-letter factor, or the factors of
+    a parenthesized group; ``base`` is their product and the factor's matrix
+    is ``base ** power``.  Letters are spelled out only on request.
     """
 
     text: str
-    base_letters: tuple[str, ...]
     power: int
     base: IntegerMatrix2
+    # determined by ``text``, so left out of equality and repr, which then
+    # never recurse into deep nesting
+    inner: tuple["Factor | str", ...] = field(compare=False, repr=False)
+
+    @property
+    def base_letters(self) -> tuple[str, ...]:
+        return _spell(self.inner)
 
     @property
     def letters(self) -> tuple[str, ...]:
-        return _expand(self.base_letters, self.power)
+        return _spell(self.inner, self.power)
 
 
 @dataclass(frozen=True)
 class MCGWord:
-    letters: tuple[str, ...]
     factors: tuple[Factor, ...] = ()
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        return _spell(self.factors)
 
     def __str__(self) -> str:
         return "".join(self.letters)
@@ -112,6 +122,28 @@ def _expand(letters: tuple[str, ...], power: int) -> tuple[str, ...]:
         return letters * power
     inv = tuple(_INVERSE[x] for x in reversed(letters))
     return inv * (-power)
+
+
+def _spell(items, power: int = 1) -> tuple[str, ...]:
+    """Letters of the product of ``items`` raised to ``power``.
+
+    Nested groups are expanded from an explicit stack of (items left, power,
+    letters so far) frames, so nesting depth is bounded only by the input.
+    """
+    stack = [(iter(items), power, [])]
+    while True:
+        rest, exponent, letters = stack[-1]
+        item = next(rest, None)
+        if item is None:
+            stack.pop()
+            spelled = _expand(tuple(letters), exponent)
+            if not stack:
+                return spelled
+            stack[-1][2].extend(spelled)
+        elif isinstance(item, str):
+            letters.append(item)
+        else:
+            stack.append((iter(item.inner), item.power, []))
 
 
 def _product(factors) -> IntegerMatrix2:
@@ -168,7 +200,7 @@ def parse_word(text: str) -> MCGWord:
         if ch in GENERATORS:
             pos += 1
             power = parse_power()
-            items.append(Factor(text[start:pos], (ch,), power, GENERATORS[ch]))
+            items.append(Factor(text[start:pos], power, GENERATORS[ch], (ch,)))
         elif ch == "(":
             stack.append((pos, items))
             items = []
@@ -180,29 +212,18 @@ def parse_word(text: str) -> MCGWord:
             start, items = stack.pop()
             pos += 1
             power = parse_power()
-            base_letters = tuple(x for f in inner for x in f.letters)
-            items.append(Factor(text[start:pos], base_letters, power, _product(inner)))
+            items.append(Factor(text[start:pos], power, _product(inner), tuple(inner)))
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", pos)
-    factors = tuple(items)
-    letters = tuple(x for f in factors for x in f.letters)
-    return MCGWord(letters, factors)
+    return MCGWord(tuple(items))
 
 
 def evaluate(word: MCGWord | str) -> IntegerMatrix2:
-    """Product of the generator matrices; the empty word is the identity.
-
-    A parsed word is the product of its factors' ``base ** power``, each by
-    repeated squaring; a word built from bare letters is multiplied out.
-    """
+    """Product of the factors' ``base ** power``, each by repeated squaring;
+    the empty word is the identity."""
     if isinstance(word, str):
         word = parse_word(word)
-    if word.factors:
-        return _product(word.factors)
-    m = IntegerMatrix2.identity()
-    for letter in word.letters:
-        m = m @ GENERATORS[letter]
-    return m
+    return _product(word.factors)
 
 
 def parabolic_width(m: IntegerMatrix2) -> int | None:

@@ -1,16 +1,21 @@
 """End-to-end family constructions and the master verification suite.
 
-Each builder reconstructs one family of simply connected b+ = 1 manifolds
-from the rational elliptic surface by knot surgery, blowups, and a rational
-blowdown, and returns the final model together with a report asserting every
-numerical claim along the way.  SW data is compared by absolute value; the
+Each family of simply connected b+ = 1 manifolds is one row of FAMILIES;
+build_family reconstructs it from the rational elliptic surface by knot
+surgery, blowups, and a rational blowdown, and returns the final model
+together with a report asserting every numerical claim along the way.  SW data is compared by absolute value; the
 signed values follow the recorded quotient convention.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
+from . import models
 from .knots import alexander_twist, e1_knot_surgery_sw, poly_in_s
 from .lattice import (
+    HomologyClass,
     IntersectionLattice,
     is_characteristic,
     orthogonal_complement,
@@ -29,26 +34,19 @@ from .manifold import (
     wall_crossing_delta,
 )
 from .models import (
-    b7_ambient,
-    b7_c5_classes,
-    b7_chamber,
-    b8_ambient,
-    b8_c3_classes,
-    b8_chamber,
+    E6_SPHERE_COEFFS,
+    I6_HEXAGON_COEFFS,
+    PI1_NOTE_BLOWDOWN,
+    blowup_times,
     class_from_coeffs,
     e1,
     e6_embedding,
     e6_sphere_classes,
     v_n,
     w_n,
-    wn_c7_embedding,
     wn_c7_profile_embedding,
-    wn_chamber,
     y_n,
     z_n,
-    zn_c7_embedding,
-    zn_chamber,
-    PI1_NOTE_BLOWDOWN,
 )
 from .monodromy import evaluate, parabolic_width, verify_factorization
 from .plumbing import (
@@ -69,169 +67,100 @@ E6_FACTORIZATION = "(ab)^4a^2(Aba)b"
 I6_FACTORIZATION = "a^6(A^3ba^3)(baB)^2b^2(Bab)"
 I6_FIBRATION = "(a^3b)^3"
 
+# the -2 spheres of the tree fiber (S1..S7) and of the cycle fiber (c0..c5)
+SPHERE_COEFFS = {**E6_SPHERE_COEFFS, **I6_HEXAGON_COEFFS}
+
 
 def _coords(classes) -> list[list[int]]:
     return sorted(list(k.coords) for k in classes)
 
 
-def _check_blowdown_common(
-    rep: VerificationReport,
-    tag: str,
-    ambient: FourManifoldModel,
-    emb: ConfigurationEmbedding,
-    p: int,
-    chamber: Chamber,
-    expected_lifts,
-    n: int,
-    expected_b_minus: int,
-    lift_square: int,
-    provenance: str,
-    name: str,
-) -> FourManifoldModel:
-    """Shared trailing segment of every family pipeline."""
-    embedding_report = verify_embedding(emb, cp_chain(p))
-    rep.add(f"{tag}.embedding", f"chain of order {p} realized exactly",
-            True, embedding_report.ok, DERIVED)
-    rep.add(f"{tag}.chamber.orthogonal", "period class orthogonal to every vertex",
-            [0] * emb.size,
-            [pair(chamber.period, u) for u in emb.vertex_classes], provenance)
-    rep.add(f"{tag}.chamber.positive", "period class has positive square",
-            True, square(chamber.period) > 0, DERIVED)
-    candidates = default_lift_candidates(ambient)
-    lifts = find_characteristic_lifts(emb, candidates, p)
-    rep.add(f"{tag}.lifts", f"restriction square -(p-1) = {-(p - 1)} picks the lift pair",
-            _coords(expected_lifts), _coords(lifts), provenance)
-    model = rational_blowdown(
-        ambient, emb, p, chamber,
-        simply_connected=True, pi1_note=PI1_NOTE_BLOWDOWN, name=name,
-    )
-    rep.add(f"{tag}.bookkeeping",
-            "blowdown drops (euler, sign) by (p-1, -(p-1))",
-            [ambient.euler - (p - 1), ambient.sign + (p - 1)],
-            [model.euler, model.sign], DERIVED)
-    rep.add(f"{tag}.fingerprint",
-            "fingerprint pins the homeomorphism type (projective plane blown up "
-            f"{expected_b_minus} times; classification cited, not computed)",
-            [1, expected_b_minus, "odd", True], list(fingerprint(model)), provenance)
-    rep.add(f"{tag}.convention",
-            "SW values compared by absolute value; signs follow the recorded "
-            "quotient convention",
-            "magnitudes", "magnitudes", DEFINITION)
-    rep.add(f"{tag}.sw", "SW magnitudes after the blowdown",
-            sorted([n, n]), list(model.sw.magnitudes()), provenance)
-    if model.sw.entries:
-        k = model.sw.classes()[0]
-        rep.add(f"{tag}.basic.square", "square of the transferred basic class",
-                lift_square, square(k), provenance)
-        rep.add(f"{tag}.basic.dimension", "formal dimension of the transferred class",
-                0, dimension(model, k), provenance)
-        rep.add(f"{tag}.basic.characteristic", "transferred class is characteristic",
-                True, is_characteristic(k), DERIVED)
-    verdict = minimality_check(model)
-    expectation = "minimal_certified" if n >= 2 else "inconclusive"
-    rep.add(f"{tag}.minimality",
-            "blowup-pairing obstruction (silent for magnitude-1 tables)",
-            expectation, verdict.status, provenance if n >= 2 else DERIVED)
-    return model
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family as data: knot-surger E(1), blow up, embed the order-p chain
+    u0, tail..., pick the lift, and rationally blow down.
+
+    ``checks`` adds the family's own checks before the shared blowdown ones.
+    """
+
+    key: str  # CLI name and report tag
+    name: str  # model name, formatted with n
+    p: int
+    b_minus: int
+    provenance: str
+    base: str  # builder in models, y_n or v_n, looked up when called
+    blowups: int
+    ambient_name: str
+    u0: dict[str, int]
+    tail: tuple[str, ...]  # names in SPHERE_COEFFS
+    chamber_coeffs: dict[str, int]
+    lift_coeffs: dict[str, int]
+    lift_square: int
+    checks: Callable
+    unique: bool = False  # the source states one basic class up to sign
+
+    def ambient(self, n: int) -> FourManifoldModel:
+        base = getattr(models, self.base)(n)
+        return blowup_times(base, self.blowups, self.ambient_name.format(n=n))
+
+    def embedding(self, ambient: FourManifoldModel) -> ConfigurationEmbedding:
+        vertices = [class_from_coeffs(ambient, self.u0)]
+        vertices += [class_from_coeffs(ambient, SPHERE_COEFFS[s]) for s in self.tail]
+        return ConfigurationEmbedding(ambient=ambient, chain=cp_chain(self.p),
+                                      vertex_classes=tuple(vertices))
+
+    def chamber(self, ambient: FourManifoldModel) -> Chamber:
+        return Chamber(ambient, class_from_coeffs(ambient, self.chamber_coeffs))
+
+    def lift(self, ambient: FourManifoldModel) -> HomologyClass:
+        return class_from_coeffs(ambient, self.lift_coeffs)
 
 
-def build_Xn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
-    """The b- = 6 family: surgery by the n-twist knot, three blowups, and an
-    order-7 blowdown of the pseudo-section chain."""
-    if n < 1:
-        raise ValueError("family parameter must be a positive integer")
-    rep = VerificationReport()
-    y = y_n(n)
+def _xn_checks(rep, n, z, emb, chamber, k_lift) -> None:
     rep.add("xn.yn.sw", "fiber surgery SW magnitudes at the fiber classes",
-            sorted([n, n]), list(y.sw.magnitudes()), REPORTED)
-    z = z_n(n)
+            sorted([n, n]), list(y_n(n).sw.magnitudes()), REPORTED)
     rep.add("xn.zn.sw.count", "three blowups spread the table over 16 sign classes",
             16, len(z.sw), REPORTED)
     rep.add("xn.zn.sw", "every blown-up class keeps magnitude n",
             sorted([n] * 16), list(z.sw.magnitudes()), REPORTED)
     rep.add("xn.zn.bookkeeping", "(euler, sign) after three blowups",
             [15, -11], [z.euler, z.sign], DEFINITION)
-    emb = zn_c7_embedding(z)
-    u = emb.vertex_classes
-    rep.add("xn.u0.square", "the resolved -9 sphere", -9, square(u[0]), REPORTED)
-    chamber = zn_chamber(z)
+    rep.add("xn.u0.square", "the resolved -9 sphere",
+            -9, square(emb.vertex_classes[0]), REPORTED)
     H = chamber.period
     h = z.marked_class("h")
     rep.add("xn.H.h", "period class against the reference class", 7, pair(H, h), REPORTED)
     rep.add("xn.H.square", "square of the period class", 5, square(H), REPORTED)
-    k_lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
     rep.add("xn.H.lift", "period class against the lift", 5, pair(H, k_lift), REPORTED)
     rep.add("xn.h.lift", "reference class against the lift", 3, pair(h, k_lift), REPORTED)
     rep.add("xn.lift.profile", "the lift restricts as 7 gamma_0",
             [7, 0, 0, 0, 0, 0], list(emb.pairing_vector(k_lift)), REPORTED)
     rep.add("xn.lift.relsquare", "relative square of the restricted lift",
             "-6", str(relative_square_of_restriction(emb, k_lift)), REPORTED)
-    model = _check_blowdown_common(
-        rep, "xn", z, emb, 7, chamber,
-        [k_lift, -k_lift], n, 6, 3, REPORTED, f"X{n}",
-    )
-    rep.add("xn.unique", "exactly one basic class up to sign",
-            2, len(model.sw), REPORTED)
-    return model, rep
 
 
-def build_b7_family(n: int) -> tuple[FourManifoldModel, VerificationReport]:
-    """The b- = 7 family: two blowups and an order-5 chain built from the
-    pseudo-section plus one nodal fiber and three tree spheres."""
-    if n < 1:
-        raise ValueError("family parameter must be a positive integer")
-    rep = VerificationReport()
-    ambient = b7_ambient(n)
+def _b7_checks(rep, n, ambient, emb, chamber, k_lift) -> None:
     rep.add("b7.ambient.sw", "two blowups give 8 classes of magnitude n",
             sorted([n] * 8), list(ambient.sw.magnitudes()), DERIVED)
-    u = b7_c5_classes(ambient)
     rep.add("b7.u0.square", "pseudo-section plus one fiber, doubly blown up",
-            -7, square(u[0]), DERIVED)
-    emb = ConfigurationEmbedding(ambient=ambient, chain=cp_chain(5), vertex_classes=u)
-    chamber = b7_chamber(ambient)
-    k_lift = class_from_coeffs(ambient, {"T": 1, "E0": 1, "E1": 1})
+            -7, square(emb.vertex_classes[0]), DERIVED)
     rep.add("b7.lift.relsquare", "lift target for the order-5 chain",
             "-4", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
-    model = _check_blowdown_common(
-        rep, "b7", ambient, emb, 5, chamber,
-        [k_lift, -k_lift], n, 7, 2, DERIVED, f"b7_{n}",
-    )
-    return model, rep
 
 
-def build_b8_family(n: int) -> tuple[FourManifoldModel, VerificationReport]:
-    """The b- = 8 family: one blowup and an order-3 chain from the
-    pseudo-section plus a single tree sphere."""
-    if n < 1:
-        raise ValueError("family parameter must be a positive integer")
-    rep = VerificationReport()
+def _b8_checks(rep, n, ambient, emb, chamber, k_lift) -> None:
     rep.add("b8.reading", "family parameters read as b- = 8; the printed b+ = 8 "
             "variant is inconsistent with one blowup of a b+ = 1 manifold",
             "b_minus=8", "b_minus=8", DERIVED)
-    ambient = b8_ambient(n)
     rep.add("b8.ambient.sw", "one blowup gives 4 classes of magnitude n",
             sorted([n] * 4), list(ambient.sw.magnitudes()), DERIVED)
-    u = b8_c3_classes(ambient)
     rep.add("b8.u0.square", "pseudo-section with its double point blown up",
-            -5, square(u[0]), DERIVED)
-    emb = ConfigurationEmbedding(ambient=ambient, chain=cp_chain(3), vertex_classes=u)
-    chamber = b8_chamber(ambient)
-    k_lift = class_from_coeffs(ambient, {"T": 1, "E0": 1})
+            -5, square(emb.vertex_classes[0]), DERIVED)
     rep.add("b8.lift.relsquare", "lift target for the order-3 chain",
             "-2", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
-    model = _check_blowdown_common(
-        rep, "b8", ambient, emb, 3, chamber,
-        [k_lift, -k_lift], n, 8, 1, DERIVED, f"b8_{n}",
-    )
-    return model, rep
 
 
-def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
-    """The b- = 5 family: fibration refactorization, double knot surgery,
-    two blowups, and an order-7 chain from the cycle fiber."""
-    if n < 1:
-        raise ValueError("family parameter must be a positive integer")
-    rep = VerificationReport()
+def _qn_checks(rep, n, w, emb, chamber, k_lift) -> None:
     fact = verify_factorization(I6_FACTORIZATION, I6_FIBRATION)
     rep.add("qn.monodromy.refactor", "cycle-fiber word equals the cubed word",
             True, fact.equal, REPORTED)
@@ -239,7 +168,7 @@ def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
             True, evaluate(I6_FACTORIZATION).is_identity(), REPORTED)
     rep.add("qn.monodromy.i6", "first factor is a parabolic block of width 6",
             6, parabolic_width(evaluate("a^6")), REPORTED)
-    nodal = [d for d in fact.factors[1:]]
+    nodal = fact.factors[1:]
     rep.add("qn.monodromy.nodal", "remaining factors are nodal (trace 2) twists",
             [2] * len(nodal), [d.base_trace for d in nodal], DERIVED)
     v = v_n(n)
@@ -250,10 +179,8 @@ def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
             2 * n - 1, abs(v.sw.value(t)), REPORTED)
     rep.add("qn.vn.sw", "full double-surgery table magnitudes",
             sorted([n, n, 2 * n - 1, 2 * n - 1]), list(v.sw.magnitudes()), REPORTED)
-    w = w_n(n)
     rep.add("qn.wn.bookkeeping", "(euler, sign) after two blowups",
             [14, -10], [w.euler, w.sign], DEFINITION)
-    emb = wn_c7_embedding(w)
     rep.add("qn.u0.square", "pseudo-section with both double points blown up",
             -9, square(emb.vertex_classes[0]), REPORTED)
     profile = wn_c7_profile_embedding(w)
@@ -264,11 +191,8 @@ def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
         rep.add(f"qn.profile.{name}", f"profile row of {name} matches the realization",
                 list(profile.profile_row(name)), list(emb.profile_row(name)), DERIVED)
     candidates = [
-        {"T": st * 3, "E0": s0, "E1": s1}
-        for st in (1, -1) for s0 in (1, -1) for s1 in (1, -1)
-    ] + [
-        {"T": st, "E0": s0, "E1": s1}
-        for st in (1, -1) for s0 in (1, -1) for s1 in (1, -1)
+        {"T": st * mult, "E0": s0, "E1": s1}
+        for mult in (3, 1) for st in (1, -1) for s0 in (1, -1) for s1 in (1, -1)
     ]
     profile_lifts = find_characteristic_lifts(profile, candidates, 7)
     expected_lifts = [{"T": 3, "E0": 1, "E1": 1}, {"T": -3, "E0": -1, "E1": -1}]
@@ -276,39 +200,141 @@ def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
             sorted(sorted([k, v] for k, v in d.items()) for d in expected_lifts),
             sorted(sorted([k, v] for k, v in d.items()) for d in profile_lifts),
             REPORTED)
-    chamber = wn_chamber(w)
-    k_lift = class_from_coeffs(w, {"T": 3, "E0": 1, "E1": 1})
-    model = _check_blowdown_common(
-        rep, "qn", w, emb, 7, chamber,
-        [k_lift, -k_lift], n, 5, 4, REPORTED, f"Q{n}",
+
+FAMILIES = {spec.key: spec for spec in (
+    # b- = 6: surgery by the n-twist knot, three blowups, and an order-7
+    # blowdown of the pseudo-section chain.  u0 is the pseudo-section plus two
+    # nodal fibers with its three double points blown up; the chamber class is
+    # 7h - 2 sum(e_i) - e3 - E0 - E1 - E2.
+    FamilySpec(
+        key="xn", name="X{n}", p=7, b_minus=6, provenance=REPORTED,
+        base="y_n", blowups=3, ambient_name="Z{n}",
+        u0={"eps9": 1, "T": 2, "E0": -2, "E1": -2, "E2": -2},
+        tail=("S5", "S4", "S3", "S2", "S1"),
+        chamber_coeffs={"eta": 7, "eps1": -2, "eps2": -2, "eps3": -3, "eps4": -2,
+                        "eps5": -2, "eps6": -2, "eps7": -2, "eps8": -2, "eps9": -2,
+                        "E0": -1, "E1": -1, "E2": -1},
+        lift_coeffs={"T": 1, "E0": 1, "E1": 1, "E2": 1}, lift_square=3,
+        checks=_xn_checks, unique=True,
+    ),
+    # b- = 7: two blowups and an order-5 chain; u0 is the pseudo-section plus
+    # one nodal fiber, doubly blown up, followed by three tree spheres.
+    FamilySpec(
+        key="b7", name="b7_{n}", p=5, b_minus=7, provenance=DERIVED,
+        base="y_n", blowups=2, ambient_name="Y{n}#2cp2bar",
+        u0={"eps9": 1, "T": 1, "E0": -2, "E1": -2},
+        tail=("S5", "S4", "S3"),
+        chamber_coeffs={"eta": 5, "eps1": -1, "eps2": -2, "eps3": -2, "eps4": -1,
+                        "eps5": -2, "eps6": -1, "eps7": -1, "eps8": -1, "eps9": -2,
+                        "E0": -1, "E1": -1},
+        lift_coeffs={"T": 1, "E0": 1, "E1": 1}, lift_square=2,
+        checks=_b7_checks,
+    ),
+    # b- = 8: one blowup and an order-3 chain; u0 is the pseudo-section with
+    # its double point blown up, followed by a single tree sphere.
+    FamilySpec(
+        key="b8", name="b8_{n}", p=3, b_minus=8, provenance=DERIVED,
+        base="y_n", blowups=1, ambient_name="Y{n}#cp2bar",
+        u0={"eps9": 1, "E0": -2},
+        tail=("S5",),
+        chamber_coeffs={"eta": 4, "eps5": -2, "eps9": -2, "E0": -1},
+        lift_coeffs={"T": 1, "E0": 1}, lift_square=1,
+        checks=_b8_checks,
+    ),
+    # b- = 5: fibration refactorization, double knot surgery, two blowups, and
+    # an order-7 chain: u0 = eps9 - 2 E0 - 2 E1 (the pseudo-section with both
+    # double points blown up), then the cycle fiber minus the component next
+    # to c0 on one side.  The chamber class is hand-entered data; the checks
+    # qn.chamber.orthogonal and qn.chamber.positive confirm it.
+    FamilySpec(
+        key="qn", name="Q{n}", p=7, b_minus=5, provenance=REPORTED,
+        base="v_n", blowups=2, ambient_name="W{n}",
+        u0={"eps9": 1, "E0": -2, "E1": -2},
+        tail=("c0", "c5", "c4", "c3", "c2"),
+        chamber_coeffs={"eta": 11, "eps2": -2, "eps4": -2, "eps5": -5, "eps6": -4,
+                        "eps7": -5, "eps8": -6, "E0": 1, "E1": -1},
+        lift_coeffs={"T": 3, "E0": 1, "E1": 1}, lift_square=4,
+        checks=_qn_checks,
+    ),
+)}
+
+
+def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationReport]:
+    """Build family ``key`` at parameter n and verify every step."""
+    spec = FAMILIES[key]
+    if n < 1:
+        raise ValueError("family parameter must be a positive integer")
+    rep = VerificationReport()
+    ambient = spec.ambient(n)
+    emb = spec.embedding(ambient)
+    chamber = spec.chamber(ambient)
+    k_lift = spec.lift(ambient)
+    spec.checks(rep, n, ambient, emb, chamber, k_lift)
+    tag, p, provenance = spec.key, spec.p, spec.provenance
+    rep.add(f"{tag}.embedding", f"chain of order {p} realized exactly",
+            True, verify_embedding(emb, cp_chain(p)).ok, DERIVED)
+    rep.add(f"{tag}.chamber.orthogonal", "period class orthogonal to every vertex",
+            [0] * emb.size,
+            [pair(chamber.period, u) for u in emb.vertex_classes], provenance)
+    rep.add(f"{tag}.chamber.positive", "period class has positive square",
+            True, square(chamber.period) > 0, DERIVED)
+    lifts = find_characteristic_lifts(emb, default_lift_candidates(ambient), p)
+    rep.add(f"{tag}.lifts", f"restriction square -(p-1) = {-(p - 1)} picks the lift pair",
+            _coords([k_lift, -k_lift]), _coords(lifts), provenance)
+    model = rational_blowdown(
+        ambient, emb, p, chamber,
+        simply_connected=True, pi1_note=PI1_NOTE_BLOWDOWN, name=spec.name.format(n=n),
     )
+    rep.add(f"{tag}.bookkeeping",
+            "blowdown drops (euler, sign) by (p-1, -(p-1))",
+            [ambient.euler - (p - 1), ambient.sign + (p - 1)],
+            [model.euler, model.sign], DERIVED)
+    rep.add(f"{tag}.fingerprint",
+            "fingerprint pins the homeomorphism type (projective plane blown up "
+            f"{spec.b_minus} times; classification cited, not computed)",
+            [1, spec.b_minus, "odd", True], list(fingerprint(model)), provenance)
+    rep.add(f"{tag}.convention",
+            "SW values compared by absolute value; signs follow the recorded "
+            "quotient convention",
+            "magnitudes", "magnitudes", DEFINITION)
+    rep.add(f"{tag}.sw", "SW magnitudes after the blowdown",
+            sorted([n, n]), list(model.sw.magnitudes()), provenance)
+    if model.sw.entries:
+        k = model.sw.classes()[0]
+        rep.add(f"{tag}.basic.square", "square of the transferred basic class",
+                spec.lift_square, square(k), provenance)
+        rep.add(f"{tag}.basic.dimension", "formal dimension of the transferred class",
+                0, dimension(model, k), provenance)
+        rep.add(f"{tag}.basic.characteristic", "transferred class is characteristic",
+                True, is_characteristic(k), DERIVED)
+    verdict = minimality_check(model)
+    expectation = "minimal_certified" if n >= 2 else "inconclusive"
+    rep.add(f"{tag}.minimality",
+            "blowup-pairing obstruction (silent for magnitude-1 tables)",
+            expectation, verdict.status, provenance if n >= 2 else DERIVED)
+    if spec.unique:
+        rep.add(f"{tag}.unique", "exactly one basic class up to sign",
+                2, len(model.sw), provenance)
     return model, rep
 
 
-FAMILY_BUILDERS = {
-    "Xn": build_Xn,
-    "b7_family": build_b7_family,
-    "b8_family": build_b8_family,
-    "Qn": build_Qn,
-}
+def build_Xn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
+    return build_family("xn", n)
 
 
-class ConstructionScript:
-    """A named family construction with its positive integer parameter."""
-
-    def __init__(self, name: str, n: int):
-        if name not in FAMILY_BUILDERS:
-            raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILY_BUILDERS)}")
-        if n < 1:
-            raise ValueError("family parameter must be a positive integer")
-        self.name = name
-        self.n = n
-
-    def run(self) -> tuple[FourManifoldModel, VerificationReport]:
-        return FAMILY_BUILDERS[self.name](self.n)
+def build_b7_family(n: int) -> tuple[FourManifoldModel, VerificationReport]:
+    return build_family("b7", n)
 
 
-def _lattice_checks(rep: VerificationReport) -> None:
+def build_b8_family(n: int) -> tuple[FourManifoldModel, VerificationReport]:
+    return build_family("b8", n)
+
+
+def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
+    return build_family("qn", n)
+
+
+def _lattice_checks(rep: VerificationReport, n_range) -> None:
     base = e1()
     eta = base.lattice.basis_class("eta")
     eps1 = base.lattice.basis_class("eps1")
@@ -324,7 +350,7 @@ def _lattice_checks(rep: VerificationReport) -> None:
     rep.add("lattice.e1.signature", "diagonal form signature",
             [1, 9], list(signature_and_betti(base.lattice)), DEFINITION)
     z = z_n(1)
-    u = zn_c7_embedding(z).vertex_classes
+    u = FAMILIES["xn"].embedding(z).vertex_classes
     rep.add("lattice.zn.u0u1", "adjacent chain classes meet once", 1, pair(u[0], u[1]), DERIVED)
     rep.add("lattice.zn.u0", "chain head has square -9", -9, square(u[0]), REPORTED)
     spheres = e6_sphere_classes(z)
@@ -332,7 +358,7 @@ def _lattice_checks(rep: VerificationReport) -> None:
             [-2] * 7, [square(spheres[f"S{i}"]) for i in range(1, 8)], REPORTED)
     rep.add("lattice.zn.signature", "three blowups add three negative eigenvalues",
             [1, 12], list(signature_and_betti(z.lattice)), DERIVED)
-    k_lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
+    k_lift = FAMILIES["xn"].lift(z)
     rep.add("lattice.zn.lift.char", "the lift class is characteristic",
             True, is_characteristic(k_lift), REPORTED)
     comp = orthogonal_complement(z.lattice, u)
@@ -347,21 +373,21 @@ def _lattice_checks(rep: VerificationReport) -> None:
             [0, 6], list(signature_and_betti(c7_lattice)), DERIVED)
 
 
-def _fourmanifold_checks(rep: VerificationReport) -> None:
+def _fourmanifold_checks(rep: VerificationReport, n_range) -> None:
     n = 3
     y = y_n(n)
     z = z_n(n)
     t = y.marked_class("T")
     rep.add("fourmanifold.yn.dim", "fiber class has formal dimension zero",
             0, dimension(y, t), DERIVED)
-    k_lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
+    k_lift = FAMILIES["xn"].lift(z)
     rep.add("fourmanifold.zn.dim", "lift class has formal dimension zero",
             0, dimension(z, k_lift), REPORTED)
     rep.add("fourmanifold.wallcross.d0", "jump at dimension zero",
             -1, wall_crossing_delta(z, k_lift), DEFINITION)
     rep.add("fourmanifold.zn.blowup16", "three blowups give the 16 sign classes",
             sorted([n] * 16), list(z.sw.magnitudes()), REPORTED)
-    chamber = zn_chamber(z)
+    chamber = FAMILIES["xn"].chamber(z)
     rep.add("fourmanifold.zn.sw.agree",
             "chamber value when the period and reference sides agree",
             n, abs(chamber_sw(z, k_lift, chamber)), REPORTED)
@@ -416,7 +442,7 @@ def _knots_checks(rep: VerificationReport, n_range) -> None:
             [1, 3], [square(h), pair(h, y.marked_class("T"))], REPORTED)
 
 
-def _monodromy_checks(rep: VerificationReport) -> None:
+def _monodromy_checks(rep: VerificationReport, n_range) -> None:
     ab = evaluate("ab")
     rep.add("monodromy.ab.trace", "product of the two twists has trace 1",
             1, ab.trace, DERIVED)
@@ -446,7 +472,7 @@ def _monodromy_checks(rep: VerificationReport) -> None:
             [2] * 4, [d.base_trace for d in i6.factors[1:]], DERIVED)
 
 
-def _plumbing_checks(rep: VerificationReport) -> None:
+def _plumbing_checks(rep: VerificationReport, n_range) -> None:
     rep.add("plumbing.c7.weights", "order-7 chain weights",
             [-9, -2, -2, -2, -2, -2], list(cp_chain(7).weights), REPORTED)
     for p in range(2, 21):
@@ -473,12 +499,12 @@ def _plumbing_checks(rep: VerificationReport) -> None:
             [9, 2], [boundary_lens_space(cp_chain(3)).order,
                      boundary_lens_space(cp_chain(3)).twist], DERIVED)
     z = z_n(1)
-    emb = zn_c7_embedding(z)
+    emb = FAMILIES["xn"].embedding(z)
     rep.add("plumbing.zn.embedding", "chain classes realize the order-7 matrix",
             True, verify_embedding(emb).ok, DERIVED)
     rep.add("plumbing.e6.embedding", "tree classes realize the tree with fiber orthogonality",
             True, verify_embedding(e6_embedding(z)).ok, DERIVED)
-    k_lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
+    k_lift = FAMILIES["xn"].lift(z)
     rep.add("plumbing.zn.relsquare", "lift restricts with relative square -6",
             "-6", str(relative_square_of_restriction(emb, k_lift)), REPORTED)
     rep.add("plumbing.zn.profile", "lift pairing vector is 7 gamma_0",
@@ -487,8 +513,8 @@ def _plumbing_checks(rep: VerificationReport) -> None:
     rep.add("plumbing.zn.lifts", "lift search returns exactly the pair",
             _coords([k_lift, -k_lift]), _coords(lifts), REPORTED)
     w = w_n(1)
-    wemb = wn_c7_embedding(w)
-    k_w = class_from_coeffs(w, {"T": 3, "E0": 1, "E1": 1})
+    wemb = FAMILIES["qn"].embedding(w)
+    k_w = FAMILIES["qn"].lift(w)
     rep.add("plumbing.wn.relsquare", "cycle-chain lift restricts with relative square -6",
             "-6", str(relative_square_of_restriction(wemb, k_w)), REPORTED)
     wlifts = find_characteristic_lifts(wemb, default_lift_candidates(w), 7)
@@ -519,24 +545,26 @@ def _pipeline_checks(rep: VerificationReport, n_range) -> None:
             len(list(n_range)), len({tuple(s) for s in separation}), REPORTED)
 
 
+SECTIONS = {
+    "lattice": _lattice_checks,
+    "fourmanifold": _fourmanifold_checks,
+    "knots": _knots_checks,
+    "monodromy": _monodromy_checks,
+    "plumbing": _plumbing_checks,
+    "pipelines": _pipeline_checks,
+}
+
+
 def verify_paper(only: str | None = None, n_range=range(1, 11)) -> VerificationReport:
     """Run every golden check; the exit-status of the CLI reflects full pass.
 
-    ``only`` restricts to one module's checks (lattice, fourmanifold, knots,
-    monodromy, plumbing, pipelines).
+    ``only`` restricts to one of the SECTIONS.  ``n_range`` is the range of
+    family parameters the knots and pipelines sections sweep.
     """
-    sections = {
-        "lattice": _lattice_checks,
-        "fourmanifold": _fourmanifold_checks,
-        "knots": lambda rep: _knots_checks(rep, n_range),
-        "monodromy": _monodromy_checks,
-        "plumbing": _plumbing_checks,
-        "pipelines": lambda rep: _pipeline_checks(rep, n_range),
-    }
-    if only is not None and only not in sections:
-        raise ValueError(f"unknown module {only!r}; choose from {sorted(sections)}")
+    if only is not None and only not in SECTIONS:
+        raise ValueError(f"unknown module {only!r}; choose from {sorted(SECTIONS)}")
     rep = VerificationReport()
-    for name, section in sections.items():
+    for name, section in SECTIONS.items():
         if only is None or name == only:
-            section(rep)
+            section(rep, n_range)
     return rep

@@ -440,27 +440,6 @@ def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
     return seen
 
 
-def box_lift_search(emb: ConfigurationEmbedding, p: int, generators, bound: int = 3):
-    """Exploratory lift search over integer boxes |c| <= bound.
-
-    ``generators`` maps names to ambient classes (or to None for profile-only
-    embeddings, where the name must carry a profile row).  Full-rank box
-    searches are infeasible (the characteristic extension set is infinite), so
-    the search runs over the span of the chosen generators; results are
-    deterministically ordered coefficient maps.
-    """
-    names = sorted(generators)
-    target = -(p - 1)
-    hits = []
-    for coeffs in iter_product(range(-bound, bound + 1), repeat=len(names)):
-        if all(c == 0 for c in coeffs):
-            continue
-        combo = {n: c for n, c in zip(names, coeffs) if c != 0}
-        if relative_square_of_restriction(emb, combo) == target:
-            hits.append(combo)
-    return hits
-
-
 def _overlattice_basis(det_c: int, adj_c, p: int):
     """Basis of the index-p overlattice M = C + p C* inside C (x) Q.
 

@@ -69,9 +69,6 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> int:
         return sum(1 for c in self.checks if c.passed)

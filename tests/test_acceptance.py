@@ -22,14 +22,12 @@ from swsurgery.manifold import SWTable, blowup, dimension, fingerprint, make_mod
 from swsurgery.models import (
     class_from_coeffs,
     e1,
-    zn_c7_classes,
-    zn_c7_embedding,
-    zn_chamber,
     z_n,
 )
 from swsurgery.monodromy import evaluate, parabolic_width, verify_factorization
 from swsurgery.pipelines import (
     E6_FACTORIZATION,
+    FAMILIES,
     I6_FACTORIZATION,
     I6_FIBRATION,
     build_b7_family,
@@ -82,7 +80,7 @@ def test_criterion_1_verify_paper_fast_and_green():
 def test_criterion_2_lift_uniqueness():
     with criterion(2, "exactly +-(T+E0+E1+E2) restrict with square -6, as 7 gamma_0"):
         z = z_n(3)
-        emb = zn_c7_embedding(z)
+        emb = FAMILIES["xn"].embedding(z)
         lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
         hits = []
         for st in (1, -1):
@@ -159,12 +157,12 @@ def test_criterion_6_plumbing():
 def test_criterion_7_chamber_data():
     with criterion(7, "H.h=7, H^2=5, H.u_i=0, H.(T+E0+E1+E2)=5, h.(T+E0+E1+E2)=3"):
         z = z_n(4)
-        H = zn_chamber(z).period
+        H = FAMILIES["xn"].chamber(z).period
         h = z.marked_class("h")
         lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
         assert pair(H, h) == 7
         assert square(H) == 5
-        assert [pair(H, u) for u in zn_c7_classes(z)] == [0] * 6
+        assert [pair(H, u) for u in FAMILIES["xn"].embedding(z).vertex_classes] == [0] * 6
         assert pair(H, lift) == 5
         assert pair(h, lift) == 3
 

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from swsurgery.cli import main
 from swsurgery.manifold import FourManifoldModel
 
@@ -46,6 +48,32 @@ def test_family_deterministic_bytes(capsys):
     code2, out2, _ = run_cli(capsys, "family", "b7", "--n", "1", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of stdout, recorded before the family pipelines were folded into one table
+GOLDEN_OUTPUTS = {
+    ("verify-paper",): "b8c71ea4261d2a3bac8407174813cb8108f2a26d3ff461dd34942b40f24f233e",
+    ("verify-paper", "--json"): "d22148cd6effc7daadd5d1c3cdef57c2f7cadf31dc296298f2ca5ffc77bf1364",
+    ("family", "xn", "--n", "1", "--json"): "0a340d86171bc76e7e5b201e9cbc88b6502b4beec3eb24685b56514a0effec93",
+    ("family", "xn", "--n", "4", "--json"): "f3cc14a7084df5e02fbe0993514f50295f49fbb2bc4e9b45efe1c8f504bddc40",
+    ("family", "xn", "--n", "9", "--json"): "55c01d0a895db0bc57957137fc30505d4757c4af95d72b50c78e397e93d3cad1",
+    ("family", "qn", "--n", "1", "--json"): "fee493e375bb76cde6b8a985b7a6744fb8f77f5f8490f6e9e07352404e63c9d7",
+    ("family", "qn", "--n", "4", "--json"): "efb27faf342248e25586d569f26a4f78fed2c9675f83fe60e1b6035494913ed0",
+    ("family", "qn", "--n", "9", "--json"): "9e9a9cb3e334493794503a0d2de5c8ce7d87ba599070459e506d319e1c977e12",
+    ("family", "b7", "--n", "1", "--json"): "df6f84c463d800c5c40ee43bba5d3a96dbb4c800d36df7da1affde5d11a40d99",
+    ("family", "b7", "--n", "4", "--json"): "c3dface933e08d82e07f5b8c6eb97152970074d50ec6942540c3db9249428421",
+    ("family", "b7", "--n", "9", "--json"): "d7e43afdb30579703fedad3f8060c54d4f041385495c22adcbeb96e6a83fd670",
+    ("family", "b8", "--n", "1", "--json"): "2b70ab07f73144334d4170399e3a47e94f08d606aef2ed9a5fbc96f7f09a72c3",
+    ("family", "b8", "--n", "4", "--json"): "11e7dde04547b073ccd6466309a01868395132a2aa9a2c0b8fb614de8050c781",
+    ("family", "b8", "--n", "9", "--json"): "f9b593deed3fff8a5f046f2c2a9559580fb0e5d7a86ceacb1d3ffac98d5a7dd8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUTS), ids=" ".join)
+def test_golden_output_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[argv]
 
 
 def test_monodromy_check(capsys):

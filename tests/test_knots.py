@@ -136,9 +136,21 @@ def test_knot_surgery_errors(e1_model, y3):
 def test_resurgery_needs_history(y3):
     from swsurgery.manifold import FourManifoldModel
 
-    loaded = FourManifoldModel.from_dict(y3.to_dict())
+    data = y3.to_dict()
+    del data["surgery_history"]
+    loaded = FourManifoldModel.from_dict(data)
     with pytest.raises(ValueError, match="history"):
         knot_surgery_manifold(loaded, loaded.marked_class("T"), TwistKnot(2))
+
+
+def test_reloaded_model_surgers_again(y3):
+    from swsurgery.manifold import FourManifoldModel
+
+    loaded = FourManifoldModel.from_dict(y3.to_dict())
+    assert loaded == y3
+    again = knot_surgery_manifold(loaded, loaded.marked_class("T"), TwistKnot(2))
+    assert again == knot_surgery_manifold(y3, y3.marked_class("T"), TwistKnot(2))
+    assert again.sw.magnitudes() == (6, 6, 13, 13)
 
 
 def test_general_symmetric_alexander_accepted(e1_model):

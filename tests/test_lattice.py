@@ -16,7 +16,8 @@ from swsurgery.lattice import (
     signature_and_betti,
     square,
 )
-from swsurgery.models import class_from_coeffs, e6_sphere_classes, zn_c7_classes, zn_chamber
+from swsurgery.models import class_from_coeffs, e6_sphere_classes
+from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import cp_chain, intersection_matrix
 
 from .oracles import congruent_gram, minors_signature, naive_is_characteristic, naive_pair
@@ -58,7 +59,7 @@ def test_bilinearity_small(e1_model):
 
 
 def test_zn_chain_pairings(z3):
-    u = zn_c7_classes(z3)
+    u = FAMILIES["xn"].embedding(z3).vertex_classes
     assert square(u[0]) == -9
     assert pair(u[0], u[1]) == 1
     for i in range(5):
@@ -75,7 +76,7 @@ def test_e6_sphere_squares(z3):
 
 
 def test_h_class_data(z3):
-    H = zn_chamber(z3).period
+    H = FAMILIES["xn"].chamber(z3).period
     h = z3.marked_class("h")
     assert pair(H, h) == 7
     assert square(H) == 5
@@ -134,7 +135,7 @@ def test_orthogonal_complement_empty(z3):
 
 
 def test_orthogonal_complement_of_chain(z3):
-    u = zn_c7_classes(z3)
+    u = FAMILIES["xn"].embedding(z3).vertex_classes
     sub = orthogonal_complement(z3.lattice, u)
     assert sub.rank == 13 - 6 == 7
     assert sub.signature_and_betti() == (1, 6)
@@ -151,7 +152,7 @@ def test_orthogonal_complement_single_exceptional(z3):
 
 
 def test_orthogonal_complement_dependent_error(z3):
-    u = zn_c7_classes(z3)
+    u = FAMILIES["xn"].embedding(z3).vertex_classes
     with pytest.raises(ValueError, match="dependent"):
         orthogonal_complement(z3.lattice, [u[1], 2 * u[1]])
 

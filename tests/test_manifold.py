@@ -21,7 +21,8 @@ from swsurgery.manifold import (
     minimality_check,
     wall_crossing_delta,
 )
-from swsurgery.models import class_from_coeffs, e1, zn_chamber
+from swsurgery.models import class_from_coeffs, e1
+from swsurgery.pipelines import FAMILIES
 
 from .oracles import pairwise_minimality, random_unimodular, transformed_gram
 
@@ -62,7 +63,7 @@ def test_wall_crossing_values(e1_model, z3):
 
 
 def test_chamber_sw_sign_cases(z3):
-    chamber = zn_chamber(z3)
+    chamber = FAMILIES["xn"].chamber(z3)
     lift = class_from_coeffs(z3, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
     flipped = class_from_coeffs(z3, {"T": 1, "E0": -1, "E1": -1, "E2": -1})
     assert pair(chamber.period, lift) == 5
@@ -94,7 +95,7 @@ def test_chamber_validation(z3):
     t = z3.marked_class("T")
     with pytest.raises(ValueError, match="positive square"):
         Chamber(z3, t)
-    neg_h = -zn_chamber(z3).period
+    neg_h = -FAMILIES["xn"].chamber(z3).period
     with pytest.raises(ValueError, match="positively"):
         Chamber(z3, neg_h)
 
@@ -311,3 +312,10 @@ def test_model_serialization_round_trip(y3):
     assert back.to_dict() == data
     assert back.sw.magnitudes() == y3.sw.magnitudes()
     assert tuple(fingerprint(back)) == tuple(fingerprint(y3))
+    assert back == y3
+
+
+def test_model_without_history_serializes_without_the_key(e1_model):
+    data = e1_model.to_dict()
+    assert "surgery_history" not in data
+    assert FourManifoldModel.from_dict(data) == e1_model

@@ -1,19 +1,12 @@
 from swsurgery.lattice import pair, square
 from swsurgery.models import (
-    b7_ambient,
-    b7_c5_classes,
-    b7_chamber,
-    b8_ambient,
-    b8_c3_classes,
-    b8_chamber,
     class_from_coeffs,
     e6_sphere_classes,
     i6_hexagon_chain,
     i6_hexagon_classes,
-    wn_c7_embedding,
     wn_c7_profile_embedding,
-    wn_chamber,
 )
+from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import verify_embedding
 
 
@@ -48,7 +41,7 @@ def test_i6_hexagon_structure(v3):
 
 
 def test_wn_profile_matches_realization(w3):
-    emb = wn_c7_embedding(w3)
+    emb = FAMILIES["qn"].embedding(w3)
     profile = wn_c7_profile_embedding(w3)
     assert emb.realized_gram() == profile.realized_gram()
     for name in ("T", "E0", "E1"):
@@ -57,22 +50,22 @@ def test_wn_profile_matches_realization(w3):
 
 
 def test_wn_chamber(w3):
-    chamber = wn_chamber(w3)
+    chamber = FAMILIES["qn"].chamber(w3)
     H = chamber.period
     assert square(H) == 9
     assert pair(H, w3.marked_class("h")) == 11
-    for u in wn_c7_embedding(w3).vertex_classes:
+    for u in FAMILIES["qn"].embedding(w3).vertex_classes:
         assert pair(H, u) == 0
     lift = class_from_coeffs(w3, {"T": 3, "E0": 1, "E1": 1})
     assert pair(H, lift) > 0 and pair(w3.marked_class("h"), lift) > 0
 
 
 def test_b7_configuration():
-    ambient = b7_ambient(2)
-    u = b7_c5_classes(ambient)
+    ambient = FAMILIES["b7"].ambient(2)
+    u = FAMILIES["b7"].embedding(ambient).vertex_classes
     assert [square(x) for x in u] == [-7, -2, -2, -2]
     assert [pair(u[i], u[i + 1]) for i in range(3)] == [1, 1, 1]
-    H = b7_chamber(ambient).period
+    H = FAMILIES["b7"].chamber(ambient).period
     assert square(H) == 2
     assert pair(H, ambient.marked_class("h")) == 5
     assert all(pair(H, x) == 0 for x in u)
@@ -81,11 +74,11 @@ def test_b7_configuration():
 
 
 def test_b8_configuration():
-    ambient = b8_ambient(2)
-    u = b8_c3_classes(ambient)
+    ambient = FAMILIES["b8"].ambient(2)
+    u = FAMILIES["b8"].embedding(ambient).vertex_classes
     assert [square(x) for x in u] == [-5, -2]
     assert pair(u[0], u[1]) == 1
-    H = b8_chamber(ambient).period
+    H = FAMILIES["b8"].chamber(ambient).period
     assert square(H) == 7
     assert pair(H, ambient.marked_class("h")) == 4
     assert all(pair(H, x) == 0 for x in u)

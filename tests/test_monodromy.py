@@ -139,6 +139,23 @@ def test_deep_nesting_parses():
     assert err.value.position == 0
 
 
+def test_parse_keeps_only_the_factor_tree(monkeypatch):
+    import swsurgery.monodromy as monodromy
+
+    def spell(*args):
+        raise AssertionError("letters spelled out")
+
+    monkeypatch.setattr(monodromy, "_spell", spell)
+    word = parse_word("((a^1000)^1000)^1000")
+    assert evaluate(word) == IntegerMatrix2(1, 10 ** 9, 0, 1)
+    assert verify_factorization(word, "a^1000000000").equal
+    monkeypatch.undo()
+    deep = "(" * 3000 + "ab" + ")^2" * 3000
+    assert parse_word(deep) == parse_word(deep) != parse_word(deep.replace("ab", "ba"))
+    assert repr(parse_word(deep))
+    assert parse_word("").letters == () and str(parse_word("")) == ""
+
+
 @st.composite
 def twist_words(draw, depth=4, budget=400):
     """Text of a random word: nested groups up to ``depth`` deep, empty groups

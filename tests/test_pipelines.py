@@ -2,9 +2,10 @@ import pytest
 
 from swsurgery.manifold import dimension, fingerprint
 from swsurgery.pipelines import (
-    ConstructionScript,
+    FAMILIES,
     build_b7_family,
     build_b8_family,
+    build_family,
     build_Qn,
     build_Xn,
     verify_paper,
@@ -30,14 +31,15 @@ def test_family_rejects_bad_parameter():
             builder(0)
 
 
-def test_construction_script_dispatch():
-    model, rep = ConstructionScript("Xn", 2).run()
+def test_build_family_dispatch():
+    model, rep = build_family("xn", 2)
     assert model.name == "X2"
     assert rep.all_pass
-    with pytest.raises(ValueError, match="unknown family"):
-        ConstructionScript("nope", 2)
+    assert list(FAMILIES) == ["xn", "b7", "b8", "qn"]
+    with pytest.raises(KeyError):
+        build_family("nope", 2)
     with pytest.raises(ValueError, match="positive"):
-        ConstructionScript("Qn", 0)
+        build_family("qn", 0)
 
 
 def test_blowdown_bookkeeping_deltas():

@@ -11,20 +11,15 @@ from swsurgery.manifold import Chamber
 from swsurgery.models import (
     class_from_coeffs,
     e6_embedding,
-    wn_c7_embedding,
     wn_c7_profile_embedding,
-    wn_chamber,
-    zn_c7_classes,
-    zn_c7_embedding,
-    zn_chamber,
 )
+from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import (
     ConfigurationEmbedding,
     EmbeddingError,
     LensSpace,
     PlumbingChain,
     boundary_lens_space,
-    box_lift_search,
     continued_fraction_value,
     cp_chain,
     default_lift_candidates,
@@ -208,12 +203,12 @@ def test_e6_tree_shape():
 
 
 def test_verify_embeddings(z3):
-    assert verify_embedding(zn_c7_embedding(z3)).ok
+    assert verify_embedding(FAMILIES["xn"].embedding(z3)).ok
     assert verify_embedding(e6_embedding(z3)).ok
 
 
 def test_verify_embedding_mismatch(z3):
-    u = list(zn_c7_classes(z3))
+    u = list(FAMILIES["xn"].embedding(z3).vertex_classes)
     u[1] = u[1] + z3.marked_class("E0")  # corrupt one vertex
     emb = ConfigurationEmbedding(ambient=z3, chain=cp_chain(7), vertex_classes=tuple(u))
     report = verify_embedding(emb)
@@ -222,14 +217,14 @@ def test_verify_embedding_mismatch(z3):
 
 
 def test_relative_squares(z3, w3):
-    z_emb = zn_c7_embedding(z3)
+    z_emb = FAMILIES["xn"].embedding(z3)
     lift = class_from_coeffs(z3, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
     assert relative_square_of_restriction(z_emb, lift) == -6
     assert z_emb.pairing_vector(lift) == (7, 0, 0, 0, 0, 0)
-    w_emb = wn_c7_embedding(w3)
+    w_emb = FAMILIES["qn"].embedding(w3)
     w_lift = class_from_coeffs(w3, {"T": 3, "E0": 1, "E1": 1})
     assert relative_square_of_restriction(w_emb, w_lift) == -6
-    orthogonal = zn_chamber(z3).period
+    orthogonal = FAMILIES["xn"].chamber(z3).period
     assert relative_square_of_restriction(z_emb, orthogonal) == 0
 
 
@@ -254,13 +249,13 @@ def test_relative_square_matches_solve_oracle():
 
 
 def test_lift_searches(z3, w3):
-    z_emb = zn_c7_embedding(z3)
+    z_emb = FAMILIES["xn"].embedding(z3)
     lift = class_from_coeffs(z3, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
     candidates = default_lift_candidates(z3)
     assert len(candidates) == 16
     found = find_characteristic_lifts(z_emb, candidates, 7)
     assert sorted(k.coords for k in found) == sorted([lift.coords, (-lift).coords])
-    w_emb = wn_c7_embedding(w3)
+    w_emb = FAMILIES["qn"].embedding(w3)
     w_found = find_characteristic_lifts(w_emb, default_lift_candidates(w3), 7)
     w_lift = class_from_coeffs(w3, {"T": 3, "E0": 1, "E1": 1})
     assert sorted(k.coords for k in w_found) == sorted([w_lift.coords, (-w_lift).coords])
@@ -278,19 +273,9 @@ def test_lift_closed_under_negation(w3):
 
 
 def test_lift_requires_characteristic(z3):
-    emb = zn_c7_embedding(z3)
+    emb = FAMILIES["xn"].embedding(z3)
     with pytest.raises(ValueError, match="characteristic"):
         find_characteristic_lifts(emb, [z3.marked_class("T")], 7)
-
-
-def test_box_lift_search(z3):
-    emb = zn_c7_embedding(z3)
-    generators = {name: z3.marked_class(name) for name in ("T", "E0", "E1", "E2")}
-    hits = box_lift_search(emb, 7, generators, bound=1)
-    assert sorted(tuple(sorted(h.items())) for h in hits) == [
-        tuple(sorted({"T": -1, "E0": -1, "E1": -1, "E2": -1}.items())),
-        tuple(sorted({"T": 1, "E0": 1, "E1": 1, "E2": 1}.items())),
-    ]
 
 
 def test_profile_embedding_round_trip(w3):
@@ -305,22 +290,22 @@ def test_profile_embedding_round_trip(w3):
 def test_rational_blowdown_requires_classes(w3):
     emb = wn_c7_profile_embedding(w3)
     with pytest.raises(ValueError, match="explicit vertex classes"):
-        rational_blowdown(w3, emb, 7, wn_chamber(w3), simply_connected=True)
+        rational_blowdown(w3, emb, 7, FAMILIES["qn"].chamber(w3), simply_connected=True)
 
 
 def test_rational_blowdown_checks_chamber(z3):
-    emb = zn_c7_embedding(z3)
+    emb = FAMILIES["xn"].embedding(z3)
     bad_chamber = Chamber(z3, z3.marked_class("h"))  # h meets the chain
     with pytest.raises(ValueError, match="orthogonal"):
         rational_blowdown(z3, emb, 7, bad_chamber, simply_connected=True)
 
 
 def test_rational_blowdown_checks_embedding(z3):
-    u = list(zn_c7_classes(z3))
+    u = list(FAMILIES["xn"].embedding(z3).vertex_classes)
     u[2] = u[2] + z3.marked_class("E1")
     emb = ConfigurationEmbedding(ambient=z3, chain=cp_chain(7), vertex_classes=tuple(u))
     with pytest.raises(EmbeddingError):
-        rational_blowdown(z3, emb, 7, zn_chamber(z3), simply_connected=True)
+        rational_blowdown(z3, emb, 7, FAMILIES["xn"].chamber(z3), simply_connected=True)
 
 
 def test_rational_blowdown_output(z3):
@@ -328,7 +313,8 @@ def test_rational_blowdown_output(z3):
     from swsurgery.lattice import is_characteristic, signature_and_betti
 
     model = rational_blowdown(
-        z3, zn_c7_embedding(z3), 7, zn_chamber(z3), simply_connected=True, name="X3"
+        z3, FAMILIES["xn"].embedding(z3), 7, FAMILIES["xn"].chamber(z3),
+        simply_connected=True, name="X3",
     )
     assert model.lattice.rank == 7
     assert signature_and_betti(model.lattice) == (1, 6)
