@@ -15,13 +15,17 @@ from .knots import e1_knot_surgery_sw
 from .lattice import HomologyClass, is_characteristic, pair, square
 from .manifold import FourManifoldModel
 from .models import class_from_coeffs, e1, v_n, w_n, y_n, z_n
-from .monodromy import WordSyntaxError, verify_factorization
+from .monodromy import WordSyntaxError, parse_word, verify_factorization
 from .plumbing import PlumbingChain, boundary_lens_space, cp_chain, intersection_matrix
 from . import __version__
 from .report import REPORT_VERSION
 
 # the family models (xn:2, qn:1, ...) come from pipelines.FAMILIES
 BUILTIN_MODELS = {"yn": y_n, "zn": z_n, "vn": v_n, "wn": w_n}
+
+# `monodromy check` prints its words letter by letter, so a word is refused
+# before anything is spelled or evaluated when it would spell more letters
+MAX_WORD_LETTERS = 1_000_000
 
 
 class CliError(Exception):
@@ -120,7 +124,14 @@ def cmd_family(args) -> int:
 
 
 def cmd_monodromy_check(args) -> int:
-    report = verify_factorization(args.word, args.equals)
+    words = [parse_word(args.word)]
+    if args.equals is not None:
+        words.append(parse_word(args.equals))
+    for word in words:
+        if word.length > MAX_WORD_LETTERS:
+            raise CliError(f"word spells {word.length} letters; "
+                           f"the limit is {MAX_WORD_LETTERS}")
+    report = verify_factorization(*words)
     payload = {
         "word": str(report.word),
         "matrix": report.lhs.rows(),

@@ -12,6 +12,7 @@ continuants, see ``plumbing``).  Only the rank and signature routines
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 
@@ -32,7 +33,7 @@ def transpose(m) -> tuple[tuple, ...]:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def matmul(a, b) -> tuple[tuple, ...]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exactmat import (
-    bareiss_det,
     freeze,
     gauss_rank,
     is_symmetric,
@@ -63,12 +62,14 @@ class IntersectionLattice:
             raise ValueError("gram size does not match basis")
         if not is_symmetric(self.gram):
             raise ValueError("gram matrix must be symmetric")
-        if not self.relative and self.rank and bareiss_det(self.gram) == 0:
-            raise DegenerateFormError(
-                f"lattice {self.name or '<unnamed>'} is degenerate; "
-                "pass relative=True for plumbing interiors",
-                radical=_radical_vector(self.gram),
-            )
+        if not self.relative and self.rank:
+            radical = _signature_cached(gram)[2]
+            if radical is not None:
+                raise DegenerateFormError(
+                    f"lattice {self.name or '<unnamed>'} is degenerate; "
+                    "pass relative=True for plumbing interiors",
+                    radical=radical,
+                )
 
     @property
     def rank(self) -> int:
@@ -88,6 +89,7 @@ class IntersectionLattice:
         return HomologyClass(self, (0,) * self.rank)
 
     def element(self, coords) -> "HomologyClass":
+        """The class with the given coordinates, coerced to an int tuple."""
         return HomologyClass(self, tuple(int(c) for c in coords))
 
     def to_dict(self) -> dict:
@@ -104,22 +106,27 @@ def same_lattice(a: IntersectionLattice, b: IntersectionLattice) -> bool:
 
 @dataclass(frozen=True)
 class HomologyClass:
+    """Coordinates against the lattice basis.
+
+    ``coords`` must already be a tuple of ints: outside data is coerced once,
+    where it enters (``IntersectionLattice.element``, ``from_dict``).
+    """
+
     lattice: IntersectionLattice
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
         if len(self.coords) != self.lattice.rank:
             raise ValueError(
                 f"coordinate length {len(self.coords)} != lattice rank {self.lattice.rank}"
             )
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        _require_same(self, other)
+        require_same_lattice(self.lattice, other.lattice)
         return HomologyClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        _require_same(self, other)
+        require_same_lattice(self.lattice, other.lattice)
         return HomologyClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "HomologyClass":
@@ -140,16 +147,16 @@ class HomologyClass:
         return {"lattice": lattice_id or self.lattice.name, "coords": list(self.coords)}
 
 
-def _require_same(x: HomologyClass, y: HomologyClass):
-    if not same_lattice(x.lattice, y.lattice):
+def require_same_lattice(a: IntersectionLattice, b: IntersectionLattice):
+    if not same_lattice(a, b):
         raise LatticeMismatchError(
-            f"classes live in different lattices ({x.lattice.name!r} vs {y.lattice.name!r})"
+            f"classes live in different lattices ({a.name!r} vs {b.name!r})"
         )
 
 
 def pair(x: HomologyClass, y: HomologyClass) -> int:
     """Intersection pairing x . y = x^T G y; symmetric and bilinear."""
-    _require_same(x, y)
+    require_same_lattice(x.lattice, y.lattice)
     yc = y.coords
     total = 0
     for xi, row in zip(x.coords, x.lattice.rows):
@@ -188,31 +195,33 @@ def is_characteristic(k: HomologyClass) -> bool:
     return True
 
 
-def _radical_vector(gram):
-    diag, trans = symmetric_diagonalize(gram)
-    for i, d in enumerate(diag):
-        if d == 0:
-            return trans[i]
-    return None
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _signature_cached(gram):
+    """(b+, b-, a radical vector or None) of a nonempty symmetric Gram.
+
+    One exact diagonalization per distinct Gram serves both the
+    nondegeneracy check of every new lattice and its signature.
+    """
     diag, trans = symmetric_diagonalize(gram)
-    for i, d in enumerate(diag):
-        if d == 0:
-            raise DegenerateFormError(
-                f"degenerate form; radical vector {tuple(trans[i])}", radical=trans[i]
-            )
+    radical = next((trans[i] for i, d in enumerate(diag) if d == 0), None)
     b_plus = sum(1 for d in diag if d > 0)
-    return b_plus, len(diag) - b_plus
+    return b_plus, sum(1 for d in diag if d < 0), radical
+
+
+def _signature(gram) -> tuple[int, int]:
+    b_plus, b_minus, radical = _signature_cached(gram)
+    if radical is not None:
+        raise DegenerateFormError(
+            f"degenerate form; radical vector {tuple(radical)}", radical=radical
+        )
+    return b_plus, b_minus
 
 
 def signature_and_betti(lattice: IntersectionLattice) -> tuple[int, int]:
     """(b+, b-) by exact rational congruence diagonalization."""
     if lattice.rank == 0:
         return (0, 0)
-    return _signature_cached(lattice.gram)
+    return _signature(lattice.gram)
 
 
 def signature(lattice: IntersectionLattice) -> int:
@@ -235,7 +244,7 @@ class Sublattice:
     def signature_and_betti(self) -> tuple[int, int]:
         if not self.vectors:
             return (0, 0)
-        return _signature_cached(self.gram)
+        return _signature(self.gram)
 
 
 def orthogonal_complement(lattice: IntersectionLattice, classes) -> Sublattice:

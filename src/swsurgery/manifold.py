@@ -9,6 +9,7 @@ by the underlying theory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -134,10 +135,15 @@ class FourManifoldModel:
             )
         if not same_lattice(self.sw.lattice, self.lattice):
             raise ValueError("SW table lattice differs from the model lattice")
-        for k, v in self.sw.items():
-            d = dimension(self, k)
-            if d < 0 or d % 2:
-                raise ValueError(f"SW class {k.coords} has d = {d}; need d >= 0 and even")
+        # the table's constructor checked that every class is characteristic
+        # in this lattice, so d(k) = (k^2 - 3 sign - 2 euler) / 4 needs k^2 only
+        shift = 3 * self.sign + 2 * self.euler
+        for coords, _ in self.sw.entries:
+            numerator = square(HomologyClass(self.lattice, coords)) - shift
+            if numerator < 0 or numerator % 8:
+                raise ValueError(
+                    f"SW class {coords} has d = {Fraction(numerator, 4)}; need d >= 0 and even"
+                )
 
     @property
     def marked_classes(self) -> dict[str, HomologyClass]:
@@ -188,7 +194,8 @@ class FourManifoldModel:
             euler=int(data["euler"]),
             sign=int(data["sign"]),
             simply_connected=bool(data["simply_connected"]),
-            marked=tuple(sorted((k, tuple(v)) for k, v in data.get("marked", {}).items())),
+            marked=tuple(sorted((k, tuple(int(x) for x in v))
+                                for k, v in data.get("marked", {}).items())),
             sw=table,
             pi1_note=data.get("pi1_note", ""),
             surgery_history=tuple(

@@ -86,7 +86,8 @@ class Factor:
 
     ``inner`` holds the letter of a single-letter factor, or the factors of
     a parenthesized group; ``base`` is their product and the factor's matrix
-    is ``base ** power``.  Letters are spelled out only on request.
+    is ``base ** power``.  Letters are spelled out only on request;
+    ``length`` is how many there would be.
     """
 
     text: str
@@ -95,6 +96,7 @@ class Factor:
     # determined by ``text``, so left out of equality and repr, which then
     # never recurse into deep nesting
     inner: tuple["Factor | str", ...] = field(compare=False, repr=False)
+    length: int = field(compare=False, repr=False)
 
     @property
     def base_letters(self) -> tuple[str, ...]:
@@ -112,6 +114,11 @@ class MCGWord:
     @property
     def letters(self) -> tuple[str, ...]:
         return _spell(self.factors)
+
+    @property
+    def length(self) -> int:
+        """Number of letters the word spells out, read from the factor tree."""
+        return sum(f.length for f in self.factors)
 
     def __str__(self) -> str:
         return "".join(self.letters)
@@ -200,7 +207,7 @@ def parse_word(text: str) -> MCGWord:
         if ch in GENERATORS:
             pos += 1
             power = parse_power()
-            items.append(Factor(text[start:pos], power, GENERATORS[ch], (ch,)))
+            items.append(Factor(text[start:pos], power, GENERATORS[ch], (ch,), abs(power)))
         elif ch == "(":
             stack.append((pos, items))
             items = []
@@ -212,7 +219,8 @@ def parse_word(text: str) -> MCGWord:
             start, items = stack.pop()
             pos += 1
             power = parse_power()
-            items.append(Factor(text[start:pos], power, _product(inner), tuple(inner)))
+            items.append(Factor(text[start:pos], power, _product(inner), tuple(inner),
+                                abs(power) * sum(f.length for f in inner)))
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", pos)
     return MCGWord(tuple(items))

@@ -42,7 +42,6 @@ from .models import (
     e1,
     e6_embedding,
     e6_sphere_classes,
-    v_n,
     w_n,
     wn_c7_profile_embedding,
     y_n,
@@ -80,7 +79,8 @@ class FamilySpec:
     """One family as data: knot-surger E(1), blow up, embed the order-p chain
     u0, tail..., pick the lift, and rationally blow down.
 
-    ``checks`` adds the family's own checks before the shared blowdown ones.
+    ``checks`` adds the family's own checks before the shared blowdown ones;
+    it is passed the knot-surgered base model that the ambient blows up.
     """
 
     key: str  # CLI name and report tag
@@ -99,8 +99,13 @@ class FamilySpec:
     checks: Callable
     unique: bool = False  # the source states one basic class up to sign
 
-    def ambient(self, n: int) -> FourManifoldModel:
-        base = getattr(models, self.base)(n)
+    def base_model(self, n: int) -> FourManifoldModel:
+        return getattr(models, self.base)(n)
+
+    def ambient(self, n: int, base: FourManifoldModel | None = None) -> FourManifoldModel:
+        """Blow up ``base``, which is ``base_model(n)`` and built here if not given."""
+        if base is None:
+            base = self.base_model(n)
         return blowup_times(base, self.blowups, self.ambient_name.format(n=n))
 
     def embedding(self, ambient: FourManifoldModel) -> ConfigurationEmbedding:
@@ -116,9 +121,9 @@ class FamilySpec:
         return class_from_coeffs(ambient, self.lift_coeffs)
 
 
-def _xn_checks(rep, n, z, emb, chamber, k_lift) -> None:
+def _xn_checks(rep, n, y, z, emb, chamber, k_lift) -> None:
     rep.add("xn.yn.sw", "fiber surgery SW magnitudes at the fiber classes",
-            sorted([n, n]), list(y_n(n).sw.magnitudes()), REPORTED)
+            sorted([n, n]), list(y.sw.magnitudes()), REPORTED)
     rep.add("xn.zn.sw.count", "three blowups spread the table over 16 sign classes",
             16, len(z.sw), REPORTED)
     rep.add("xn.zn.sw", "every blown-up class keeps magnitude n",
@@ -139,7 +144,7 @@ def _xn_checks(rep, n, z, emb, chamber, k_lift) -> None:
             "-6", str(relative_square_of_restriction(emb, k_lift)), REPORTED)
 
 
-def _b7_checks(rep, n, ambient, emb, chamber, k_lift) -> None:
+def _b7_checks(rep, n, base, ambient, emb, chamber, k_lift) -> None:
     rep.add("b7.ambient.sw", "two blowups give 8 classes of magnitude n",
             sorted([n] * 8), list(ambient.sw.magnitudes()), DERIVED)
     rep.add("b7.u0.square", "pseudo-section plus one fiber, doubly blown up",
@@ -148,7 +153,7 @@ def _b7_checks(rep, n, ambient, emb, chamber, k_lift) -> None:
             "-4", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
 
 
-def _b8_checks(rep, n, ambient, emb, chamber, k_lift) -> None:
+def _b8_checks(rep, n, base, ambient, emb, chamber, k_lift) -> None:
     rep.add("b8.reading", "family parameters read as b- = 8; the printed b+ = 8 "
             "variant is inconsistent with one blowup of a b+ = 1 manifold",
             "b_minus=8", "b_minus=8", DERIVED)
@@ -160,7 +165,7 @@ def _b8_checks(rep, n, ambient, emb, chamber, k_lift) -> None:
             "-2", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
 
 
-def _qn_checks(rep, n, w, emb, chamber, k_lift) -> None:
+def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
     fact = verify_factorization(I6_FACTORIZATION, I6_FIBRATION)
     rep.add("qn.monodromy.refactor", "cycle-fiber word equals the cubed word",
             True, fact.equal, REPORTED)
@@ -171,7 +176,6 @@ def _qn_checks(rep, n, w, emb, chamber, k_lift) -> None:
     nodal = fact.factors[1:]
     rep.add("qn.monodromy.nodal", "remaining factors are nodal (trace 2) twists",
             [2] * len(nodal), [d.base_trace for d in nodal], DERIVED)
-    v = v_n(n)
     t = v.marked_class("T")
     rep.add("qn.vn.sw.3T", "magnitude n at three times the fiber",
             n, abs(v.sw.value(3 * t)), REPORTED)
@@ -265,17 +269,17 @@ def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationRepor
     if n < 1:
         raise ValueError("family parameter must be a positive integer")
     rep = VerificationReport()
-    ambient = spec.ambient(n)
+    base = spec.base_model(n)
+    ambient = spec.ambient(n, base)
     emb = spec.embedding(ambient)
     chamber = spec.chamber(ambient)
     k_lift = spec.lift(ambient)
-    spec.checks(rep, n, ambient, emb, chamber, k_lift)
+    spec.checks(rep, n, base, ambient, emb, chamber, k_lift)
     tag, p, provenance = spec.key, spec.p, spec.provenance
     rep.add(f"{tag}.embedding", f"chain of order {p} realized exactly",
             True, verify_embedding(emb, cp_chain(p)).ok, DERIVED)
     rep.add(f"{tag}.chamber.orthogonal", "period class orthogonal to every vertex",
-            [0] * emb.size,
-            [pair(chamber.period, u) for u in emb.vertex_classes], provenance)
+            [0] * emb.size, list(emb.pairing_vector(chamber.period)), provenance)
     rep.add(f"{tag}.chamber.positive", "period class has positive square",
             True, square(chamber.period) > 0, DERIVED)
     lifts = find_characteristic_lifts(emb, default_lift_candidates(ambient), p)

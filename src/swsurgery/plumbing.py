@@ -11,7 +11,7 @@ the value forced by preservation of the formal dimension together with the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -21,8 +21,11 @@ from .exactmat import (
     SingularMatrixError,
     bareiss_adjugate,
     bareiss_det,
+    dot,
     freeze,
     hnf_row_basis,
+    kernel_rows,
+    mat_vec,
     matmul,
     transpose,
     vec_mat,
@@ -30,9 +33,10 @@ from .exactmat import (
 from .lattice import (
     HomologyClass,
     IntersectionLattice,
+    LatticeMismatchError,
+    gram_image,
     is_characteristic,
-    orthogonal_complement,
-    pair,
+    require_same_lattice,
     same_lattice,
     square,
 )
@@ -140,7 +144,7 @@ class PlumbingForm:
         return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.adj)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def intersection_matrix(chain: PlumbingChain) -> PlumbingForm:
     m = chain.matrix()
     if chain.is_linear():
@@ -249,6 +253,11 @@ class ConfigurationEmbedding:
     class of interest, its vector of pairings with the vertices.  Explicit
     classes are the stronger form; profiles suffice for lift searches and
     relative squares.
+
+    With explicit classes, the images G u_i of the vertices under the
+    ambient Gram are computed once, at construction, so that every pairing
+    with a vertex (``pairing_vector``, ``realized_gram``, relative squares)
+    is one dot product.
     """
 
     ambient: FourManifoldModel
@@ -256,6 +265,9 @@ class ConfigurationEmbedding:
     vertex_classes: tuple[HomologyClass, ...] | None = None
     profile_gram: tuple[tuple[int, ...], ...] | None = None
     profile_pairings: tuple[tuple[str, tuple[int, ...]], ...] | None = None
+    # G u_i for every vertex class u_i, or None for a profile-only embedding
+    vertex_images: tuple[tuple[int, ...], ...] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vertex_classes is None and self.profile_gram is None:
@@ -267,6 +279,8 @@ class ConfigurationEmbedding:
             for u in self.vertex_classes:
                 if not same_lattice(u.lattice, self.ambient.lattice):
                     raise ValueError("vertex classes must live in the ambient lattice")
+        object.__setattr__(self, "vertex_images", None if self.vertex_classes is None else
+                           tuple(gram_image(u) for u in self.vertex_classes))
         if self.profile_gram is not None:
             object.__setattr__(self, "profile_gram", freeze(self.profile_gram))
         if self.profile_pairings is not None:
@@ -286,10 +300,11 @@ class ConfigurationEmbedding:
 
     def realized_gram(self) -> tuple[tuple[int, ...], ...]:
         if self.vertex_classes is not None:
-            return freeze(
-                tuple(pair(u, v) for v in self.vertex_classes) for u in self.vertex_classes
-            )
+            return tuple(self._dots(u.coords) for u in self.vertex_classes)
         return self.profile_gram
+
+    def _dots(self, coords) -> tuple[int, ...]:
+        return tuple(dot(coords, image) for image in self.vertex_images)
 
     def profile_row(self, name: str) -> tuple[int, ...]:
         if self.profile_pairings is not None:
@@ -297,8 +312,7 @@ class ConfigurationEmbedding:
                 if key == name:
                     return row
         if self.vertex_classes is not None:
-            k = self.ambient.marked_class(name)
-            return tuple(pair(k, u) for u in self.vertex_classes)
+            return self._dots(self.ambient.marked_class(name).coords)
         raise KeyError(f"no pairing profile for class {name!r}")
 
     def pairing_vector(self, candidate) -> tuple[int, ...]:
@@ -308,7 +322,8 @@ class ConfigurationEmbedding:
                 raise ValueError(
                     "profile-only embedding: pass candidates as {name: coeff} combinations"
                 )
-            return tuple(pair(candidate, u) for u in self.vertex_classes)
+            require_same_lattice(candidate.lattice, self.ambient.lattice)
+            return self._dots(candidate.coords)
         vector = [0] * self.size
         for name, coeff in candidate.items():
             row = self.profile_row(name)
@@ -370,9 +385,9 @@ def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = 
         entries.append(("tree adjacency: central vertex with three length-2 legs",
                         _is_three_leg_star(chain)))
         if emb.vertex_classes is not None:
-            fiber = emb.ambient.marked_class("T")
-            for i, u in enumerate(emb.vertex_classes):
-                entries.append((f"vertex {i} orthogonal to the fiber", pair(fiber, u) == 0))
+            fiber = emb.pairing_vector(emb.ambient.marked_class("T"))
+            for i, x in enumerate(fiber):
+                entries.append((f"vertex {i} orthogonal to the fiber", x == 0))
     return EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
 
 
@@ -458,6 +473,44 @@ def _overlattice_basis(det_c: int, adj_c, p: int):
     return hnf_row_basis(rows)
 
 
+@lru_cache(maxsize=64)
+def _blowdown_geometry(gram, vertices, p: int):
+    """The lattice side of an order-p blowdown, from exact integer data only.
+
+    ``gram`` is the ambient Gram and ``vertices`` the coordinate tuples of
+    the chain's vertex classes, which the caller has verified to realize
+    cp_chain(p).  Returns (new Gram, P, divisor): the Gram of the unimodular
+    overlattice M of the orthogonal complement C, and the integer matrix P
+    with M-coordinates of an ambient class k equal to k P / divisor.  None
+    of this depends on the SW data, so a family computes it once for every
+    n; failed checks raise and are not cached.
+    """
+    complement = kernel_rows(tuple(mat_vec(gram, u) for u in vertices))
+    gram_c = matmul(matmul(complement, gram), transpose(complement))
+    # nondegenerate, as the ambient form and the verified chain form both are
+    det_c, adj_c = bareiss_adjugate(gram_c)
+    if abs(det_c) != p * p:
+        raise EmbeddingError(
+            f"complement discriminant is not p^2 = {p * p}; "
+            "the configuration is not primitively embedded"
+        )
+    basis = _overlattice_basis(det_c, adj_c, p)
+    # the overlattice vectors are basis / den, so their Gram is B G B^T / den^2
+    den2 = det_c * det_c
+    scaled = matmul(matmul(basis, gram_c), transpose(basis))
+    if any(x % den2 for row in scaled for x in row):
+        raise EmbeddingError("overlattice pairing is not integral")
+    gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
+    if abs(bareiss_det(gram_m)) != 1:
+        raise EmbeddingError("overlattice is not unimodular")
+    # k pairs with C as k G W^T (W the complement rows), which has
+    # C-coordinates k G W^T G_C^(-1) and M-coordinates
+    # k G W^T adj_c adj_b / divisor, with B adj_b = det_b I
+    det_b, adj_b = bareiss_adjugate(basis)
+    push = matmul(matmul(matmul(gram, transpose(complement)), adj_c), adj_b)
+    return gram_m, push, det_b if det_c > 0 else -det_b
+
+
 def rational_blowdown(
     X: FourManifoldModel,
     emb: ConfigurationEmbedding,
@@ -478,6 +531,12 @@ def rational_blowdown(
     X's basic classes, evaluated in the chamber of H (wall-crossing
     corrections included by chamber_sw).  Simple connectivity of the result
     is supplied by the caller with a justification note.
+
+    The checks run in this order: the embedding, the period class, then the
+    lattice geometry.  The geometry (complement, discriminant, overlattice,
+    unimodularity and the push-down matrix) depends only on X's Gram, the
+    vertex coordinates and p, so it comes from a bounded memo,
+    ``_blowdown_geometry``; the SW transfer runs on every call.
     """
     if emb.vertex_classes is None:
         raise ValueError(
@@ -492,42 +551,21 @@ def rational_blowdown(
         )
     if square(H.period) <= 0:
         raise ValueError("period class must have positive square")
-    for u in emb.vertex_classes:
-        if pair(H.period, u) != 0:
-            raise ValueError("period class must be orthogonal to every vertex class")
+    if any(emb.pairing_vector(H.period)):
+        raise ValueError("period class must be orthogonal to every vertex class")
+    if not same_lattice(X.lattice, emb.ambient.lattice):
+        raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    complement = orthogonal_complement(X.lattice, emb.vertex_classes)
-    gram_c = complement.gram
-    # nondegenerate, as the ambient form and the verified chain form both are
-    det_c, adj_c = bareiss_adjugate(gram_c)
-    if abs(det_c) != p * p:
-        raise EmbeddingError(
-            f"complement discriminant is not p^2 = {p * p}; "
-            "the configuration is not primitively embedded"
-        )
-    basis = _overlattice_basis(det_c, adj_c, p)
-    r = complement.rank
-    # the overlattice vectors are basis / den, so their Gram is B G B^T / den^2
-    den2 = det_c * det_c
-    scaled = matmul(matmul(basis, gram_c), transpose(basis))
-    if any(x % den2 for row in scaled for x in row):
-        raise EmbeddingError("overlattice pairing is not integral")
-    gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
-    if abs(bareiss_det(gram_m)) != 1:
-        raise EmbeddingError("overlattice is not unimodular")
+    gram_m, push, divisor = _blowdown_geometry(
+        X.lattice.gram, tuple(u.coords for u in emb.vertex_classes), p
+    )
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice(
-        tuple(f"c{i}" for i in range(r)), gram_m, name=new_name
+        tuple(f"c{i}" for i in range(len(gram_m))), gram_m, name=new_name
     )
 
-    # a class with pairings v with C has C-coordinates v G^(-1) and
-    # M-coordinates v G^(-1) (B / den)^(-1) = v adj_c adj_b / divisor
-    det_b, adj_b = bareiss_adjugate(basis)
-    divisor = det_b if det_c > 0 else -det_b
-
     def push_down(k: HomologyClass) -> HomologyClass:
-        pairings = [pair(k, w) for w in complement.vectors]
-        z = vec_mat(vec_mat(pairings, adj_c), adj_b)
+        z = vec_mat(k.coords, push)
         if any(x % divisor for x in z):
             raise EmbeddingError(f"class {k.coords} does not descend to the new lattice")
         return HomologyClass(new_lattice, tuple(x // divisor for x in z))

@@ -76,6 +76,23 @@ def test_golden_output_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[argv]
 
 
+def test_outputs_equal_with_cold_and_warm_memos(capsys):
+    from swsurgery.lattice import _signature_cached
+    from swsurgery.plumbing import _blowdown_geometry, intersection_matrix
+
+    commands = [("verify-paper", "--json")] + [
+        ("family", key, "--n", str(n), "--json")
+        for key in ("xn", "qn", "b7", "b8") for n in range(1, 6)
+    ]
+    for memo in (_signature_cached, _blowdown_geometry, intersection_matrix):
+        memo.cache_clear()
+    cold = [run_cli(capsys, *argv) for argv in commands]
+    assert _blowdown_geometry.cache_info().hits > 0
+    warm = [run_cli(capsys, *argv) for argv in commands]
+    assert cold == warm
+    assert all(code == 0 for code, _, _ in cold)
+
+
 def test_monodromy_check(capsys):
     code, out, _ = run_cli(capsys, "monodromy", "check", "(ab)^6")
     assert code == 0
@@ -93,6 +110,23 @@ def test_monodromy_check_deep_nesting(capsys):
     code, out, _ = run_cli(capsys, "monodromy", "check", nested, "--equals", "a")
     assert code == 0
     assert "equal   True" in out
+
+
+def test_monodromy_check_word_size_limit(capsys, monkeypatch):
+    import swsurgery.monodromy as monodromy
+
+    def spell(*args):
+        raise AssertionError("letters spelled out")
+
+    monkeypatch.setattr(monodromy, "_spell", spell)
+    for argv in (("a^1000000000",), ("((ab)^1000)^501",), ("a", "--equals", "a^-1000001")):
+        code, out, err = run_cli(capsys, "monodromy", "check", *argv)
+        assert (code, out) == (2, "")
+        assert "letters; the limit is 1000000" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "monodromy", "check", "(ab)^500000", "--json")
+    assert code == 1
+    assert json.loads(out)["word"] == "ab" * 500000
 
 
 def test_monodromy_syntax_error(capsys):
@@ -175,6 +209,18 @@ def test_lattice_on_model_file(capsys, tmp_path):
                            "--class", "h", "--json")
     assert code == 0
     assert json.loads(out)["value"] == 5
+
+
+def test_model_file_with_fractional_dimension(capsys, tmp_path):
+    from swsurgery.models import y_n
+
+    data = y_n(3).to_dict()
+    data["euler"], data["simply_connected"] = 13, False  # d(k) = -1/2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lattice", "square", "--model", str(path), "--class", "T")
+    assert (code, out) == (2, "")
+    assert "has d = -1/2; need d >= 0 and even" in err
 
 
 def test_lattice_errors(capsys):

@@ -186,6 +186,33 @@ def test_class_coordinate_length(e1_model):
         HomologyClass(e1_model.lattice, (1, 2))
 
 
+def test_element_coerces_outside_data(e1_model):
+    k = e1_model.lattice.element([3, "-1", -1.0, True] + [-1] * 6)
+    assert k.coords == (3, -1, -1, 1) + (-1,) * 6
+    assert all(type(c) is int for c in k.coords)
+    assert k == e1_model.lattice.element((3, -1, -1, 1) + (-1,) * 6)
+
+
+def test_every_cache_is_bounded():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import swsurgery
+
+    cached = []
+    for info in pkgutil.iter_modules(swsurgery.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"swsurgery.{info.name}")
+        values = list(vars(module).values())
+        values += [v for c in values if inspect.isclass(c) for v in vars(c).values()]
+        cached += [v for v in values if hasattr(v, "cache_parameters")]
+    assert cached
+    for fn in cached:
+        assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
+
+
 def test_serialization_round_trip(e1_model):
     data = e1_model.lattice.to_dict()
     assert data == {"basis": list(e1_model.lattice.basis),

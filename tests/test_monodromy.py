@@ -147,6 +147,7 @@ def test_parse_keeps_only_the_factor_tree(monkeypatch):
 
     monkeypatch.setattr(monodromy, "_spell", spell)
     word = parse_word("((a^1000)^1000)^1000")
+    assert word.length == 10 ** 9
     assert evaluate(word) == IntegerMatrix2(1, 10 ** 9, 0, 1)
     assert verify_factorization(word, "a^1000000000").equal
     monkeypatch.undo()
@@ -182,7 +183,7 @@ def twist_words(draw, depth=4, budget=400):
 def test_factor_tree_matches_letter_product(drawn):
     text, length = drawn
     word = parse_word(text)
-    assert len(word.letters) == length
+    assert len(word.letters) == word.length == length
     assert evaluate(text) == IntegerMatrix2(*naive_word_matrix(word.letters))
     report = verify_factorization(text)
     assert len(report.factors) == len(word.factors)

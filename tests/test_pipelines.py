@@ -42,6 +42,19 @@ def test_build_family_dispatch():
         build_family("qn", 0)
 
 
+def test_family_builds_its_base_model_once(monkeypatch):
+    import swsurgery.models as models
+
+    calls = []
+    for name in ("y_n", "v_n"):
+        builder = getattr(models, name)
+        monkeypatch.setattr(models, name,
+                            lambda n, b=builder, name=name: calls.append(name) or b(n))
+    for key in FAMILIES:
+        build_family(key, 2)
+    assert sorted(calls) == ["v_n", "y_n", "y_n", "y_n"]
+
+
 def test_blowdown_bookkeeping_deltas():
     for builder, p, ambient_es in (
         (build_Xn, 7, (15, -11)),

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swsurgery.exactmat import SingularMatrixError, matmul
-from swsurgery.lattice import pair, square
+from swsurgery.lattice import LatticeMismatchError, pair, square
 from swsurgery.manifold import Chamber
 from swsurgery.models import (
     class_from_coeffs,
@@ -326,3 +326,30 @@ def test_rational_blowdown_output(z3):
     assert is_characteristic(k)
     h = model.marked_class("h")
     assert square(h) == 5  # the period class descends with its square
+
+
+def test_failed_blowdown_geometry_raises_on_every_call(z3):
+    # 2 E0 realizes the order-2 chain (one -4 sphere) but is not primitive:
+    # its complement is the unimodular complement of E0, not of discriminant 4
+    emb = ConfigurationEmbedding(ambient=z3, chain=cp_chain(2),
+                                 vertex_classes=(2 * z3.marked_class("E0"),))
+    chamber = Chamber(z3, z3.marked_class("h"))
+    for _ in range(2):
+        with pytest.raises(EmbeddingError, match="not primitively embedded"):
+            rational_blowdown(z3, emb, 2, chamber, simply_connected=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("xn", "qn")), st.lists(st.integers(-30, 30), min_size=13, max_size=13))
+def test_pairing_vector_matches_pair(z3, w3, key, coords):
+    ambient = z3 if key == "xn" else w3
+    emb = FAMILIES[key].embedding(ambient)
+    k = ambient.lattice.element(coords[:ambient.lattice.rank])
+    assert emb.pairing_vector(k) == tuple(pair(k, u) for u in emb.vertex_classes)
+    assert emb.realized_gram() == tuple(
+        tuple(pair(u, v) for v in emb.vertex_classes) for u in emb.vertex_classes)
+
+
+def test_pairing_vector_rejects_other_lattices(z3, w3):
+    with pytest.raises(LatticeMismatchError):
+        FAMILIES["xn"].embedding(z3).pairing_vector(w3.marked_class("T"))
