@@ -45,7 +45,7 @@ def resolve_model(spec: str) -> FourManifoldModel:
                 return FourManifoldModel.from_dict(json.load(fh))
         except FileNotFoundError:
             raise CliError(f"no model file or builtin named {spec!r}") from None
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise CliError(f"cannot load model file {spec!r}: {exc}") from exc
     if key == "e1":
         return e1()

@@ -5,6 +5,14 @@ allowed; exponents are stored doubled as integers so all arithmetic stays
 in Z.  The surgery rule rewrites a symmetric Alexander polynomial through
 the variable s = t^(1/2) - t^(-1/2) and reads SW values for multiples of
 the fiber off the Laurent expansion of (P(s^2) - P(0)) / s.
+
+``LaurentPolynomial(terms)``, ``from_doubled`` and ``parse`` normalize and
+validate outside terms; the arithmetic builds its already-normalized results
+through ``LaurentPolynomial._trusted``.  The surgery rule builds its SW table
+and model trusted as well: every class in the table is an odd multiple j T
+of the fiber, characteristic when T is (checked once), the quotient is
+antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
+3 sign + 2 euler = 0 are checked.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from .lattice import HomologyClass, square
-from .manifold import FourManifoldModel, SWTable, make_model
+from .lattice import HomologyClass, is_characteristic, square
+from .manifold import FourManifoldModel, SWTable
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,18 @@ class LaurentPolynomial:
         if len({e for e, _ in cleaned}) != len(cleaned):
             raise ValueError("duplicate exponents")
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _trusted(cls, terms) -> "LaurentPolynomial":
+        """A polynomial from terms already sorted, int and nonzero; unchecked."""
+        self = object.__new__(cls)
+        self.__dict__["terms"] = terms
+        return self
+
+    @classmethod
+    def _from_sums(cls, sums: dict[int, int]) -> "LaurentPolynomial":
+        """The polynomial of an int {doubled exponent: coefficient} map."""
+        return cls._trusted(tuple(sorted((e, c) for e, c in sums.items() if c)))
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -52,23 +72,25 @@ class LaurentPolynomial:
         out = self.as_dict()
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
-        return LaurentPolynomial.from_doubled(out)
+        return LaurentPolynomial._from_sums(out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((e, -c) for e, c in self.terms))
+        return LaurentPolynomial._trusted(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPolynomial(tuple((e, c * other) for e, c in self.terms))
+            if not other:
+                return LaurentPolynomial._trusted(())
+            return LaurentPolynomial._trusted(tuple((e, c * other) for e, c in self.terms))
         out: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial.from_doubled(out)
+        return LaurentPolynomial._from_sums(out)
 
     __rmul__ = __mul__
 
@@ -77,7 +99,7 @@ class LaurentPolynomial:
 
     def mirror(self) -> "LaurentPolynomial":
         """Substitution t -> t^(-1)."""
-        return LaurentPolynomial(tuple((-e, c) for e, c in self.terms))
+        return LaurentPolynomial._trusted(tuple((-e, c) for e, c in reversed(self.terms)))
 
     def is_symmetric(self) -> bool:
         return self == self.mirror()
@@ -234,7 +256,7 @@ def s_odd_part_to_t(series: dict[int, int]) -> LaurentPolynomial:
         for j in range(power + 1):
             e = power - 2 * j
             out[e] = out.get(e, 0) + a * ((-1) ** j) * comb(power, j)
-    return LaurentPolynomial.from_doubled(out)
+    return LaurentPolynomial._from_sums(out)
 
 
 def _as_alexander(knot) -> LaurentPolynomial:
@@ -264,11 +286,13 @@ def e1_knot_surgery_sw(knots, model: FourManifoldModel | None = None):
     table = {e: c for e, c in quotient.terms}
     if model is None:
         return table
-    fiber = model.marked_class("T")
-    pairs = {}
-    for j, value in table.items():
-        pairs[HomologyClass(model.lattice, tuple(j * x for x in fiber.coords))] = value
-    return SWTable.from_pairs(model.lattice, pairs, model.sw.convention_note)
+    fiber = model.marked_class("T").coords
+    entries = tuple(sorted((tuple(j * x for x in fiber), value) for j, value in table.items()))
+    if any(fiber) and is_characteristic(HomologyClass._trusted(model.lattice, fiber)):
+        # every j is odd, so each j T is characteristic with T; the classes
+        # are distinct as T != 0, and the quotient is antisymmetric in j
+        return SWTable._trusted(model.lattice, entries, model.sw.convention_note)
+    return SWTable(model.lattice, entries, model.sw.convention_note)
 
 
 def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> FourManifoldModel:
@@ -294,15 +318,6 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
             f"(needs 3 sign + 2 euler = 0, got {3 * X.sign + 2 * X.euler})"
         )
     history = X.surgery_history + (_as_alexander(knot),)
-    new_table = e1_knot_surgery_sw(history, model=X)
-    return make_model(
-        name=f"{X.name}_K",
-        lattice=X.lattice,
-        euler=X.euler,
-        sign=X.sign,
-        simply_connected=X.simply_connected,
-        marked=X.marked_classes,
-        sw=new_table,
-        pi1_note=X.pi1_note,
-        surgery_history=history,
-    )
+    # every class of the new table is j T with d(j T) = (0 - 0) / 4 = 0
+    return X._replaced(name=f"{X.name}_K", sw=e1_knot_surgery_sw(history, model=X),
+                       surgery_history=history)

@@ -6,12 +6,26 @@ generators, paired through an integer Gram matrix.  No floating point.
 Pairings and characteristic tests run over the sparse rows of the Gram
 (its nonzero entries only), so they cost O(n) on the diagonal forms of E(1)
 and its blowups and stay exact on any other Gram.
+
+Validation happens once, at the boundary.  The public constructors
+``IntersectionLattice(...)``, ``IntersectionLattice.from_dict`` and
+``IntersectionLattice.element`` check (and coerce) outside data: unique
+labels, a square symmetric integer Gram, nondegeneracy unless relative, and
+the coordinate length.  Each type also has a private classmethod
+``_trusted`` that sets the fields and checks nothing.  Only operations whose
+outputs hold the invariants by construction use it: class arithmetic
+(``+ - neg *``) of two classes of one lattice keeps the coordinate length,
+``basis_class``, ``zero`` and the kernel rows of ``orthogonal_complement``
+have the rank's length, and the lattices built by ``manifold.blowup`` (a
+direct sum with <-1>) and ``plumbing.rational_blowdown`` (a Gram checked
+unimodular) are symmetric and nondegenerate by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, sub
 
 from .exactmat import (
     freeze,
@@ -53,9 +67,7 @@ class IntersectionLattice:
         object.__setattr__(self, "basis", tuple(str(b) for b in self.basis))
         gram = freeze(tuple(int(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "rows", tuple(
-            tuple((j, g) for j, g in enumerate(row) if g) for row in gram
-        ))
+        object.__setattr__(self, "rows", _sparse_rows(gram))
         if len(set(self.basis)) != len(self.basis):
             raise ValueError("basis labels must be unique")
         if len(self.gram) != len(self.basis):
@@ -71,6 +83,16 @@ class IntersectionLattice:
                     radical=radical,
                 )
 
+    @classmethod
+    def _trusted(cls, basis, gram, name: str = "", relative: bool = False, rows=None):
+        """A lattice from a str-label basis and a symmetric int Gram, known
+        valid (and nondegenerate unless relative); nothing is checked.
+        ``rows`` are the sparse rows of ``gram`` when the caller has them."""
+        self = object.__new__(cls)
+        self.__dict__.update(basis=basis, gram=gram, name=name, relative=relative,
+                             rows=_sparse_rows(gram) if rows is None else rows)
+        return self
+
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -83,10 +105,12 @@ class IntersectionLattice:
 
     def basis_class(self, label: str) -> "HomologyClass":
         i = self.index_of(label)
-        return HomologyClass(self, tuple(1 if j == i else 0 for j in range(self.rank)))
+        coords = [0] * self.rank
+        coords[i] = 1
+        return HomologyClass._trusted(self, tuple(coords))
 
     def zero(self) -> "HomologyClass":
-        return HomologyClass(self, (0,) * self.rank)
+        return HomologyClass._trusted(self, (0,) * self.rank)
 
     def element(self, coords) -> "HomologyClass":
         """The class with the given coordinates, coerced to an int tuple."""
@@ -98,6 +122,10 @@ class IntersectionLattice:
     @classmethod
     def from_dict(cls, data: dict, name: str = "", relative: bool = False):
         return cls(tuple(data["basis"]), freeze(data["gram"]), name=name, relative=relative)
+
+
+def _sparse_rows(gram) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
 
 
 def same_lattice(a: IntersectionLattice, b: IntersectionLattice) -> bool:
@@ -121,19 +149,28 @@ class HomologyClass:
                 f"coordinate length {len(self.coords)} != lattice rank {self.lattice.rank}"
             )
 
+    @classmethod
+    def _trusted(cls, lattice: IntersectionLattice, coords: tuple[int, ...]) -> "HomologyClass":
+        """A class whose coordinates are known to have the lattice's rank."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["lattice"] = lattice
+        fields["coords"] = coords
+        return self
+
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         require_same_lattice(self.lattice, other.lattice)
-        return HomologyClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return HomologyClass._trusted(self.lattice, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
         require_same_lattice(self.lattice, other.lattice)
-        return HomologyClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return HomologyClass._trusted(self.lattice, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.lattice, tuple(-a for a in self.coords))
+        return HomologyClass._trusted(self.lattice, tuple(-a for a in self.coords))
 
     def __mul__(self, n: int) -> "HomologyClass":
-        return HomologyClass(self.lattice, tuple(n * a for a in self.coords))
+        return HomologyClass._trusted(self.lattice, tuple(n * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -257,15 +294,12 @@ def orthogonal_complement(lattice: IntersectionLattice, classes) -> Sublattice:
         if not same_lattice(u.lattice, lattice):
             raise LatticeMismatchError("complement classes must live in the given lattice")
     if not classes:
-        vectors = tuple(
-            HomologyClass(lattice, row)
-            for row in (tuple(1 if i == j else 0 for j in range(lattice.rank)) for i in range(lattice.rank))
-        )
+        vectors = tuple(lattice.basis_class(label) for label in lattice.basis)
         return Sublattice(lattice, vectors, lattice.gram)
     umat = tuple(u.coords for u in classes)
     if gauss_rank(umat) != len(classes):
         raise ValueError("complement input classes are linearly dependent")
     basis_rows = kernel_rows(tuple(gram_image(u) for u in classes))
-    vectors = tuple(HomologyClass(lattice, row) for row in basis_rows)
+    vectors = tuple(HomologyClass._trusted(lattice, row) for row in basis_rows)
     gram = freeze(tuple(pair(v, w) for w in vectors) for v in vectors)
     return Sublattice(lattice, vectors, gram)

@@ -4,12 +4,25 @@ A model is immutable; surgery-style operations return new models.  Sign
 conventions for SW values follow the Laurent-quotient convention of the knot
 surgery rule and are recorded on each table; only absolute values are pinned
 by the underlying theory.
+
+The public constructors ``SWTable(...)``, ``FourManifoldModel(...)``,
+``make_model`` and ``FourManifoldModel.from_dict`` (the one model-JSON
+schema check) validate everything: nonzero values, closure under negation
+with equal magnitudes, characteristic classes, (euler, sign) against the
+lattice, and d(k) >= 0 even.  ``SWTable._trusted`` and
+``FourManifoldModel._trusted`` check nothing; they serve the operations that
+keep these invariants by construction: ``blowup`` (k +- E is characteristic
+with k, and d(k +- E) = d(k)), ``renamed``, and the knot surgery of
+``knots``.  ``plumbing.rational_blowdown`` builds its table and model
+through the public constructors, as the pushed-down classes are not known
+to be characteristic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -64,6 +77,14 @@ class SWTable:
                 raise ValueError(f"SW class {coords} is not characteristic")
 
     @classmethod
+    def _trusted(cls, lattice: IntersectionLattice, entries, convention_note: str = DEFAULT_CONVENTION):
+        """A table whose entries are sorted (int-tuple, nonzero int) pairs
+        known to form a valid table in ``lattice``; nothing is checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(lattice=lattice, entries=entries, convention_note=convention_note)
+        return self
+
+    @classmethod
     def empty(cls, lattice: IntersectionLattice, note: str = DEFAULT_CONVENTION) -> "SWTable":
         return cls(lattice, (), note)
 
@@ -76,10 +97,10 @@ class SWTable:
         return cls(lattice, tuple(items), note)
 
     def classes(self) -> tuple[HomologyClass, ...]:
-        return tuple(HomologyClass(self.lattice, c) for c, _ in self.entries)
+        return tuple(HomologyClass._trusted(self.lattice, c) for c, _ in self.entries)
 
     def items(self) -> tuple[tuple[HomologyClass, int], ...]:
-        return tuple((HomologyClass(self.lattice, c), v) for c, v in self.entries)
+        return tuple((HomologyClass._trusted(self.lattice, c), v) for c, v in self.entries)
 
     def value(self, k: HomologyClass) -> int:
         if not same_lattice(k.lattice, self.lattice):
@@ -122,10 +143,14 @@ class FourManifoldModel:
     surgery_history: tuple = ()  # Alexander polynomials of prior fiber surgeries
 
     def __post_init__(self):
-        if isinstance(self.marked, dict):
-            frozen = tuple(sorted((k, tuple(v.coords if isinstance(v, HomologyClass) else v))
-                                  for k, v in self.marked.items()))
-            object.__setattr__(self, "marked", frozen)
+        marked = self.marked.items() if isinstance(self.marked, dict) else self.marked
+        marked = tuple(sorted((str(k), tuple(v.coords if isinstance(v, HomologyClass) else v))
+                              for k, v in marked))
+        object.__setattr__(self, "marked", marked)
+        for label, coords in marked:
+            if len(coords) != self.lattice.rank:
+                raise ValueError(f"marked class {label!r} has {len(coords)} coordinates, "
+                                 f"not the lattice rank {self.lattice.rank}")
         b_plus, b_minus = signature_and_betti(self.lattice)
         if self.sign != b_plus - b_minus:
             raise ValueError(f"sign {self.sign} != b+ - b- = {b_plus - b_minus}")
@@ -139,27 +164,44 @@ class FourManifoldModel:
         # in this lattice, so d(k) = (k^2 - 3 sign - 2 euler) / 4 needs k^2 only
         shift = 3 * self.sign + 2 * self.euler
         for coords, _ in self.sw.entries:
-            numerator = square(HomologyClass(self.lattice, coords)) - shift
+            numerator = square(HomologyClass._trusted(self.lattice, coords)) - shift
             if numerator < 0 or numerator % 8:
                 raise ValueError(
                     f"SW class {coords} has d = {Fraction(numerator, 4)}; need d >= 0 and even"
                 )
 
+    @classmethod
+    def _trusted(cls, name, lattice, euler, sign, simply_connected, marked, sw,
+                 pi1_note: str = "", surgery_history: tuple = ()) -> "FourManifoldModel":
+        """A model known to be valid, with ``marked`` a sorted tuple of
+        (label, coordinate tuple) pairs; nothing is checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(
+            name=name, lattice=lattice, euler=euler, sign=sign,
+            simply_connected=simply_connected, marked=marked, sw=sw,
+            pi1_note=pi1_note, surgery_history=surgery_history,
+        )
+        return self
+
+    def _replaced(self, **changes) -> "FourManifoldModel":
+        """This model with some fields changed by a caller that keeps it valid."""
+        return FourManifoldModel._trusted(**{**self.__dict__, **changes})
+
     @property
     def marked_classes(self) -> dict[str, HomologyClass]:
-        return {name: HomologyClass(self.lattice, coords) for name, coords in self.marked}
+        return {name: HomologyClass._trusted(self.lattice, coords) for name, coords in self.marked}
 
     def marked_class(self, name: str) -> HomologyClass:
         for label, coords in self.marked:
             if label == name:
-                return HomologyClass(self.lattice, coords)
+                return HomologyClass._trusted(self.lattice, coords)
         raise KeyError(f"model {self.name!r} has no marked class {name!r}")
 
     def b_plus_minus(self) -> tuple[int, int]:
         return signature_and_betti(self.lattice)
 
     def renamed(self, name: str) -> "FourManifoldModel":
-        return replace(self, name=name)
+        return self._replaced(name=name)
 
     def to_dict(self) -> dict:
         data = {
@@ -180,22 +222,28 @@ class FourManifoldModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourManifoldModel":
+        """The model a ``to_dict`` payload (or model JSON file) describes.
+
+        This is the one schema check for model JSON: every field's JSON type
+        is checked before anything is coerced, and every fault is a
+        ValueError naming the field.
+        """
         from .knots import LaurentPolynomial  # knots builds on this module
 
+        _check_model_json(data)
         lattice = IntersectionLattice(tuple(data["basis"]), data["gram"], name=data["name"])
         table = SWTable(
             lattice,
-            tuple((tuple(e["coords"]), int(e["value"])) for e in data.get("sw", ())),
+            tuple((tuple(e["coords"]), e["value"]) for e in data.get("sw", ())),
             data.get("convention_note", DEFAULT_CONVENTION),
         )
         return cls(
             name=data["name"],
             lattice=lattice,
-            euler=int(data["euler"]),
-            sign=int(data["sign"]),
-            simply_connected=bool(data["simply_connected"]),
-            marked=tuple(sorted((k, tuple(int(x) for x in v))
-                                for k, v in data.get("marked", {}).items())),
+            euler=data["euler"],
+            sign=data["sign"],
+            simply_connected=data["simply_connected"],
+            marked=tuple((k, tuple(v)) for k, v in data.get("marked", {}).items()),
             sw=table,
             pi1_note=data.get("pi1_note", ""),
             surgery_history=tuple(
@@ -203,6 +251,48 @@ class FourManifoldModel:
                 for terms in data.get("surgery_history", ())
             ),
         )
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # a JSON integer; true and false are not
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _check_model_json(data) -> None:
+    """Raise ValueError unless ``data`` has the JSON types of a model payload."""
+    def require(ok, field, kind):
+        if not ok:
+            raise ValueError(f"model JSON field {field!r} must be {kind}")
+
+    if not isinstance(data, dict):
+        raise ValueError(f"model JSON must be an object, not {type(data).__name__}")
+    for key in ("name", "basis", "gram", "euler", "sign", "simply_connected"):
+        if key not in data:
+            raise ValueError(f"model JSON lacks the required field {key!r}")
+    require(isinstance(data["name"], str), "name", "a string")
+    require(isinstance(data["basis"], list) and all(isinstance(b, str) for b in data["basis"]),
+            "basis", "a list of strings")
+    require(isinstance(data["gram"], list) and all(map(_is_int_list, data["gram"])),
+            "gram", "a list of integer lists")
+    require(_is_int(data["euler"]), "euler", "an integer")
+    require(_is_int(data["sign"]), "sign", "an integer")
+    require(isinstance(data["simply_connected"], bool), "simply_connected", "true or false")
+    for key in ("pi1_note", "convention_note"):
+        require(isinstance(data.get(key, ""), str), key, "a string")
+    marked = data.get("marked", {})
+    require(isinstance(marked, dict) and all(map(_is_int_list, marked.values())),
+            "marked", "an object of integer lists")
+    sw = data.get("sw", [])
+    require(isinstance(sw, list) and all(
+        isinstance(e, dict) and _is_int_list(e.get("coords")) and _is_int(e.get("value"))
+        for e in sw), "sw", 'a list of {"coords": integer list, "value": integer} objects')
+    history = data.get("surgery_history", [])
+    require(isinstance(history, list) and all(
+        isinstance(terms, list) and all(_is_int_list(t) and len(t) == 2 for t in terms)
+        for terms in history), "surgery_history", "a list of lists of [exponent, coefficient] pairs")
 
 
 @dataclass(frozen=True)
@@ -276,42 +366,48 @@ def _next_exceptional_label(lattice: IntersectionLattice) -> str:
     return f"E{i}"
 
 
+@lru_cache(maxsize=64)
+def _blowup_lattice(lattice: IntersectionLattice, name: str, label: str) -> IntersectionLattice:
+    """The direct sum of ``lattice`` with <-1>, the new generator ``label`` last.
+
+    Symmetric and nondegenerate with its summands, so built trusted; the
+    memo is keyed on the name too, as lattice equality ignores it.
+    """
+    n = lattice.rank
+    gram = tuple(row + (0,) for row in lattice.gram) + ((0,) * n + (-1,),)
+    return IntersectionLattice._trusted(
+        lattice.basis + (label,), gram, name, lattice.relative, lattice.rows + (((n, -1),),)
+    )
+
+
 def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
     """Connected sum with an orientation-reversed projective plane.
 
     Appends an exceptional generator E of square -1, bumps (euler, sign) by
-    (+1, -1), and replaces the SW table by {k +- E -> value(k)}, pruning any
-    entry whose formal dimension would become negative.
+    (+1, -1), and replaces the SW table by {k +- E -> value(k)}.
+
+    The output is valid by construction, so it is built trusted: k +- E is
+    characteristic with k (E^2 = -1 is odd), the table stays closed under
+    negation, and (k +- E)^2 = k^2 - 1 against 3 sign + 2 euler dropping by 1
+    keeps d(k) >= 0 and even, so no entry is pruned.
     """
-    label = label or _next_exceptional_label(X.lattice)
+    label = str(label or _next_exceptional_label(X.lattice))
     if label in X.lattice.basis:
         raise ValueError(f"label {label!r} already present")
+    lattice = _blowup_lattice(X.lattice, X.lattice.name, label)
     n = X.lattice.rank
-    new_gram = tuple(tuple(list(row) + [0]) for row in X.lattice.gram) + (
-        tuple([0] * n + [-1]),
-    )
-    new_lattice = IntersectionLattice(
-        X.lattice.basis + (label,), new_gram, name=X.lattice.name
-    )
-    euler, sign = X.euler + 1, X.sign - 1
-    new_marked = {name: tuple(coords) + (0,) for name, coords in X.marked}
-    new_marked[label] = (0,) * n + (1,)
-    entries = []
-    for coords, value in X.sw.entries:
-        for eps in (1, -1):
-            new_coords = tuple(coords) + (eps,)
-            ksq = HomologyClass(new_lattice, new_coords).square()
-            if (ksq - 3 * sign - 2 * euler) // 4 >= 0:
-                entries.append((new_coords, value))
-    table = SWTable(new_lattice, tuple(entries), X.sw.convention_note)
-    return FourManifoldModel(
+    marked = tuple(sorted([(name, coords + (0,)) for name, coords in X.marked]
+                          + [(label, (0,) * n + (1,))]))
+    entries = [(coords + (eps,), value) for coords, value in X.sw.entries for eps in (1, -1)]
+    entries.sort()
+    return FourManifoldModel._trusted(
         name=f"{X.name}#cp2bar",
-        lattice=new_lattice,
-        euler=euler,
-        sign=sign,
+        lattice=lattice,
+        euler=X.euler + 1,
+        sign=X.sign - 1,
         simply_connected=X.simply_connected,
-        marked=new_marked,
-        sw=table,
+        marked=marked,
+        sw=SWTable._trusted(lattice, tuple(entries), X.sw.convention_note),
         pi1_note=X.pi1_note,
         surgery_history=X.surgery_history,
     )

@@ -9,6 +9,8 @@ meaning in every model derived from E(1).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .knots import TwistKnot, knot_surgery_manifold
 from .lattice import HomologyClass, IntersectionLattice
 from .manifold import FourManifoldModel, SWTable, blowup, make_model
@@ -29,18 +31,24 @@ PI1_NOTE_BLOWDOWN = (
 
 def class_from_coeffs(model: FourManifoldModel, coeffs: dict[str, int]) -> HomologyClass:
     """Integer combination of marked classes and basis labels."""
-    marked = model.marked_classes
-    total = model.lattice.zero()
+    marked = dict(model.marked)
+    lattice = model.lattice
+    total = [0] * lattice.rank
     for name, coeff in coeffs.items():
-        base = marked.get(name)
-        if base is None:
-            base = model.lattice.basis_class(name)
-        total = total + coeff * base
-    return total
+        coords = marked.get(name)
+        if coords is None:
+            total[lattice.index_of(name)] += coeff
+        else:
+            total = [t + coeff * x for t, x in zip(total, coords)]
+    return HomologyClass._trusted(lattice, tuple(total))
 
 
+@lru_cache(maxsize=1)
 def e1() -> FourManifoldModel:
-    """CP^2 blown up nine times, fibered by cubics; SW table empty."""
+    """CP^2 blown up nine times, fibered by cubics; SW table empty.
+
+    Built and validated once, on first use; the model is immutable.
+    """
     lattice = IntersectionLattice(E1_BASIS, E1_GRAM, name="E1")
     fiber = lattice.element((3,) + (-1,) * 9)
     h = lattice.basis_class("eta")

@@ -141,7 +141,10 @@ class PlumbingForm:
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.det == 0:
             raise SingularMatrixError("plumbing matrix is singular")
-        return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.adj)
+        # the adjugate is symmetric with many repeated entries: one Fraction each
+        distinct = {x for row in self.adj for x in row}
+        fractions = {x: Fraction(x, self.det) for x in distinct}
+        return tuple(tuple(map(fractions.__getitem__, row)) for row in self.adj)
 
 
 @lru_cache(maxsize=256)
@@ -440,19 +443,15 @@ def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
 
 def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
     """Basic classes of X closed under sign flips of the exceptional markings."""
-    exceptional = [
-        X.lattice.index_of(name) for name in X.marked_classes if name.startswith("E")
-    ]
-    seen = []
-    for k in X.sw.classes():
+    exceptional = [X.lattice.index_of(name) for name, _ in X.marked if name.startswith("E")]
+    seen = {}  # coordinate tuples, in first-seen order
+    for basic, _ in X.sw.entries:
         for signs in iter_product((1, -1), repeat=len(exceptional)):
-            coords = list(k.coords)
+            coords = list(basic)
             for s, idx in zip(signs, exceptional):
                 coords[idx] *= s
-            candidate = HomologyClass(X.lattice, tuple(coords))
-            if candidate not in seen:
-                seen.append(candidate)
-    return seen
+            seen[tuple(coords)] = None
+    return [HomologyClass._trusted(X.lattice, coords) for coords in seen]
 
 
 def _overlattice_basis(det_c: int, adj_c, p: int):
@@ -479,11 +478,11 @@ def _blowdown_geometry(gram, vertices, p: int):
 
     ``gram`` is the ambient Gram and ``vertices`` the coordinate tuples of
     the chain's vertex classes, which the caller has verified to realize
-    cp_chain(p).  Returns (new Gram, P, divisor): the Gram of the unimodular
-    overlattice M of the orthogonal complement C, and the integer matrix P
-    with M-coordinates of an ambient class k equal to k P / divisor.  None
-    of this depends on the SW data, so a family computes it once for every
-    n; failed checks raise and are not cached.
+    cp_chain(p).  Returns (M, P, divisor): the unimodular overlattice M of
+    the orthogonal complement C, unnamed, with basis c0, c1, ...; and the
+    integer matrix P with M-coordinates of an ambient class k equal to
+    k P / divisor.  None of this depends on the SW data, so a family
+    computes it once for every n; failed checks raise and are not cached.
     """
     complement = kernel_rows(tuple(mat_vec(gram, u) for u in vertices))
     gram_c = matmul(matmul(complement, gram), transpose(complement))
@@ -503,12 +502,14 @@ def _blowdown_geometry(gram, vertices, p: int):
     gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
     if abs(bareiss_det(gram_m)) != 1:
         raise EmbeddingError("overlattice is not unimodular")
+    # symmetric as gram_c is, and nondegenerate as unimodular: built trusted
+    lattice_m = IntersectionLattice._trusted(tuple(f"c{i}" for i in range(len(gram_m))), gram_m)
     # k pairs with C as k G W^T (W the complement rows), which has
     # C-coordinates k G W^T G_C^(-1) and M-coordinates
     # k G W^T adj_c adj_b / divisor, with B adj_b = det_b I
     det_b, adj_b = bareiss_adjugate(basis)
     push = matmul(matmul(matmul(gram, transpose(complement)), adj_c), adj_b)
-    return gram_m, push, det_b if det_c > 0 else -det_b
+    return lattice_m, push, det_b if det_c > 0 else -det_b
 
 
 def rational_blowdown(
@@ -556,20 +557,24 @@ def rational_blowdown(
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    gram_m, push, divisor = _blowdown_geometry(
+    lattice_m, push, divisor = _blowdown_geometry(
         X.lattice.gram, tuple(u.coords for u in emb.vertex_classes), p
     )
     new_name = name or f"{X.name}_blowdown{p}"
-    new_lattice = IntersectionLattice(
-        tuple(f"c{i}" for i in range(len(gram_m))), gram_m, name=new_name
+    new_lattice = IntersectionLattice._trusted(
+        lattice_m.basis, lattice_m.gram, new_name, rows=lattice_m.rows
     )
 
     def push_down(k: HomologyClass) -> HomologyClass:
         z = vec_mat(k.coords, push)
         if any(x % divisor for x in z):
             raise EmbeddingError(f"class {k.coords} does not descend to the new lattice")
-        return HomologyClass(new_lattice, tuple(x // divisor for x in z))
+        return HomologyClass._trusted(new_lattice, tuple(x // divisor for x in z))
 
+    # the new table and model go through the public constructors: whether the
+    # pushed-down classes are characteristic, and whether the chamber values
+    # of a table that is not antisymmetric stay closed under negation, is not
+    # known by construction; nor is the caller's simply_connected flag
     entries = {}
     for k, _ in X.sw.items():
         if relative_square_of_restriction(emb, k) == -(p - 1):

@@ -223,6 +223,32 @@ def test_model_file_with_fractional_dimension(capsys, tmp_path):
     assert "has d = -1/2; need d >= 0 and even" in err
 
 
+def _yn_payload(**changes):
+    from swsurgery.models import y_n
+
+    return {**y_n(3).to_dict(), **changes}
+
+
+@pytest.mark.parametrize("payload, fault", [
+    ([1, 2], "must be an object"),
+    (_yn_payload(sw=None), "'sw' must be"),
+    (_yn_payload(marked=None), "'marked' must be"),
+    (_yn_payload(simply_connected="yes"), "'simply_connected' must be true or false"),
+    (_yn_payload(euler=12.0), "'euler' must be an integer"),
+    (_yn_payload(gram=[[1, 0], [0, "x"]]), "'gram' must be"),
+    (_yn_payload(marked={"T": [3, -1]}), "has 2 coordinates"),
+    ({"name": "M"}, "lacks the required field 'basis'"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+])
+def test_malformed_model_file_exits_2(capsys, tmp_path, payload, fault):
+    path = tmp_path / "bad.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    code, out, err = run_cli(capsys, "lattice", "pair", "--model", str(path),
+                             "--class", "T", "--class", "h")
+    assert (code, out) == (2, "")
+    assert fault in err and "Traceback" not in err
+
+
 def test_lattice_errors(capsys):
     code, _, err = run_cli(capsys, "lattice", "pair", "--model", "e1", "--class", "T")
     assert code == 2

@@ -21,6 +21,7 @@ from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import cp_chain, intersection_matrix
 
 from .oracles import congruent_gram, minors_signature, naive_is_characteristic, naive_pair
+from .trusted import memos
 
 
 def test_defining_squares(e1_model):
@@ -194,20 +195,7 @@ def test_element_coerces_outside_data(e1_model):
 
 
 def test_every_cache_is_bounded():
-    import importlib
-    import inspect
-    import pkgutil
-
-    import swsurgery
-
-    cached = []
-    for info in pkgutil.iter_modules(swsurgery.__path__):
-        if info.name == "__main__":  # importing it runs the CLI
-            continue
-        module = importlib.import_module(f"swsurgery.{info.name}")
-        values = list(vars(module).values())
-        values += [v for c in values if inspect.isclass(c) for v in vars(c).values()]
-        cached += [v for v in values if hasattr(v, "cache_parameters")]
+    cached = memos()
     assert cached
     for fn in cached:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__

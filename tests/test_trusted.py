@@ -1,0 +1,85 @@
+"""Trusted construction: outputs agree with the validating constructors, and
+warm family builds do not fall back to re-validation."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swsurgery.knots import LaurentPolynomial, TwistKnot, alexander_twist, knot_surgery_manifold
+from swsurgery.lattice import IntersectionLattice
+from swsurgery.manifold import FourManifoldModel, SWTable, blowup
+from swsurgery.models import e1
+from swsurgery.pipelines import FAMILIES, build_family, verify_paper
+
+from .trusted import SHIPPED, validating_trusted
+
+# The full validators, and how often one warm build_family(key, 5) may run
+# each: the blowdown's SW table and model go through the public constructors
+# (whether the pushed-down classes are characteristic is not known by
+# construction); every other step builds trusted.
+VALIDATOR_BOUNDS = {IntersectionLattice: 0, SWTable: 1, FourManifoldModel: 1}
+
+
+def test_trusted_constructions_match_public_constructors():
+    plain = verify_paper().to_json()
+    families = {(key, n): build_family(key, n)[1].to_json()
+                for key in FAMILIES for n in (1, 2, 3)}
+    with validating_trusted():
+        report = verify_paper()
+        assert report.all_pass
+        assert report.to_json() == plain
+        for (key, n), expected in families.items():
+            model, rep = build_family(key, n)
+            assert rep.all_pass and rep.to_json() == expected
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_warm_family_build_skips_revalidation(key, monkeypatch):
+    for cls, method in SHIPPED.items():
+        monkeypatch.setattr(cls, "_trusted", method)
+    build_family(key, 5)  # fill the memos
+    counts = Counter()
+    for cls in VALIDATOR_BOUNDS:
+        def counted(self, _check=cls.__post_init__, _cls=cls):
+            counts[_cls] += 1
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    build_family(key, 5)
+    for cls, bound in VALIDATOR_BOUNDS.items():
+        assert counts[cls] <= bound, f"{cls.__name__}.__post_init__ ran {counts[cls]} times"
+
+
+def assert_trusted_parts_validate(X: FourManifoldModel) -> None:
+    assert FourManifoldModel.from_dict(X.to_dict()) == X
+    assert SWTable(X.lattice, X.sw.entries, X.sw.convention_note) == X.sw
+    for p in X.surgery_history:
+        assert LaurentPolynomial(p.terms) == p
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=4), st.integers(0, 4))
+def test_calculus_models_validate(twists, blowups):
+    X = e1()
+    for n in twists:
+        X = knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(n))
+    for _ in range(blowups):
+        X = blowup(X)
+    assert_trusted_parts_validate(X)
+    # the polynomial arithmetic builds its results trusted too
+    product = LaurentPolynomial.constant(1)
+    for n in twists:
+        product = product * alexander_twist(n)
+    for p in (product, product - product.mirror(), -product, 3 * product, product * 0,
+              product + alexander_twist(twists[0]), product.mirror()):
+        assert LaurentPolynomial(p.terms) == p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 20))
+def test_family_models_validate(key, n):
+    model, _ = build_family(key, n)
+    assert_trusted_parts_validate(model)
+    assert_trusted_parts_validate(FAMILIES[key].ambient(n))
