@@ -14,18 +14,26 @@ from . import pipelines
 from .knots import e1_knot_surgery_sw
 from .lattice import HomologyClass, is_characteristic, pair, square
 from .manifold import FourManifoldModel
-from .models import class_from_coeffs, e1, v_n, w_n, y_n, z_n
+from .models import class_from_coeffs, e1, v_n, y_n
 from .monodromy import WordSyntaxError, parse_word, verify_factorization
 from .plumbing import PlumbingChain, boundary_lens_space, cp_chain, intersection_matrix
 from . import __version__
 from .report import REPORT_VERSION
 
-# the family models (xn:2, qn:1, ...) come from pipelines.FAMILIES
-BUILTIN_MODELS = {"yn": y_n, "zn": z_n, "vn": v_n, "wn": w_n}
+# the family models (xn:2, qn:1, ...) come from pipelines.FAMILIES, and so do
+# zn and wn, the ambients that the xn and qn rows blow down
+BUILTIN_MODELS = {"yn": y_n, "vn": v_n, "zn": pipelines.FAMILIES["xn"].ambient,
+                  "wn": pipelines.FAMILIES["qn"].ambient}
 
 # `monodromy check` prints its words letter by letter, so a word is refused
 # before anything is spelled or evaluated when it would spell more letters
 MAX_WORD_LETTERS = 1_000_000
+# `plumbing cp` builds (and with --invert prints) the n x n adjugate of an
+# n-vertex chain, and `sw e1-surgery` multiplies one polynomial per knot, so
+# a longer chain (--weights entries, or p - 1 for --p) or a longer knot list
+# is refused before any chain or polynomial is built
+MAX_CHAIN_VERTICES = 300
+MAX_KNOTS = 200
 
 
 class CliError(Exception):
@@ -165,16 +173,21 @@ def cmd_monodromy_check(args) -> int:
     return 0 if report.equal else 1
 
 
+def _check_chain_size(vertices: int) -> None:
+    if vertices > MAX_CHAIN_VERTICES:
+        raise CliError(f"the chain has {vertices} vertices; the limit is {MAX_CHAIN_VERTICES}")
+
+
 def cmd_plumbing_cp(args) -> int:
     if args.weights is not None:
         try:
             weights = tuple(int(x) for x in args.weights.split(","))
         except ValueError:
             raise CliError(f"bad weight list {args.weights!r}; expected comma-separated integers")
-        if not weights:
-            raise CliError("empty weight list")
+        _check_chain_size(len(weights))
         chain = PlumbingChain(weights, tuple((i, i + 1) for i in range(len(weights) - 1)))
     else:
+        _check_chain_size(args.p - 1)
         chain = cp_chain(args.p)
     form = intersection_matrix(chain)
     payload: dict = {
@@ -208,6 +221,8 @@ def cmd_sw_e1_surgery(args) -> int:
         twists = [int(x) for x in args.knots.split(",") if x.strip() != ""]
     except ValueError:
         raise CliError(f"bad knot list {args.knots!r}; expected comma-separated integers")
+    if len(twists) > MAX_KNOTS:
+        raise CliError(f"{len(twists)} knots given; the limit is {MAX_KNOTS}")
     table = e1_knot_surgery_sw(twists)
     payload = {"knots": twists, "table": {str(j): v for j, v in sorted(table.items())}}
     lines = [f"knots: {', '.join(f'T({n})' for n in twists) or '(none)'}"]

@@ -5,8 +5,9 @@ and floating-point free.  Inverses stay in ``int``: ``bareiss_adjugate``
 returns the determinant and the integer adjugate, and callers build a
 ``fractions.Fraction`` only where a rational entry is output (linear
 plumbing chains skip elimination altogether and take their adjugate from
-continuants, see ``plumbing``).  Only the rank and signature routines
-``gauss_rank`` and ``symmetric_diagonalize`` work over ``Fraction``.
+continuants, see ``plumbing``).  Ranks, kernels and row spans come from
+one integer echelon, ``row_echelon_unimodular``.  Only the signature
+routine ``symmetric_diagonalize`` works over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -108,24 +109,6 @@ def bareiss_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
         prev = pivot
     # the last pivot is the determinant of the row-swapped matrix
     return sign * prev, freeze([sign * x for x in row[n:]] for row in a)
-
-
-def gauss_rank(m) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def symmetric_diagonalize(gram):
@@ -246,28 +229,3 @@ def hnf_row_basis(rows) -> tuple[tuple[int, ...], ...]:
             if q:
                 basis[above] = [x - q * y for x, y in zip(basis[above], basis[idx])]
     return freeze(basis)
-
-
-def solve_mod2(gram, rhs) -> tuple[int, ...] | None:
-    """Solve gram * x = rhs over GF(2); returns one solution or None."""
-    n = len(gram)
-    a = [[gram[i][j] & 1 for j in range(n)] + [rhs[i] & 1] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(n):
-            if i != r and a[i][c]:
-                a[i] = [x ^ y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if a[i][n]:
-            return None
-    x = [0] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = a[row_idx][n]
-    return tuple(x)

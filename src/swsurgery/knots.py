@@ -61,10 +61,6 @@ class LaurentPolynomial:
     def from_doubled(cls, mapping) -> "LaurentPolynomial":
         return cls(tuple(mapping.items()))
 
-    @classmethod
-    def t_power(cls, doubled_exponent: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls(((doubled_exponent, coeff),))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 

@@ -8,10 +8,12 @@ Pairings and characteristic tests run over the sparse rows of the Gram
 and its blowups and stay exact on any other Gram.
 
 Validation happens once, at the boundary.  The public constructors
-``IntersectionLattice(...)``, ``IntersectionLattice.from_dict`` and
+``IntersectionLattice(...)``, ``HomologyClass(...)`` and
 ``IntersectionLattice.element`` check (and coerce) outside data: unique
 labels, a square symmetric integer Gram, nondegeneracy unless relative, and
-the coordinate length.  Each type also has a private classmethod
+the coordinate length.  Model JSON enters through
+``manifold.FourManifoldModel.from_dict``, which builds its lattice with the
+public constructor.  Each type also has a private classmethod
 ``_trusted`` that sets the fields and checks nothing.  Only operations whose
 outputs hold the invariants by construction use it: class arithmetic
 (``+ - neg *``) of two classes of one lattice keeps the coordinate length,
@@ -29,9 +31,9 @@ from operator import add, sub
 
 from .exactmat import (
     freeze,
-    gauss_rank,
     is_symmetric,
     kernel_rows,
+    row_echelon_unimodular,
     symmetric_diagonalize,
 )
 
@@ -116,13 +118,6 @@ class IntersectionLattice:
         """The class with the given coordinates, coerced to an int tuple."""
         return HomologyClass(self, tuple(int(c) for c in coords))
 
-    def to_dict(self) -> dict:
-        return {"basis": list(self.basis), "gram": [list(r) for r in self.gram]}
-
-    @classmethod
-    def from_dict(cls, data: dict, name: str = "", relative: bool = False):
-        return cls(tuple(data["basis"]), freeze(data["gram"]), name=name, relative=relative)
-
 
 def _sparse_rows(gram) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
@@ -137,7 +132,7 @@ class HomologyClass:
     """Coordinates against the lattice basis.
 
     ``coords`` must already be a tuple of ints: outside data is coerced once,
-    where it enters (``IntersectionLattice.element``, ``from_dict``).
+    where it enters (``IntersectionLattice.element``, the model ``from_dict``).
     """
 
     lattice: IntersectionLattice
@@ -173,15 +168,6 @@ class HomologyClass:
         return HomologyClass._trusted(self.lattice, tuple(n * a for a in self.coords))
 
     __rmul__ = __mul__
-
-    def pair(self, other: "HomologyClass") -> int:
-        return pair(self, other)
-
-    def square(self) -> int:
-        return pair(self, self)
-
-    def to_dict(self, lattice_id: str | None = None) -> dict:
-        return {"lattice": lattice_id or self.lattice.name, "coords": list(self.coords)}
 
 
 def require_same_lattice(a: IntersectionLattice, b: IntersectionLattice):
@@ -261,11 +247,6 @@ def signature_and_betti(lattice: IntersectionLattice) -> tuple[int, int]:
     return _signature(lattice.gram)
 
 
-def signature(lattice: IntersectionLattice) -> int:
-    b_plus, b_minus = signature_and_betti(lattice)
-    return b_plus - b_minus
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """Integral basis of a sublattice of an ambient lattice with its induced Gram."""
@@ -296,8 +277,8 @@ def orthogonal_complement(lattice: IntersectionLattice, classes) -> Sublattice:
     if not classes:
         vectors = tuple(lattice.basis_class(label) for label in lattice.basis)
         return Sublattice(lattice, vectors, lattice.gram)
-    umat = tuple(u.coords for u in classes)
-    if gauss_rank(umat) != len(classes):
+    echelon, _ = row_echelon_unimodular(tuple(u.coords for u in classes))
+    if sum(1 for row in echelon if any(row)) != len(classes):
         raise ValueError("complement input classes are linearly dependent")
     basis_rows = kernel_rows(tuple(gram_image(u) for u in classes))
     vectors = tuple(HomologyClass._trusted(lattice, row) for row in basis_rows)

@@ -5,11 +5,12 @@ conventions for SW values follow the Laurent-quotient convention of the knot
 surgery rule and are recorded on each table; only absolute values are pinned
 by the underlying theory.
 
-The public constructors ``SWTable(...)``, ``FourManifoldModel(...)``,
-``make_model`` and ``FourManifoldModel.from_dict`` (the one model-JSON
-schema check) validate everything: nonzero values, closure under negation
-with equal magnitudes, characteristic classes, (euler, sign) against the
-lattice, and d(k) >= 0 even.  ``SWTable._trusted`` and
+The public constructors ``SWTable(...)``, ``FourManifoldModel(...)`` and
+``FourManifoldModel.from_dict`` (the one model-JSON schema check) validate
+everything: nonzero values, closure under negation with equal magnitudes,
+characteristic classes, (euler, sign) against the lattice, d(k) >= 0 even,
+and marked classes of the model's lattice (``marked`` is a ``{name:
+HomologyClass}`` dict or (name, coordinates) pairs).  ``SWTable._trusted`` and
 ``FourManifoldModel._trusted`` check nothing; they serve the operations that
 keep these invariants by construction: ``blowup`` (k +- E is characteristic
 with k, and d(k +- E) = d(k)), ``renamed``, and the knot surgery of
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .lattice import (
     HomologyClass,
@@ -144,6 +145,10 @@ class FourManifoldModel:
 
     def __post_init__(self):
         marked = self.marked.items() if isinstance(self.marked, dict) else self.marked
+        for label, v in marked:
+            if isinstance(v, HomologyClass) and not same_lattice(v.lattice, self.lattice):
+                raise ValueError(f"marked class {label!r} lives in another lattice "
+                                 f"({v.lattice.name!r}, not {self.lattice.name!r})")
         marked = tuple(sorted((str(k), tuple(v.coords if isinstance(v, HomologyClass) else v))
                               for k, v in marked))
         object.__setattr__(self, "marked", marked)
@@ -186,10 +191,6 @@ class FourManifoldModel:
     def _replaced(self, **changes) -> "FourManifoldModel":
         """This model with some fields changed by a caller that keeps it valid."""
         return FourManifoldModel._trusted(**{**self.__dict__, **changes})
-
-    @property
-    def marked_classes(self) -> dict[str, HomologyClass]:
-        return {name: HomologyClass._trusted(self.lattice, coords) for name, coords in self.marked}
 
     def marked_class(self, name: str) -> HomologyClass:
         for label, coords in self.marked:
@@ -457,27 +458,3 @@ def fingerprint(X: FourManifoldModel) -> Fingerprint:
     b_plus, b_minus = X.b_plus_minus()
     parity = "even" if all(X.lattice.gram[i][i] % 2 == 0 for i in range(X.lattice.rank)) else "odd"
     return Fingerprint(b_plus, b_minus, parity, X.simply_connected)
-
-
-def make_model(
-    name: str,
-    lattice: IntersectionLattice,
-    euler: int,
-    sign: int,
-    simply_connected: bool,
-    marked: dict[str, HomologyClass] | None = None,
-    sw: SWTable | None = None,
-    pi1_note: str = "",
-    surgery_history: Iterable = (),
-) -> FourManifoldModel:
-    return FourManifoldModel(
-        name=name,
-        lattice=lattice,
-        euler=euler,
-        sign=sign,
-        simply_connected=simply_connected,
-        marked={k: v.coords for k, v in (marked or {}).items()},
-        sw=sw if sw is not None else SWTable.empty(lattice),
-        pi1_note=pi1_note,
-        surgery_history=tuple(surgery_history),
-    )

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from .knots import TwistKnot, knot_surgery_manifold
 from .lattice import HomologyClass, IntersectionLattice
-from .manifold import FourManifoldModel, SWTable, blowup, make_model
-from .plumbing import ConfigurationEmbedding, PlumbingChain, cp_chain, e6_tilde_tree
+from .manifold import FourManifoldModel, SWTable, blowup
+from .plumbing import ConfigurationEmbedding, cp_chain, e6_tilde_tree
 
 E1_BASIS = ("eta",) + tuple(f"eps{i}" for i in range(1, 10))
 E1_GRAM = tuple(
@@ -52,7 +52,7 @@ def e1() -> FourManifoldModel:
     lattice = IntersectionLattice(E1_BASIS, E1_GRAM, name="E1")
     fiber = lattice.element((3,) + (-1,) * 9)
     h = lattice.basis_class("eta")
-    return make_model(
+    return FourManifoldModel(
         name="E1",
         lattice=lattice,
         euler=12,
@@ -86,16 +86,6 @@ def blowup_times(model: FourManifoldModel, count: int, name: str) -> FourManifol
     for _ in range(count):
         model = blowup(model)
     return model.renamed(name)
-
-
-def z_n(n: int) -> FourManifoldModel:
-    """Y_n blown up three times (exceptional classes E0, E1, E2)."""
-    return blowup_times(y_n(n), 3, f"Z{n}")
-
-
-def w_n(n: int) -> FourManifoldModel:
-    """V_n blown up twice (exceptional classes E0, E1)."""
-    return blowup_times(v_n(n), 2, f"W{n}")
 
 
 # The seven -2 spheres supporting the tree fiber, ordered S1..S7; S3 is the
@@ -138,14 +128,6 @@ I6_HEXAGON_COEFFS = {
 }
 
 
-def i6_hexagon_classes(model: FourManifoldModel) -> tuple[HomologyClass, ...]:
-    return tuple(class_from_coeffs(model, c) for c in I6_HEXAGON_COEFFS.values())
-
-
-def i6_hexagon_chain() -> PlumbingChain:
-    return PlumbingChain((-2,) * 6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
-
-
 # Intersection profile of the W_n chain: the five cycle components pair to
 # zero with T, E0, E1, and only the first vertex meets u0.  This is the data
 # the lift search actually consumes; the explicit realization (the qn row of
@@ -161,4 +143,6 @@ WN_C7_PROFILE = {
 
 
 def wn_c7_profile_embedding(wn: FourManifoldModel) -> ConfigurationEmbedding:
-    return ConfigurationEmbedding.from_profile_dict(wn, cp_chain(7), WN_C7_PROFILE)
+    return ConfigurationEmbedding(ambient=wn, chain=cp_chain(7),
+                                  profile_gram=WN_C7_PROFILE["gram"],
+                                  profile_pairings=WN_C7_PROFILE["pairings"])

@@ -42,16 +42,13 @@ from .models import (
     e1,
     e6_embedding,
     e6_sphere_classes,
-    w_n,
     wn_c7_profile_embedding,
     y_n,
-    z_n,
 )
 from .monodromy import evaluate, parabolic_width, verify_factorization
 from .plumbing import (
     ConfigurationEmbedding,
     boundary_lens_space,
-    continued_fraction_value,
     cp_chain,
     default_lift_candidates,
     find_characteristic_lifts,
@@ -353,7 +350,7 @@ def _lattice_checks(rep: VerificationReport, n_range) -> None:
             False, is_characteristic(base.lattice.zero()), DEFINITION)
     rep.add("lattice.e1.signature", "diagonal form signature",
             [1, 9], list(signature_and_betti(base.lattice)), DEFINITION)
-    z = z_n(1)
+    z = FAMILIES["xn"].ambient(1)
     u = FAMILIES["xn"].embedding(z).vertex_classes
     rep.add("lattice.zn.u0u1", "adjacent chain classes meet once", 1, pair(u[0], u[1]), DERIVED)
     rep.add("lattice.zn.u0", "chain head has square -9", -9, square(u[0]), REPORTED)
@@ -380,7 +377,7 @@ def _lattice_checks(rep: VerificationReport, n_range) -> None:
 def _fourmanifold_checks(rep: VerificationReport, n_range) -> None:
     n = 3
     y = y_n(n)
-    z = z_n(n)
+    z = FAMILIES["xn"].ambient(n, y)
     t = y.marked_class("T")
     rep.add("fourmanifold.yn.dim", "fiber class has formal dimension zero",
             0, dimension(y, t), DERIVED)
@@ -484,13 +481,12 @@ def _plumbing_checks(rep: VerificationReport, n_range) -> None:
         form = intersection_matrix(chain)
         rep.add(f"plumbing.cp.det.p={p}", "chain determinant has magnitude p^2",
                 p * p, abs(form.det), DERIVED)
-        cf = continued_fraction_value([-w for w in chain.weights])
+        lens = boundary_lens_space(chain)
         rep.add(f"plumbing.cp.cf.p={p}", "continued fraction evaluates to p^2/(p-1)",
-                f"{p * p}/{p - 1}", f"{cf.numerator}/{cf.denominator}", DERIVED)
+                f"{p * p}/{p - 1}", f"{lens.order}/{lens.twist}", DERIVED)
         inv00 = form.inverse()[0][0]
         rep.add(f"plumbing.cp.inv.p={p}", "head entry of the inverse is -(p-1)/p^2",
                 f"-{p - 1}/{p * p}", str(inv00), DERIVED)
-        lens = boundary_lens_space(chain)
         rep.add(f"plumbing.cp.lens.p={p}", "boundary lens space order is p^2",
                 p * p, lens.order, DERIVED)
     lens7 = boundary_lens_space(cp_chain(7))
@@ -502,7 +498,7 @@ def _plumbing_checks(rep: VerificationReport, n_range) -> None:
     rep.add("plumbing.c3.lens", "order-3 chain evaluates to 9/2",
             [9, 2], [boundary_lens_space(cp_chain(3)).order,
                      boundary_lens_space(cp_chain(3)).twist], DERIVED)
-    z = z_n(1)
+    z = FAMILIES["xn"].ambient(1)
     emb = FAMILIES["xn"].embedding(z)
     rep.add("plumbing.zn.embedding", "chain classes realize the order-7 matrix",
             True, verify_embedding(emb).ok, DERIVED)
@@ -516,7 +512,7 @@ def _plumbing_checks(rep: VerificationReport, n_range) -> None:
     lifts = find_characteristic_lifts(emb, default_lift_candidates(z), 7)
     rep.add("plumbing.zn.lifts", "lift search returns exactly the pair",
             _coords([k_lift, -k_lift]), _coords(lifts), REPORTED)
-    w = w_n(1)
+    w = FAMILIES["qn"].ambient(1)
     wemb = FAMILIES["qn"].embedding(w)
     k_w = FAMILIES["qn"].lift(w)
     rep.add("plumbing.wn.relsquare", "cycle-chain lift restricts with relative square -6",

@@ -40,7 +40,7 @@ from .lattice import (
     same_lattice,
     square,
 )
-from .manifold import Chamber, FourManifoldModel, SWTable, chamber_sw, make_model
+from .manifold import Chamber, FourManifoldModel, SWTable, chamber_sw
 
 
 class EmbeddingError(ValueError):
@@ -158,25 +158,35 @@ def intersection_matrix(chain: PlumbingChain) -> PlumbingForm:
         return PlumbingForm(m, 0, None)
 
 
-def _continuant_adjugate(chain: PlumbingChain):
-    """Determinant and adjugate of a linear chain from its continuants, in O(n^2).
+def _continuants(weights) -> tuple[list[int], list[int]]:
+    """Leading and trailing continuants of a path with unit edges, in O(n).
 
-    Along the path v_0, ..., v_{n-1} with weights w, lead[k] is the
-    determinant of the first k vertices and tail[k] that of v_k, ..., v_{n-1}.
-    With unit edges the determinant is lead[n] and, for i <= j,
-    adj[v_i][v_j] = (-1)^(i+j) lead[i] tail[j+1] (Neumann, A calculus for
-    plumbing, 1981).  This holds for singular chains too.
+    lead[k] is the determinant of the first k vertices and tail[k] that of
+    v_k, ..., v_{n-1}, with tail[n] = 1 and tail[n + 1] = 0; lead[n] ==
+    tail[0] is the determinant of the whole path.
     """
-    order = _linear_order(chain)
-    w = [chain.weights[v] for v in order]
-    n = len(w)
-    lead = [1, w[0]]
+    n = len(weights)
+    lead = [1, weights[0]]
     for k in range(1, n):
-        lead.append(w[k] * lead[k] - lead[k - 1])
+        lead.append(weights[k] * lead[k] - lead[k - 1])
     tail = [0] * (n + 2)
     tail[n] = 1
     for k in range(n - 1, -1, -1):
-        tail[k] = w[k] * tail[k + 1] - tail[k + 2]
+        tail[k] = weights[k] * tail[k + 1] - tail[k + 2]
+    return lead, tail
+
+
+def _continuant_adjugate(chain: PlumbingChain):
+    """Determinant and adjugate of a linear chain from its continuants, in O(n^2).
+
+    Along the path v_0, ..., v_{n-1} (``_continuants``), the determinant is
+    lead[n] and, for i <= j, adj[v_i][v_j] = (-1)^(i+j) lead[i] tail[j+1]
+    (Neumann, A calculus for plumbing, 1981).  This holds for singular
+    chains too.
+    """
+    order = _linear_order(chain)
+    n = len(order)
+    lead, tail = _continuants([chain.weights[v] for v in order])
     signed_lead = [-x if i % 2 else x for i, x in enumerate(lead)]
     signed_tail = [-tail[j + 1] if j % 2 else tail[j + 1] for j in range(n)]
     adj = [[0] * n for _ in range(n)]
@@ -208,26 +218,21 @@ class LensSpace:
         return tuple(sorted({q, (-q) % self.order, inv, (-inv) % self.order}))
 
 
-def continued_fraction_value(terms) -> Fraction:
-    """Evaluate the negative continued fraction [a0, a1, ...]."""
-    value = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        value = a - 1 / value
-    return value
-
-
 def boundary_lens_space(chain: PlumbingChain) -> LensSpace:
-    """Boundary of a linear chain with all weights <= -2, via continued fractions.
+    """Boundary of a linear chain with all weights <= -2.
 
-    The weight sequence [-w0, -w1, ...] evaluates to order/twist; the full
-    residue orbit of the twist is reported by the LensSpace.
+    The negative continued fraction [-w_0, -w_1, ...] along the chain is
+    |lead[n]| / |tail[1]| in the continuants of ``_continuants``, already in
+    lowest terms as consecutive continuants are coprime; that is the order
+    and twist.  The full residue orbit of the twist is reported by the
+    LensSpace.
     """
     if not chain.is_linear():
         raise ValueError("boundary computation implemented for linear chains only")
     if any(w > -2 for w in chain.weights):
         raise ValueError("continued fraction needs all weights <= -2")
-    value = continued_fraction_value([-chain.weights[v] for v in _linear_order(chain)])
-    return LensSpace(value.numerator, value.denominator)
+    lead, tail = _continuants([chain.weights[v] for v in _linear_order(chain)])
+    return LensSpace(abs(lead[-1]), abs(tail[1]))
 
 
 def _linear_order(chain: PlumbingChain) -> tuple[int, ...]:
@@ -252,10 +257,10 @@ class ConfigurationEmbedding:
     """A plumbing configuration inside an ambient model.
 
     Either explicit ambient classes for every vertex are given, or only an
-    intersection profile: the vertex Gram matrix plus, for each named ambient
-    class of interest, its vector of pairings with the vertices.  Explicit
-    classes are the stronger form; profiles suffice for lift searches and
-    relative squares.
+    intersection profile: the vertex Gram matrix plus a ``{name: row}`` dict
+    giving, for each named ambient class of interest, its vector of pairings
+    with the vertices.  Explicit classes are the stronger form; profiles
+    suffice for lift searches and relative squares.
 
     With explicit classes, the images G u_i of the vertices under the
     ambient Gram are computed once, at construction, so that every pairing
@@ -267,6 +272,7 @@ class ConfigurationEmbedding:
     chain: PlumbingChain
     vertex_classes: tuple[HomologyClass, ...] | None = None
     profile_gram: tuple[tuple[int, ...], ...] | None = None
+    # given as a {name: row} dict, kept as sorted (name, row) pairs
     profile_pairings: tuple[tuple[str, tuple[int, ...]], ...] | None = None
     # G u_i for every vertex class u_i, or None for a profile-only embedding
     vertex_images: tuple[tuple[int, ...], ...] | None = field(
@@ -287,15 +293,8 @@ class ConfigurationEmbedding:
         if self.profile_gram is not None:
             object.__setattr__(self, "profile_gram", freeze(self.profile_gram))
         if self.profile_pairings is not None:
-            object.__setattr__(
-                self,
-                "profile_pairings",
-                tuple(sorted((str(k), tuple(int(x) for x in v)) for k, v in (
-                    self.profile_pairings.items()
-                    if isinstance(self.profile_pairings, dict)
-                    else self.profile_pairings
-                ))),
-            )
+            object.__setattr__(self, "profile_pairings", tuple(sorted(
+                (str(k), tuple(int(x) for x in v)) for k, v in self.profile_pairings.items())))
 
     @property
     def size(self) -> int:
@@ -332,27 +331,6 @@ class ConfigurationEmbedding:
             row = self.profile_row(name)
             vector = [x + coeff * y for x, y in zip(vector, row)]
         return tuple(vector)
-
-    def to_profile_dict(self) -> dict:
-        pairings = {}
-        if self.profile_pairings is not None:
-            pairings = {k: list(v) for k, v in self.profile_pairings}
-        elif self.vertex_classes is not None:
-            pairings = {
-                name: list(self.profile_row(name)) for name in self.ambient.marked_classes
-            }
-        return {"gram": [list(r) for r in self.realized_gram()], "pairings": pairings}
-
-    @classmethod
-    def from_profile_dict(cls, ambient: FourManifoldModel, chain: PlumbingChain, data: dict):
-        return cls(
-            ambient=ambient,
-            chain=chain,
-            profile_gram=freeze(data["gram"]),
-            profile_pairings=tuple(
-                (k, tuple(int(x) for x in v)) for k, v in sorted(data["pairings"].items())
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -583,7 +561,7 @@ def rational_blowdown(
                 entries[push_down(k)] = value
     table = SWTable.from_pairs(new_lattice, entries, X.sw.convention_note)
     marked = {"h": push_down(H.period)}
-    return make_model(
+    return FourManifoldModel(
         name=new_name,
         lattice=new_lattice,
         euler=X.euler - (p - 1),

@@ -1,6 +1,7 @@
 import pytest
 
-from swsurgery.models import e1, v_n, w_n, y_n, z_n
+from swsurgery.models import e1, v_n, y_n
+from swsurgery.pipelines import FAMILIES
 
 from .trusted import validating_trusted
 
@@ -34,7 +35,7 @@ def y3():
 
 @pytest.fixture(scope="session")
 def z3():
-    return z_n(3)
+    return FAMILIES["xn"].ambient(3)
 
 
 @pytest.fixture(scope="session")
@@ -44,4 +45,4 @@ def v3():
 
 @pytest.fixture(scope="session")
 def w3():
-    return w_n(3)
+    return FAMILIES["qn"].ambient(3)

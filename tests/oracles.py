@@ -1,16 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the package's own code paths: pairings by explicit
-double loops, signatures by Jacobi's leading-minor rule, determinants by the
-tridiagonal recurrence, linear solves by Cramer's rule, twist words one
-letter at a time, the blowup-pair test by squaring every difference.
+double loops, signatures by Jacobi's leading-minor rule over determinants by
+plain ``Fraction`` elimination, chain determinants by the tridiagonal
+recurrence, linear solves by one ``Fraction`` Gauss-Jordan pass, lens-space
+boundaries by evaluating the continued fraction, characteristic vectors
+mod 2 by trying every 0/1 vector, twist words one letter at a time, the
+blowup-pair test by squaring every difference.
 """
 
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import gcd
 
-from swsurgery.exactmat import bareiss_det
 from swsurgery.manifold import MinimalityVerdict
 
 
@@ -26,6 +28,11 @@ def naive_is_characteristic(gram, k):
     """k . e_i == e_i . e_i mod 2 for every basis vector, by full rows."""
     n = len(k)
     return all((sum(gram[i][j] * k[j] for j in range(n)) - gram[i][i]) % 2 == 0 for i in range(n))
+
+
+def characteristic_mod2(gram):
+    """Every characteristic vector with entries 0 and 1, by trying all 2^n."""
+    return [k for k in product((0, 1), repeat=len(gram)) if naive_is_characteristic(gram, k)]
 
 
 WORD_GENERATORS = {"a": (1, 1, 0, 1), "b": (1, 0, -1, 1), "A": (1, -1, 0, 1), "B": (1, 0, 1, 1)}
@@ -80,7 +87,7 @@ def minors_signature(gram):
     n = len(gram)
     for perm in islice(permutations(range(n)), 50000):
         m = [[gram[i][j] for j in perm] for i in perm]
-        minors = [bareiss_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        minors = [fraction_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
         if all(minors):
             seq = [1] + minors
             neg = sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
@@ -96,18 +103,53 @@ def chain_determinant_recurrence(p):
     return d
 
 
-def cramer_solve(matrix, rhs):
-    """Solve matrix . x = rhs by Cramer's rule with integer determinants."""
-    n = len(matrix)
-    det = bareiss_det(matrix)
-    assert det != 0
-    xs = []
+def fraction_det(matrix):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
     for col in range(n):
-        replaced = [
-            [rhs[i] if j == col else matrix[i][j] for j in range(n)] for i in range(n)
-        ]
-        xs.append(Fraction(bareiss_det(replaced), det))
-    return xs
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def gauss_jordan_solve(matrix, rhs):
+    """Solve matrix . x = rhs for a nonsingular matrix by one Gauss-Jordan
+    pass over [matrix | rhs], exact in ``Fraction``s.  Each pivot row is
+    applied through its nonzero entries right of the pivot only, as the
+    other entries of a pivot row are already zero."""
+    n = len(matrix)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if a[i][col])
+        a[col], a[piv] = a[piv], a[col]
+        pivot = Fraction(a[col][col])
+        scaled = [(j, x / pivot) for j, x in enumerate(a[col]) if x and j > col]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != col:
+                row[col] = 0
+                for j, y in scaled:
+                    row[j] -= f * y
+    return [Fraction(row[n]) / row[i] for i, row in enumerate(a)]
+
+
+def continued_fraction(terms):
+    """The negative continued fraction [a0, a1, ...] = a0 - 1/(a1 - 1/(...))."""
+    value = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        value = a - 1 / value
+    return value
 
 
 def random_unimodular(rng, n, ops=12):

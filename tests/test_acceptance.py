@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from swsurgery.exactmat import solve_mod2
 from swsurgery.knots import TwistKnot, e1_knot_surgery_sw, knot_surgery_manifold
 from swsurgery.lattice import (
     IntersectionLattice,
@@ -18,12 +17,15 @@ from swsurgery.lattice import (
     pair,
     square,
 )
-from swsurgery.manifold import SWTable, blowup, dimension, fingerprint, make_model, minimality_check
-from swsurgery.models import (
-    class_from_coeffs,
-    e1,
-    z_n,
+from swsurgery.manifold import (
+    FourManifoldModel,
+    SWTable,
+    blowup,
+    dimension,
+    fingerprint,
+    minimality_check,
 )
+from swsurgery.models import class_from_coeffs, e1
 from swsurgery.monodromy import evaluate, parabolic_width, verify_factorization
 from swsurgery.pipelines import (
     E6_FACTORIZATION,
@@ -39,13 +41,17 @@ from swsurgery.pipelines import (
 from swsurgery.plumbing import (
     ConfigurationEmbedding,
     boundary_lens_space,
-    continued_fraction_value,
     cp_chain,
     intersection_matrix,
     relative_square_of_restriction,
 )
 
-from .oracles import congruent_gram, cramer_solve
+from .oracles import (
+    characteristic_mod2,
+    congruent_gram,
+    continued_fraction,
+    gauss_jordan_solve,
+)
 
 CASES = 10_000
 
@@ -79,7 +85,7 @@ def test_criterion_1_verify_paper_fast_and_green():
 
 def test_criterion_2_lift_uniqueness():
     with criterion(2, "exactly +-(T+E0+E1+E2) restrict with square -6, as 7 gamma_0"):
-        z = z_n(3)
+        z = FAMILIES["xn"].ambient(3)
         emb = FAMILIES["xn"].embedding(z)
         lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
         hits = []
@@ -147,16 +153,18 @@ def test_criterion_6_plumbing():
             chain = cp_chain(p)
             form = intersection_matrix(chain)
             assert abs(form.det) == p * p
-            assert continued_fraction_value([-w for w in chain.weights]) == Fraction(p * p, p - 1)
+            lens = boundary_lens_space(chain)
+            cf = continued_fraction([-w for w in chain.weights])
+            assert (lens.order, lens.twist) == (cf.numerator, cf.denominator)
+            assert (lens.order, lens.twist) == (p * p, p - 1)
             assert form.inverse()[0][0] == Fraction(-(p - 1), p * p)
-            assert boundary_lens_space(chain).order == p * p
         orbit = boundary_lens_space(cp_chain(7)).residue_orbit()
         assert 6 in orbit and (49 - 6) in orbit
 
 
 def test_criterion_7_chamber_data():
     with criterion(7, "H.h=7, H^2=5, H.u_i=0, H.(T+E0+E1+E2)=5, h.(T+E0+E1+E2)=3"):
-        z = z_n(4)
+        z = FAMILIES["xn"].ambient(4)
         H = FAMILIES["xn"].chamber(z).period
         h = z.marked_class("h")
         lift = class_from_coeffs(z, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
@@ -195,9 +203,9 @@ def _suite_characteristic():
         gram = congruent_gram(rng, diag)
         lat = IntersectionLattice(tuple(f"x{i}" for i in range(rank)), gram)
         sig = sum(diag)
-        model = make_model(f"synthetic{len(pool)}", lat, 2 + rank, sig, True)
-        base = solve_mod2(gram, tuple(gram[i][i] for i in range(rank)))
-        assert base is not None
+        model = FourManifoldModel(f"synthetic{len(pool)}", lat, 2 + rank, sig, True, {},
+                                  SWTable.empty(lat))
+        (base,) = characteristic_mod2(gram)  # unique mod 2 on a unimodular lattice
         pool.append((lat, model, base, sig))
     for case in range(CASES):
         lat, model, base, sig = pool[case % len(pool)]
@@ -235,7 +243,7 @@ def _suite_blowup():
         k = candidates[rng.randrange(len(candidates))]
         value = rng.choice([1, -1]) * rng.randint(1, 9)
         table = SWTable.from_pairs(lat, {k: value, -k: -value})
-        model = make_model("base", lat, 2 + rank, sig, True, sw=table)
+        model = FourManifoldModel("base", lat, 2 + rank, sig, True, {}, table)
         blown = blowup(model)
         assert len(blown.sw) == 2 * len(model.sw)  # unit multiplicities survive pruning
         assert set(blown.sw.magnitudes()) == set(model.sw.magnitudes())
@@ -280,7 +288,7 @@ def _suite_relative_square_oracle():
         chain, emb = profiles[p]
         v = [rng.randint(-9, 9) for _ in range(p - 1)]
         got = relative_square_of_restriction(emb, {f"g{i}": v[i] for i in range(p - 1)})
-        xs = cramer_solve(chain.matrix(), v)
+        xs = gauss_jordan_solve(chain.matrix(), v)
         assert got == sum(Fraction(vi) * xi for vi, xi in zip(v, xs))
 
 

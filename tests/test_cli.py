@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from swsurgery.cli import main
+from swsurgery.cli import MAX_CHAIN_VERTICES, MAX_KNOTS, main
 from swsurgery.manifold import FourManifoldModel
 
 
@@ -166,6 +166,36 @@ def test_plumbing_large_chain_inverse_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "096800918d38e5274e4d18951e6ffb89e5a3eaa3902f301274934afadcf4bbf0"
     )
+
+
+def test_plumbing_chain_size_limit(capsys):
+    limit = MAX_CHAIN_VERTICES
+    # at the limit: --p gives p - 1 vertices, --weights one per entry
+    code, out, _ = run_cli(capsys, "plumbing", "cp", "--p", str(limit + 1),
+                           "--invert", "--boundary", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["inverse"]) == limit and data["boundary"]["order"] == (limit + 1) ** 2
+    weights = ",".join(["-2"] * limit)
+    code, out, _ = run_cli(capsys, "plumbing", "cp", f"--weights={weights}", "--json")
+    assert code == 0
+    assert json.loads(out)["determinant"] == (-1) ** limit * (limit + 1)
+    # one past it, and far past it: refused before any chain is built
+    for argv in (("--p", str(limit + 2), "--invert"), (f"--weights={weights},-2",),
+                 ("--p", str(10 ** 12))):
+        code, out, err = run_cli(capsys, "plumbing", "cp", *argv)
+        assert (code, out) == (2, "")
+        assert f"the limit is {limit}" in err
+
+
+def test_sw_knot_count_limit(capsys):
+    knots = ",".join(["1000000"] * MAX_KNOTS)
+    code, out, _ = run_cli(capsys, "sw", "e1-surgery", f"--knots={knots}", "--json")
+    assert code == 0
+    assert len(json.loads(out)["knots"]) == MAX_KNOTS
+    code, out, err = run_cli(capsys, "sw", "e1-surgery", f"--knots={knots},1")
+    assert (code, out) == (2, "")
+    assert f"{MAX_KNOTS + 1} knots given; the limit is {MAX_KNOTS}" in err
 
 
 def test_sw_e1_surgery(capsys):

@@ -11,7 +11,6 @@ from swsurgery.exactmat import (
     kernel_rows,
     identity,
     matmul,
-    solve_mod2,
     symmetric_diagonalize,
     transpose,
 )
@@ -118,13 +117,3 @@ def test_symmetric_diagonalize_radical():
     radical = p[zero_positions[0]]
     assert any(radical)
     assert all(sum(radical[k] * ((0, 0), (0, 1))[k][j] for k in range(2)) == 0 for j in range(2))
-
-
-def test_solve_mod2():
-    g = ((1, 0), (0, 1))
-    assert solve_mod2(g, (1, 0)) == (1, 0)
-    g2 = ((2, 1), (1, 2))
-    x = solve_mod2(g2, (1, 1))
-    assert x is not None
-    assert all((sum(g2[i][j] * x[j] for j in range(2)) - (1, 1)[i]) % 2 == 0 for i in range(2))
-    assert solve_mod2(((2, 0), (0, 2)), (1, 0)) is None

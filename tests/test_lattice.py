@@ -201,17 +201,6 @@ def test_every_cache_is_bounded():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
 
 
-def test_serialization_round_trip(e1_model):
-    data = e1_model.lattice.to_dict()
-    assert data == {"basis": list(e1_model.lattice.basis),
-                    "gram": [list(r) for r in e1_model.lattice.gram]}
-    back = IntersectionLattice.from_dict(data, name="E1")
-    assert back.basis == e1_model.lattice.basis
-    assert back.gram == e1_model.lattice.gram
-    k = e1_model.marked_class("T")
-    assert k.to_dict("E1") == {"lattice": "E1", "coords": [3] + [-1] * 9}
-
-
 @st.composite
 def lattices_with_vectors(draw):
     """A random symmetric Gram of rank 1-12 (about half non-diagonal, degenerate
@@ -240,10 +229,8 @@ def test_sparse_rows_match_dense_oracles(data):
     parities = [gram[i][i] % 2 for i in range(lattice.rank)]
     for v in (k, parities):
         assert is_characteristic(lattice.element(v)) == naive_is_characteristic(gram, v)
-    # the sparse rows are derived data: equality, hash, repr and to_dict ignore them
+    # the sparse rows are derived data: equality, hash and repr ignore them
     twin = IntersectionLattice(lattice.basis, gram, relative=lattice.relative)
     object.__setattr__(twin, "rows", ())
     assert twin == lattice and hash(twin) == hash(lattice)
-    assert twin.to_dict() == lattice.to_dict() == {"basis": list(lattice.basis),
-                                                    "gram": [list(r) for r in gram]}
     assert "rows" not in repr(lattice)

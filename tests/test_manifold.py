@@ -17,7 +17,6 @@ from swsurgery.manifold import (
     chamber_sw,
     dimension,
     fingerprint,
-    make_model,
     minimality_check,
     wall_crossing_delta,
 )
@@ -36,7 +35,7 @@ def diag_model(name, plus, minus, sw_pairs=None, note=None):
     lat = IntersectionLattice(labels, gram, name=name)
     sw = SWTable.from_pairs(lat, sw_pairs or {}) if sw_pairs else SWTable.empty(lat)
     marked = {"h": lat.basis_class("x0")} if plus else {}
-    return make_model(name, lat, 2 + n, plus - minus, True, marked=marked, sw=sw)
+    return FourManifoldModel(name, lat, 2 + n, plus - minus, True, marked, sw)
 
 
 def test_dimension_examples(y3, z3):
@@ -158,7 +157,7 @@ def test_blowup_bookkeeping_and_table(y3):
     z3_model = blowup(blowup(z1))
     assert len(z3_model.sw) == 16
     assert set(z3_model.sw.magnitudes()) == {3}
-    assert {"E0", "E1", "E2"} <= set(z3_model.marked_classes)
+    assert {"E0", "E1", "E2"} <= {name for name, _ in z3_model.marked}
     # d is preserved for unit exceptional multiplicities
     for k, _ in z3_model.sw.items():
         assert dimension(z3_model, k) == 0
@@ -202,7 +201,7 @@ def _minimality_tables():
     lat = _diag_lattice("m", 1, 6)
     k = lat.element((3, 1, 1, 1, 1, 1, 1))  # characteristic, square 3
     assert square(k) == 3
-    model = make_model("m", lat, 9, -5, True, sw=SWTable.from_pairs(lat, {k: 2, -k: -2}))
+    model = FourManifoldModel("m", lat, 9, -5, True, {}, SWTable.from_pairs(lat, {k: 2, -k: -2}))
 
     # blowup-shaped table: partners differ by 2E
     lat2 = _diag_lattice("m2", 1, 2)
@@ -210,11 +209,11 @@ def _minimality_tables():
     km = lat2.element((3, 1, -1))
     assert square(kp - km) == -4
     table = SWTable.from_pairs(lat2, {kp: 5, km: 5, -kp: -5, -km: -5})
-    model2 = make_model("m2", lat2, 5, -1, True, sw=table)
+    model2 = FourManifoldModel("m2", lat2, 5, -1, True, {}, table)
 
     # empty and magnitude-one tables are inconclusive
-    empty = make_model("m3", lat, 9, -5, True)
-    ones = make_model("m4", lat, 9, -5, True, sw=SWTable.from_pairs(lat, {k: 1, -k: -1}))
+    empty = FourManifoldModel("m3", lat, 9, -5, True, {}, SWTable.empty(lat))
+    ones = FourManifoldModel("m4", lat, 9, -5, True, {}, SWTable.from_pairs(lat, {k: 1, -k: -1}))
     return model, model2, empty, ones
 
 
@@ -274,7 +273,7 @@ def congruent_models(draw):
             if x not in entries and neg not in entries:
                 entries[x], entries[neg] = value, -value
     table = SWTable(lattice, tuple(entries.items()))
-    return make_model("congruent", lattice, n + 3, 1 - n, True, sw=table)
+    return FourManifoldModel("congruent", lattice, n + 3, 1 - n, True, {}, table)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -300,10 +299,22 @@ def test_sw_table_validation(z3):
 
 def test_model_validation_errors(e1_model):
     lat = e1_model.lattice
+    marked, empty = dict(e1_model.marked), SWTable.empty(lat)
     with pytest.raises(ValueError, match="sign"):
-        make_model("bad", lat, 12, 8, True, marked=e1_model.marked_classes)
+        FourManifoldModel("bad", lat, 12, 8, True, marked, empty)
     with pytest.raises(ValueError, match="euler"):
-        make_model("bad", lat, 13, -8, True, marked=e1_model.marked_classes)
+        FourManifoldModel("bad", lat, 13, -8, True, marked, empty)
+
+
+def test_marked_class_from_another_lattice_rejected():
+    a = _diag_lattice("A", 1, 1)
+    b = IntersectionLattice(a.basis, ((1, 2), (2, -1)), name="B")  # same rank, other Gram
+    with pytest.raises(ValueError, match="marked class 'h' lives in another lattice"):
+        FourManifoldModel("m", a, 4, 0, True, {"h": b.element((1, 1))}, SWTable.empty(a))
+    # a class of an equal lattice is accepted, and its coordinates kept
+    twin = _diag_lattice("A2", 1, 1)
+    model = FourManifoldModel("m", a, 4, 0, True, {"h": twin.element((1, 1))}, SWTable.empty(a))
+    assert model.marked == (("h", (1, 1)),)
 
 
 def test_model_serialization_round_trip(y3):

@@ -1,13 +1,12 @@
 from swsurgery.lattice import pair, square
 from swsurgery.models import (
+    I6_HEXAGON_COEFFS,
     class_from_coeffs,
     e6_sphere_classes,
-    i6_hexagon_chain,
-    i6_hexagon_classes,
     wn_c7_profile_embedding,
 )
 from swsurgery.pipelines import FAMILIES
-from swsurgery.plumbing import verify_embedding
+from swsurgery.plumbing import PlumbingChain, verify_embedding
 
 
 def test_e1_marked(e1_model):
@@ -27,8 +26,9 @@ def test_e6_spheres_orthogonal_to_fiber(y3):
 
 
 def test_i6_hexagon_structure(v3):
-    c = i6_hexagon_classes(v3)
-    expected = i6_hexagon_chain().matrix()
+    c = [class_from_coeffs(v3, coeffs) for coeffs in I6_HEXAGON_COEFFS.values()]
+    hexagon = PlumbingChain((-2,) * 6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
+    expected = hexagon.matrix()
     for i in range(6):
         for j in range(6):
             assert pair(c[i], c[j]) == expected[i][j], (i, j)

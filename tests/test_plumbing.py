@@ -20,7 +20,6 @@ from swsurgery.plumbing import (
     LensSpace,
     PlumbingChain,
     boundary_lens_space,
-    continued_fraction_value,
     cp_chain,
     default_lift_candidates,
     e6_tilde_tree,
@@ -31,7 +30,7 @@ from swsurgery.plumbing import (
     verify_embedding,
 )
 
-from .oracles import chain_determinant_recurrence, cramer_solve
+from .oracles import chain_determinant_recurrence, continued_fraction, gauss_jordan_solve
 
 
 def test_cp_chain_shapes():
@@ -156,7 +155,7 @@ def test_relative_square_on_general_chains_matches_cramer():
             with pytest.raises(SingularMatrixError):
                 relative_square_of_restriction(emb, candidate)
             continue
-        xs = cramer_solve(chain.matrix(), v)
+        xs = gauss_jordan_solve(chain.matrix(), v)
         expected = sum(Fraction(vi) * xi for vi, xi in zip(v, xs))
         assert relative_square_of_restriction(emb, candidate) == expected
         checked += 1
@@ -174,9 +173,21 @@ def test_boundary_lens_spaces():
     assert (lens3.order, lens3.twist) == (9, 2)
     for p in range(2, 21):
         lens = boundary_lens_space(cp_chain(p))
-        assert lens.order == p * p
-        assert lens.twist == p - 1
-        assert continued_fraction_value([-w for w in cp_chain(p).weights]) == Fraction(p * p, p - 1)
+        cf = continued_fraction([-w for w in cp_chain(p).weights])
+        assert (lens.order, lens.twist) == (cf.numerator, cf.denominator)
+        assert (lens.order, lens.twist) == (p * p, p - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-12, -2), min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_boundary_lens_space_matches_continued_fraction(weights, rng):
+    labels = rng.sample(range(len(weights)), len(weights))
+    chain = _relabelled_chain(weights, labels, rng)
+    # the boundary is read from the endpoint with the smaller label
+    terms = [-w for w in (weights if labels[0] <= labels[-1] else weights[::-1])]
+    cf = continued_fraction(terms)
+    lens = boundary_lens_space(chain)
+    assert (lens.order, lens.twist) == (cf.numerator, cf.denominator)
 
 
 def test_boundary_errors():
@@ -243,7 +254,7 @@ def test_relative_square_matches_solve_oracle():
         )
         candidate = {f"g{i}": v[i] for i in range(p - 1)}
         got = relative_square_of_restriction(profile, candidate)
-        xs = cramer_solve(chain.matrix(), v)
+        xs = gauss_jordan_solve(chain.matrix(), v)
         expected = sum(Fraction(vi) * xi for vi, xi in zip(v, xs))
         assert got == expected
 
@@ -278,17 +289,10 @@ def test_lift_requires_characteristic(z3):
         find_characteristic_lifts(emb, [z3.marked_class("T")], 7)
 
 
-def test_profile_embedding_round_trip(w3):
-    emb = wn_c7_profile_embedding(w3)
-    data = emb.to_profile_dict()
-    again = ConfigurationEmbedding.from_profile_dict(w3, cp_chain(7), data)
-    assert again.to_profile_dict() == data
-    with pytest.raises(ValueError, match="profile-only"):
-        again.pairing_vector(w3.marked_class("T"))
-
-
 def test_rational_blowdown_requires_classes(w3):
     emb = wn_c7_profile_embedding(w3)
+    with pytest.raises(ValueError, match="profile-only"):
+        emb.pairing_vector(w3.marked_class("T"))
     with pytest.raises(ValueError, match="explicit vertex classes"):
         rational_blowdown(w3, emb, 7, FAMILIES["qn"].chamber(w3), simply_connected=True)
 
