@@ -16,7 +16,13 @@ from .lattice import HomologyClass, is_characteristic, pair, square
 from .manifold import FourManifoldModel
 from .models import class_from_coeffs, e1, v_n, y_n
 from .monodromy import WordSyntaxError, parse_word, verify_factorization
-from .plumbing import PlumbingChain, boundary_lens_space, cp_chain, intersection_matrix
+from .plumbing import (
+    PlumbingChain,
+    _continuants,
+    boundary_lens_space,
+    cp_chain,
+    intersection_matrix,
+)
 from . import __version__
 from .report import REPORT_VERSION
 
@@ -28,8 +34,8 @@ BUILTIN_MODELS = {"yn": y_n, "vn": v_n, "zn": pipelines.FAMILIES["xn"].ambient,
 # `monodromy check` prints its words letter by letter, so a word is refused
 # before anything is spelled or evaluated when it would spell more letters
 MAX_WORD_LETTERS = 1_000_000
-# `plumbing cp` builds (and with --invert prints) the n x n adjugate of an
-# n-vertex chain, and `sw e1-surgery` multiplies one polynomial per knot, so
+# `plumbing cp --invert` builds and prints the n x n adjugate of an n-vertex
+# chain, and `sw e1-surgery` multiplies one polynomial per knot, so
 # a longer chain (--weights entries, or p - 1 for --p) or a longer knot list
 # is refused before any chain or polynomial is built
 MAX_CHAIN_VERTICES = 300
@@ -189,16 +195,18 @@ def cmd_plumbing_cp(args) -> int:
     else:
         _check_chain_size(args.p - 1)
         chain = cp_chain(args.p)
-    form = intersection_matrix(chain)
+    # the chain is a path in vertex order: its determinant is the last
+    # leading continuant, and the adjugate is built only to be printed
+    det = _continuants(chain.weights)[0][-1]
     payload: dict = {
         "weights": list(chain.weights),
-        "determinant": form.det,
+        "determinant": det,
     }
     if args.p is not None:
         payload["p"] = args.p
-    lines = [f"weights      {list(chain.weights)}", f"determinant  {form.det}"]
+    lines = [f"weights      {list(chain.weights)}", f"determinant  {det}"]
     if args.invert:
-        inverse = [[str(x) for x in row] for row in form.inverse()]
+        inverse = [[str(x) for x in row] for row in intersection_matrix(chain).inverse()]
         payload["inverse"] = inverse
         lines.append("inverse rows " + "; ".join("[" + ", ".join(r) + "]" for r in inverse))
     if args.boundary:

@@ -10,6 +10,7 @@ signed values follow the recorded quotient convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from . import models
@@ -162,17 +163,39 @@ def _b8_checks(rep, n, base, ambient, emb, chamber, k_lift) -> None:
             "-2", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
 
 
+@lru_cache(maxsize=4)
+def _cycle_fiber_monodromy(factorization: str, fibration: str, block: str):
+    """The computed sides of the qn monodromy checks, from the word strings only."""
+    fact = verify_factorization(factorization, fibration)
+    return (fact.equal, evaluate(factorization).is_identity(),
+            parabolic_width(evaluate(block)), tuple(d.base_trace for d in fact.factors[1:]))
+
+
+@lru_cache(maxsize=4)
+def _profile_lifts(chain, gram, pairings) -> tuple:
+    """The qn profile-level lift search over both sign families, from the
+    shipped profile data only: each lift found as sorted (name, coeff) pairs."""
+    profile = ConfigurationEmbedding(ambient=None, chain=chain, profile_gram=gram,
+                                     profile_pairings=dict(pairings))
+    candidates = [
+        {"T": st * mult, "E0": s0, "E1": s1}
+        for mult in (3, 1) for st in (1, -1) for s0 in (1, -1) for s1 in (1, -1)
+    ]
+    return tuple(sorted(tuple(sorted(d.items()))
+                        for d in find_characteristic_lifts(profile, candidates, 7)))
+
+
 def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
-    fact = verify_factorization(I6_FACTORIZATION, I6_FIBRATION)
+    equal, identity, width, nodal = _cycle_fiber_monodromy(
+        I6_FACTORIZATION, I6_FIBRATION, "a^6")
     rep.add("qn.monodromy.refactor", "cycle-fiber word equals the cubed word",
-            True, fact.equal, REPORTED)
+            True, equal, REPORTED)
     rep.add("qn.monodromy.identity", "cycle-fiber word is a fibration word",
-            True, evaluate(I6_FACTORIZATION).is_identity(), REPORTED)
+            True, identity, REPORTED)
     rep.add("qn.monodromy.i6", "first factor is a parabolic block of width 6",
-            6, parabolic_width(evaluate("a^6")), REPORTED)
-    nodal = fact.factors[1:]
+            6, width, REPORTED)
     rep.add("qn.monodromy.nodal", "remaining factors are nodal (trace 2) twists",
-            [2] * len(nodal), [d.base_trace for d in nodal], DERIVED)
+            [2] * len(nodal), nodal, DERIVED)
     t = v.marked_class("T")
     rep.add("qn.vn.sw.3T", "magnitude n at three times the fiber",
             n, abs(v.sw.value(3 * t)), REPORTED)
@@ -191,15 +214,10 @@ def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
     for name in ("T", "E0", "E1"):
         rep.add(f"qn.profile.{name}", f"profile row of {name} matches the realization",
                 list(profile.profile_row(name)), list(emb.profile_row(name)), DERIVED)
-    candidates = [
-        {"T": st * mult, "E0": s0, "E1": s1}
-        for mult in (3, 1) for st in (1, -1) for s0 in (1, -1) for s1 in (1, -1)
-    ]
-    profile_lifts = find_characteristic_lifts(profile, candidates, 7)
     expected_lifts = [{"T": 3, "E0": 1, "E1": 1}, {"T": -3, "E0": -1, "E1": -1}]
     rep.add("qn.lifts.profile", "profile-level lift search over both sign families",
             sorted(sorted([k, v] for k, v in d.items()) for d in expected_lifts),
-            sorted(sorted([k, v] for k, v in d.items()) for d in profile_lifts),
+            _profile_lifts(profile.chain, profile.profile_gram, profile.profile_pairings),
             REPORTED)
 
 FAMILIES = {spec.key: spec for spec in (

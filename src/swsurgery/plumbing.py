@@ -109,8 +109,11 @@ class PlumbingChain:
         return freeze(m)
 
 
+@lru_cache(maxsize=64)
 def cp_chain(p: int) -> PlumbingChain:
-    """The order-p blowdown chain: p - 1 vertices, weights -(p+2), -2, ..., -2."""
+    """The order-p blowdown chain: p - 1 vertices, weights -(p+2), -2, ..., -2.
+
+    Built and checked once per p; the chain is immutable."""
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     weights = [-(p + 2)] + [-2] * (p - 2)
@@ -347,11 +350,29 @@ def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = 
 
     Mismatch is a report outcome, not an error.  For the seven-sphere tree the
     checks are the tree adjacency (central vertex with three length-2 legs)
-    and orthogonality of every vertex to the marked fiber T.
+    and orthogonality of every vertex to the marked fiber T.  With explicit
+    vertex classes the report depends only on the ambient Gram, the vertex
+    coordinates, the chain and the fiber's coordinates, so it comes from a
+    bounded memo, ``_explicit_embedding_report``.
     """
     chain = chain or emb.chain
+    if emb.vertex_classes is None:
+        return _embedding_report(emb.profile_gram, chain, None)
+    fiber = None if chain.is_linear() else emb.ambient.marked_class("T").coords
+    return _explicit_embedding_report(
+        emb.ambient.lattice.gram, tuple(u.coords for u in emb.vertex_classes), chain, fiber)
+
+
+@lru_cache(maxsize=64)
+def _explicit_embedding_report(gram, vertices, chain, fiber) -> EmbeddingReport:
+    images = [mat_vec(gram, u) for u in vertices]
+    realized = [[dot(u, image) for image in images] for u in vertices]
+    fiber_row = None if fiber is None else [dot(fiber, image) for image in images]
+    return _embedding_report(realized, chain, fiber_row)
+
+
+def _embedding_report(realized, chain: PlumbingChain, fiber_row) -> EmbeddingReport:
     entries: list[tuple[str, bool]] = []
-    realized = emb.realized_gram()
     expected = chain.matrix()
     entries.append((f"configuration size {chain.size}", len(realized) == chain.size))
     common = min(len(realized), chain.size)
@@ -365,9 +386,8 @@ def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = 
     if not chain.is_linear():
         entries.append(("tree adjacency: central vertex with three length-2 legs",
                         _is_three_leg_star(chain)))
-        if emb.vertex_classes is not None:
-            fiber = emb.pairing_vector(emb.ambient.marked_class("T"))
-            for i, x in enumerate(fiber):
+        if fiber_row is not None:
+            for i, x in enumerate(fiber_row):
                 entries.append((f"vertex {i} orthogonal to the fiber", x == 0))
     return EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
 
@@ -385,51 +405,98 @@ def _is_three_leg_star(chain: PlumbingChain) -> bool:
     return True
 
 
-def relative_square_of_restriction(emb: ConfigurationEmbedding, k) -> Fraction:
-    """Self-intersection of the restriction of k in the dual basis of the chain.
+def relative_square(chain: PlumbingChain, vector) -> Fraction:
+    """v^T Q^(-1) v for Q the chain matrix, as v^T adj(Q) v / det(Q).
 
-    With v the vector of pairings of k with the vertices and Q the chain
-    matrix, the restriction is sum v_i gamma_i in the dual basis, whose Gram
-    is Q^(-1); the relative square is v^T Q^(-1) v = v^T adj(Q) v / det(Q),
-    summed over the nonzero v_i only.
+    For v the pairings of a class with the vertices this is the square of its
+    restriction, sum v_i gamma_i in the dual basis, whose Gram is Q^(-1).
+    The sum runs over the nonzero v_i only.
     """
-    form = intersection_matrix(emb.chain)
+    form = intersection_matrix(chain)
     if form.det == 0:
         raise SingularMatrixError("chain intersection matrix is singular")
-    support = [(i, x) for i, x in enumerate(emb.pairing_vector(k)) if x]
+    support = [(i, x) for i, x in enumerate(vector) if x]
     total = sum(x * y * form.adj[i][j] for i, x in support for j, y in support)
     return Fraction(total, form.det)
+
+
+def relative_square_of_restriction(emb: ConfigurationEmbedding, k) -> Fraction:
+    """Self-intersection of the restriction of k in the dual basis of the chain."""
+    return relative_square(emb.chain, emb.pairing_vector(k))
 
 
 def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
     """Filter candidates whose relative restriction square equals -(p - 1).
 
     That is the value preserving the formal dimension through the blowdown.
-    Explicit-class candidates must be characteristic in the ambient lattice;
-    profile candidates ({name: coeff} maps) are taken as asserted
-    characteristic.  The output is closed under negation whenever the input is.
+    Candidates are all explicit classes or all profile ({name: coeff} maps).
+    Explicit classes must be characteristic in the ambient lattice; their
+    characteristic tests and restriction squares come from the bounded memo
+    ``_lift_plan``, keyed on exact data, so a repeated search costs one
+    lookup.  Profile candidates are taken as asserted characteristic and
+    tested on every call.  The output is closed under negation whenever the
+    input is.
     """
-    target = -(p - 1)
-    kept = []
-    for candidate in candidates:
-        if isinstance(candidate, HomologyClass) and not is_characteristic(candidate):
-            raise ValueError(f"lift candidate {candidate.coords} is not characteristic")
-        if relative_square_of_restriction(emb, candidate) == target:
-            kept.append(candidate)
-    return kept
+    explicit = [c for c in candidates if isinstance(c, HomologyClass)]
+    if not explicit:
+        return [c for c in candidates if relative_square_of_restriction(emb, c) == -(p - 1)]
+    if len(explicit) != len(candidates):
+        raise ValueError("lift candidates must be all classes or all {name: coeff} maps")
+    if emb.vertex_classes is None:
+        raise ValueError("profile-only embedding: pass candidates as {name: coeff} combinations")
+    lattice = emb.ambient.lattice
+    for c in explicit:
+        require_same_lattice(c.lattice, lattice)
+    plan = _lift_plan(lattice, tuple(u.coords for u in emb.vertex_classes), emb.chain, p,
+                      tuple(c.coords for c in explicit), False)
+    return [c for c, kept in zip(explicit, plan) if kept is not None]
+
+
+@lru_cache(maxsize=64)
+def _lift_plan(lattice, vertices, chain, p: int, classes, descend: bool):
+    """The SW-side work on ambient ``classes`` (coordinate tuples), from exact data only.
+
+    ``vertices`` are the coordinates of the vertex classes of ``chain`` in
+    ``lattice``.  Returns one entry per class: None unless its restriction
+    has relative square -(p - 1).  A kept class maps to its push-down image
+    (M-coordinates times the divisor of ``_blowdown_geometry``) when
+    ``descend``, else to True; without ``descend`` every class is a lift
+    candidate and must be characteristic.  In a family only the SW values
+    change with n, so every build reads the same entries; failed checks
+    raise and are not cached.
+    """
+    if descend:
+        _, push, _ = _blowdown_geometry(lattice.gram, vertices, p)
+    images = [gram_image(HomologyClass._trusted(lattice, u)) for u in vertices]
+    plan = []
+    for coords in classes:
+        if not descend and not is_characteristic(HomologyClass._trusted(lattice, coords)):
+            raise ValueError(f"lift candidate {coords} is not characteristic")
+        if relative_square(chain, [dot(coords, image) for image in images]) != -(p - 1):
+            plan.append(None)
+        else:
+            plan.append(vec_mat(coords, push) if descend else True)
+    return tuple(plan)
 
 
 def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
     """Basic classes of X closed under sign flips of the exceptional markings."""
-    exceptional = [X.lattice.index_of(name) for name, _ in X.marked if name.startswith("E")]
-    seen = {}  # coordinate tuples, in first-seen order
-    for basic, _ in X.sw.entries:
+    exceptional = tuple(X.lattice.index_of(name) for name, _ in X.marked if name.startswith("E"))
+    classes = _sign_flips(tuple(basic for basic, _ in X.sw.entries), exceptional)
+    return [HomologyClass._trusted(X.lattice, coords) for coords in classes]
+
+
+@lru_cache(maxsize=64)
+def _sign_flips(classes, exceptional) -> tuple[tuple[int, ...], ...]:
+    """``classes`` under every sign flip of the ``exceptional`` coordinates, in first-seen order."""
+    seen = {}
+    for basic in classes:
         for signs in iter_product((1, -1), repeat=len(exceptional)):
             coords = list(basic)
             for s, idx in zip(signs, exceptional):
                 coords[idx] *= s
             seen[tuple(coords)] = None
-    return [HomologyClass._trusted(X.lattice, coords) for coords in seen]
+    return tuple(seen)
 
 
 def _overlattice_basis(det_c: int, adj_c, p: int):
@@ -515,7 +582,11 @@ def rational_blowdown(
     lattice geometry.  The geometry (complement, discriminant, overlattice,
     unimodularity and the push-down matrix) depends only on X's Gram, the
     vertex coordinates and p, so it comes from a bounded memo,
-    ``_blowdown_geometry``; the SW transfer runs on every call.
+    ``_blowdown_geometry``.  Which basic classes transfer, and their
+    push-down images, depend only on that and the table's classes, so they
+    come from a second one, ``_lift_plan``; the chamber values, the
+    divisibility of each image and the new table and model are computed on
+    every call.
     """
     if emb.vertex_classes is None:
         raise ValueError(
@@ -535,32 +606,31 @@ def rational_blowdown(
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    lattice_m, push, divisor = _blowdown_geometry(
-        X.lattice.gram, tuple(u.coords for u in emb.vertex_classes), p
-    )
+    vertices = tuple(u.coords for u in emb.vertex_classes)
+    lattice_m, push, divisor = _blowdown_geometry(X.lattice.gram, vertices, p)
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(
         lattice_m.basis, lattice_m.gram, new_name, rows=lattice_m.rows
     )
 
-    def push_down(k: HomologyClass) -> HomologyClass:
-        z = vec_mat(k.coords, push)
-        if any(x % divisor for x in z):
-            raise EmbeddingError(f"class {k.coords} does not descend to the new lattice")
-        return HomologyClass._trusted(new_lattice, tuple(x // divisor for x in z))
+    def push_down(coords, image) -> HomologyClass:
+        if any(x % divisor for x in image):
+            raise EmbeddingError(f"class {coords} does not descend to the new lattice")
+        return HomologyClass._trusted(new_lattice, tuple(x // divisor for x in image))
 
     # the new table and model go through the public constructors: whether the
     # pushed-down classes are characteristic, and whether the chamber values
     # of a table that is not antisymmetric stay closed under negation, is not
     # known by construction; nor is the caller's simply_connected flag
+    plan = _lift_plan(X.lattice, vertices, emb.chain, p, tuple(c for c, _ in X.sw.entries), True)
     entries = {}
-    for k, _ in X.sw.items():
-        if relative_square_of_restriction(emb, k) == -(p - 1):
-            value = chamber_sw(X, k, H)
+    for (coords, _), image in zip(X.sw.entries, plan):
+        if image is not None:
+            value = chamber_sw(X, HomologyClass._trusted(X.lattice, coords), H)
             if value != 0:
-                entries[push_down(k)] = value
+                entries[push_down(coords, image)] = value
     table = SWTable.from_pairs(new_lattice, entries, X.sw.convention_note)
-    marked = {"h": push_down(H.period)}
+    marked = {"h": push_down(H.period.coords, vec_mat(H.period.coords, push))}
     return FourManifoldModel(
         name=new_name,
         lattice=new_lattice,

@@ -20,13 +20,17 @@ DERIVED = "derived"
 DEFINITION = "definition"
 
 
+# the types canonical returns as they are
+_PLAIN = frozenset((bool, int, str, type(None)))
+
+
 def canonical(value):
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
+        return [v if type(v) in _PLAIN else canonical(v) for v in value]
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, int):
         return value
     return str(value)
@@ -41,8 +45,10 @@ class Check:
     provenance: str = DERIVED
 
     def __post_init__(self):
-        object.__setattr__(self, "expected", canonical(self.expected))
-        object.__setattr__(self, "computed", canonical(self.computed))
+        if type(self.expected) not in _PLAIN:
+            object.__setattr__(self, "expected", canonical(self.expected))
+        if type(self.computed) not in _PLAIN:
+            object.__setattr__(self, "computed", canonical(self.computed))
 
     @property
     def passed(self) -> bool:

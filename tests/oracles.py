@@ -6,7 +6,8 @@ plain ``Fraction`` elimination, chain determinants by the tridiagonal
 recurrence, linear solves by one ``Fraction`` Gauss-Jordan pass, lens-space
 boundaries by evaluating the continued fraction, characteristic vectors
 mod 2 by trying every 0/1 vector, twist words one letter at a time, the
-blowup-pair test by squaring every difference.
+blowup-pair test by squaring every difference, report values by recursing
+into every item.
 """
 
 from fractions import Fraction
@@ -181,3 +182,17 @@ def transformed_gram(p, diag_entries):
 def congruent_gram(rng, diag_entries):
     """Gram of a random basis change applied to a diagonal form."""
     return transformed_gram(random_unimodular(rng, len(diag_entries)), diag_entries)
+
+
+def recursive_canonical(value):
+    """A report value as JSON-ready data, one recursive call per item."""
+    if isinstance(value, (list, tuple)):
+        return [recursive_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): recursive_canonical(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value
+    return str(value)

@@ -78,16 +78,27 @@ def test_golden_output_bytes(capsys, argv):
 
 def test_outputs_equal_with_cold_and_warm_memos(capsys):
     from swsurgery.lattice import _signature_cached
-    from swsurgery.plumbing import _blowdown_geometry, intersection_matrix
+    from swsurgery.pipelines import _cycle_fiber_monodromy, _profile_lifts
+    from swsurgery.plumbing import (
+        _blowdown_geometry,
+        _explicit_embedding_report,
+        _lift_plan,
+        _sign_flips,
+        cp_chain,
+        intersection_matrix,
+    )
 
     commands = [("verify-paper", "--json")] + [
         ("family", key, "--n", str(n), "--json")
         for key in ("xn", "qn", "b7", "b8") for n in range(1, 6)
     ]
-    for memo in (_signature_cached, _blowdown_geometry, intersection_matrix):
+    for memo in (_signature_cached, _blowdown_geometry, intersection_matrix, _lift_plan,
+                 _explicit_embedding_report, _sign_flips, cp_chain, _cycle_fiber_monodromy,
+                 _profile_lifts):
         memo.cache_clear()
     cold = [run_cli(capsys, *argv) for argv in commands]
     assert _blowdown_geometry.cache_info().hits > 0
+    assert _lift_plan.cache_info().hits > 0
     warm = [run_cli(capsys, *argv) for argv in commands]
     assert cold == warm
     assert all(code == 0 for code, _, _ in cold)
@@ -186,6 +197,28 @@ def test_plumbing_chain_size_limit(capsys):
         code, out, err = run_cli(capsys, "plumbing", "cp", *argv)
         assert (code, out) == (2, "")
         assert f"the limit is {limit}" in err
+
+
+def test_plumbing_cp_builds_the_adjugate_only_to_invert(capsys, monkeypatch):
+    from swsurgery import plumbing
+
+    def refuse(*args):
+        raise AssertionError("the chain's adjugate was built")
+
+    monkeypatch.setattr(plumbing, "_continuant_adjugate", refuse)
+    plumbing.intersection_matrix.cache_clear()
+    weights = "--weights=" + ",".join(["-20"] * MAX_CHAIN_VERTICES)
+    # the digests of this output before the adjugate was dropped from it
+    for argv, digest in (
+        ((), "ad7212f04a50f090ca2b2109a85ea71bbe1b8832ec12266f6710eee2f41ac315"),
+        (("--boundary", "--json"),
+         "16c0d704ba55815450cf32a6356e7aaa5cd0e8a8388f635ab49602a6993c7b0b"),
+    ):
+        code, out, _ = run_cli(capsys, "plumbing", "cp", weights, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    with pytest.raises(AssertionError, match="adjugate was built"):
+        run_cli(capsys, "plumbing", "cp", weights, "--invert")
 
 
 def test_sw_knot_count_limit(capsys):

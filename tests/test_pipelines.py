@@ -11,6 +11,8 @@ from swsurgery.pipelines import (
     verify_paper,
 )
 
+from .trusted import memos
+
 
 @pytest.mark.parametrize("builder,b_minus", [
     (build_Xn, 6), (build_Qn, 5), (build_b7_family, 7), (build_b8_family, 8),
@@ -119,3 +121,31 @@ def test_b7_b8_derivations_labeled_derived():
         by_id = {c.id: c for c in rep.checks}
         assert by_id[f"{tag}.sw"].provenance == "derived"
         assert by_id[f"{tag}.u0.square"].provenance == "derived"
+
+
+def test_warm_builds_take_transfer_and_search_squares_from_memos(monkeypatch):
+    from swsurgery import plumbing
+
+    for memo in memos():
+        memo.cache_clear()
+    for key in FAMILIES:
+        build_family(key, 1)
+    calls = []
+    core = plumbing.relative_square
+
+    def counted(chain, vector):
+        calls.append(vector)
+        return core(chain, vector)
+
+    monkeypatch.setattr(plumbing, "relative_square", counted)
+    warm = {(key, n): build_family(key, n)[1] for key in FAMILIES for n in range(2, 6)}
+    # the SW transfer and the default lift search compute none: the only
+    # squares left are the ones the *.lift.relsquare checks report
+    asked = [c for rep in warm.values() for c in rep.checks if c.id.endswith(".lift.relsquare")]
+    assert len(asked) == 12
+    assert len(calls) == len(asked)
+    monkeypatch.undo()
+    for (key, n), rep in warm.items():
+        for memo in memos():
+            memo.cache_clear()
+        assert build_family(key, n)[1].to_json() == rep.to_json()

@@ -343,6 +343,25 @@ def test_failed_blowdown_geometry_raises_on_every_call(z3):
             rational_blowdown(z3, emb, 2, chamber, simply_connected=True)
 
 
+def test_failed_lift_check_raises_on_every_call(z3):
+    # T + E0 is not characteristic (it pairs evenly with E1); the search over
+    # the default candidates, which are, fills the memo for the same embedding
+    emb = FAMILIES["xn"].embedding(z3)
+    find_characteristic_lifts(emb, default_lift_candidates(z3), 7)
+    bad = z3.marked_class("T") + z3.marked_class("E0")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not characteristic"):
+            find_characteristic_lifts(emb, [bad], 7)
+        with pytest.raises(ValueError, match="not characteristic"):
+            find_characteristic_lifts(emb, [*default_lift_candidates(z3), bad], 7)
+
+
+def test_lift_candidates_are_all_classes_or_all_profiles(z3):
+    emb = FAMILIES["xn"].embedding(z3)
+    with pytest.raises(ValueError, match="all classes or all"):
+        find_characteristic_lifts(emb, [FAMILIES["xn"].lift(z3), {"T": 1}], 7)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(("xn", "qn")), st.lists(st.integers(-30, 30), min_size=13, max_size=13))
 def test_pairing_vector_matches_pair(z3, w3, key, coords):
