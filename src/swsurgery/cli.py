@@ -40,6 +40,14 @@ MAX_WORD_LETTERS = 1_000_000
 # is refused before any chain or polynomial is built
 MAX_CHAIN_VERTICES = 300
 MAX_KNOTS = 200
+# Magnitudes are bounded too, before any adjugate or polynomial is built.
+# Each adjugate entry is a product of two continuants, so n^2 times the bit
+# length of the largest continuant sizes the adjugate that --invert prints
+# (--p 301 comes to 1.5 million, 300 weights of -20 to 117 million).  An SW
+# coefficient has at most about 120 digits more than the twists together, so
+# 4000 twist digits keep every one printable (int to str stops at 4300)
+MAX_ADJUGATE_BITS = 150_000_000
+MAX_TWIST_DIGITS = 4000
 
 
 class CliError(Exception):
@@ -197,7 +205,13 @@ def cmd_plumbing_cp(args) -> int:
         chain = cp_chain(args.p)
     # the chain is a path in vertex order: its determinant is the last
     # leading continuant, and the adjugate is built only to be printed
-    det = _continuants(chain.weights)[0][-1]
+    lead, tail = _continuants(chain.weights)
+    det = lead[-1]
+    if args.invert:
+        size = chain.size ** 2 * max(abs(x).bit_length() for x in lead + tail)
+        if size > MAX_ADJUGATE_BITS:
+            raise CliError(f"n^2 x the largest continuant's bit length is {size}; "
+                           f"the limit for --invert is {MAX_ADJUGATE_BITS}")
     payload: dict = {
         "weights": list(chain.weights),
         "determinant": det,
@@ -231,6 +245,9 @@ def cmd_sw_e1_surgery(args) -> int:
         raise CliError(f"bad knot list {args.knots!r}; expected comma-separated integers")
     if len(twists) > MAX_KNOTS:
         raise CliError(f"{len(twists)} knots given; the limit is {MAX_KNOTS}")
+    digits = sum(len(str(abs(n))) for n in twists)
+    if digits > MAX_TWIST_DIGITS:
+        raise CliError(f"the twists have {digits} digits; the limit is {MAX_TWIST_DIGITS}")
     table = e1_knot_surgery_sw(twists)
     payload = {"knots": twists, "table": {str(j): v for j, v in sorted(table.items())}}
     lines = [f"knots: {', '.join(f'T({n})' for n in twists) or '(none)'}"]

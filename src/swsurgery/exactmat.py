@@ -1,13 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are row-major tuples of tuples. Everything is pure, deterministic,
-and floating-point free.  Inverses stay in ``int``: ``bareiss_adjugate``
-returns the determinant and the integer adjugate, and callers build a
-``fractions.Fraction`` only where a rational entry is output (linear
-plumbing chains skip elimination altogether and take their adjugate from
-continuants, see ``plumbing``).  Ranks, kernels and row spans come from
-one integer echelon, ``row_echelon_unimodular``.  Only the signature
-routine ``symmetric_diagonalize`` works over ``Fraction``.
+and floating-point free.  Determinants and inverses come from one
+fraction-free elimination, ``bareiss_adjugate``, which returns the
+determinant and the integer adjugate; callers build a ``fractions.Fraction``
+only where a rational entry is output (linear plumbing chains take theirs
+from continuants instead, see ``plumbing``).  Ranks, kernels and row spans
+come from one integer echelon, ``row_echelon_unimodular``.  Only the
+signature routine ``symmetric_diagonalize`` works over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -55,29 +55,6 @@ def is_symmetric(m) -> bool:
     return all(len(row) == n for row in m) and all(
         m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
     )
-
-
-def bareiss_det(m) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def bareiss_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...]]:

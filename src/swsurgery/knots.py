@@ -50,10 +50,6 @@ class LaurentPolynomial:
         return cls._trusted(tuple(sorted((e, c) for e, c in sums.items() if c)))
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls(())
-
-    @classmethod
     def constant(cls, c: int) -> "LaurentPolynomial":
         return cls(((0, c),))
 

@@ -10,6 +10,7 @@ meaning in every model derived from E(1).
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .knots import TwistKnot, knot_surgery_manifold
 from .lattice import HomologyClass, IntersectionLattice
@@ -130,19 +131,14 @@ I6_HEXAGON_COEFFS = {
 
 # Intersection profile of the W_n chain: the five cycle components pair to
 # zero with T, E0, E1, and only the first vertex meets u0.  This is the data
-# the lift search actually consumes; the explicit realization (the qn row of
-# pipelines.FAMILIES) is cross-checked against it.
-WN_C7_PROFILE = {
-    "gram": [list(row) for row in cp_chain(7).matrix()],
-    "pairings": {
-        "T": [1, 0, 0, 0, 0, 0],
-        "E0": [2, 0, 0, 0, 0, 0],
-        "E1": [2, 0, 0, 0, 0, 0],
-    },
-}
-
-
-def wn_c7_profile_embedding(wn: FourManifoldModel) -> ConfigurationEmbedding:
-    return ConfigurationEmbedding(ambient=wn, chain=cp_chain(7),
-                                  profile_gram=WN_C7_PROFILE["gram"],
-                                  profile_pairings=WN_C7_PROFILE["pairings"])
+# the qn profile checks consume: the explicit realization (the qn row of
+# pipelines.FAMILIES) is compared with it, and the lift search runs on its
+# rows, given as (name, row) pairs.
+WN_C7_PROFILE = MappingProxyType({
+    "gram": cp_chain(7).matrix(),
+    "pairings": (
+        ("T", (1, 0, 0, 0, 0, 0)),
+        ("E0", (2, 0, 0, 0, 0, 0)),
+        ("E1", (2, 0, 0, 0, 0, 0)),
+    ),
+})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable
 
 from . import models
@@ -43,7 +44,6 @@ from .models import (
     e1,
     e6_embedding,
     e6_sphere_classes,
-    wn_c7_profile_embedding,
     y_n,
 )
 from .monodromy import evaluate, parabolic_width, verify_factorization
@@ -55,6 +55,7 @@ from .plumbing import (
     find_characteristic_lifts,
     intersection_matrix,
     rational_blowdown,
+    relative_square,
     relative_square_of_restriction,
     verify_embedding,
 )
@@ -172,17 +173,19 @@ def _cycle_fiber_monodromy(factorization: str, fibration: str, block: str):
 
 
 @lru_cache(maxsize=4)
-def _profile_lifts(chain, gram, pairings) -> tuple:
+def _profile_lifts(chain, rows) -> tuple:
     """The qn profile-level lift search over both sign families, from the
-    shipped profile data only: each lift found as sorted (name, coeff) pairs."""
-    profile = ConfigurationEmbedding(ambient=None, chain=chain, profile_gram=gram,
-                                     profile_pairings=dict(pairings))
-    candidates = [
-        {"T": st * mult, "E0": s0, "E1": s1}
-        for mult in (3, 1) for st in (1, -1) for s0 in (1, -1) for s1 in (1, -1)
-    ]
-    return tuple(sorted(tuple(sorted(d.items()))
-                        for d in find_characteristic_lifts(profile, candidates, 7)))
+    shipped (name, row) pairings only: the combinations sum coeff * row whose
+    relative square is -(p - 1) on ``chain`` = cp_chain(p), which has p - 1
+    vertices, each as sorted (name, coeff) pairs."""
+    named = dict(rows)
+    lifts = []
+    for mult, st, s0, s1 in product((3, 1), (1, -1), (1, -1), (1, -1)):
+        coeffs = (("E0", s0), ("E1", s1), ("T", st * mult))
+        vector = [sum(c * named[name][i] for name, c in coeffs) for i in range(chain.size)]
+        if relative_square(chain, vector) == -chain.size:
+            lifts.append(coeffs)
+    return tuple(sorted(lifts))
 
 
 def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
@@ -207,17 +210,17 @@ def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
             [14, -10], [w.euler, w.sign], DEFINITION)
     rep.add("qn.u0.square", "pseudo-section with both double points blown up",
             -9, square(emb.vertex_classes[0]), REPORTED)
-    profile = wn_c7_profile_embedding(w)
+    rows = models.WN_C7_PROFILE["pairings"]
     rep.add("qn.profile.gram", "shipped profile matches the realized chain",
-            [list(r) for r in profile.realized_gram()],
+            [list(r) for r in models.WN_C7_PROFILE["gram"]],
             [list(r) for r in emb.realized_gram()], DERIVED)
-    for name in ("T", "E0", "E1"):
+    for name, row in rows:
         rep.add(f"qn.profile.{name}", f"profile row of {name} matches the realization",
-                list(profile.profile_row(name)), list(emb.profile_row(name)), DERIVED)
+                list(row), list(emb.profile_row(name)), DERIVED)
     expected_lifts = [{"T": 3, "E0": 1, "E1": 1}, {"T": -3, "E0": -1, "E1": -1}]
     rep.add("qn.lifts.profile", "profile-level lift search over both sign families",
             sorted(sorted([k, v] for k, v in d.items()) for d in expected_lifts),
-            _profile_lifts(profile.chain, profile.profile_gram, profile.profile_pairings),
+            _profile_lifts(cp_chain(7), rows),
             REPORTED)
 
 FAMILIES = {spec.key: spec for spec in (

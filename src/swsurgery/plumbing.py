@@ -20,7 +20,6 @@ from math import gcd
 from .exactmat import (
     SingularMatrixError,
     bareiss_adjugate,
-    bareiss_det,
     dot,
     freeze,
     hnf_row_basis,
@@ -259,16 +258,13 @@ def _linear_order(chain: PlumbingChain) -> tuple[int, ...]:
 class ConfigurationEmbedding:
     """A plumbing configuration inside an ambient model.
 
-    Either explicit ambient classes for every vertex are given, or only an
-    intersection profile: the vertex Gram matrix plus a ``{name: row}`` dict
-    giving, for each named ambient class of interest, its vector of pairings
-    with the vertices.  Explicit classes are the stronger form; profiles
-    suffice for lift searches and relative squares.
-
-    With explicit classes, the images G u_i of the vertices under the
-    ambient Gram are computed once, at construction, so that every pairing
-    with a vertex (``pairing_vector``, ``realized_gram``, relative squares)
-    is one dot product.
+    Verification, lift searches and blowdowns take explicit ambient classes
+    for every vertex; their images G u_i under the ambient Gram are computed
+    once, at construction, so that every pairing with a vertex is one dot
+    product.  An intersection profile instead (the vertex Gram plus a
+    ``{name: row}`` dict of pairings with the vertices) supports only
+    ``realized_gram``, ``profile_row`` and ``pairing_vector({name: coeff})``,
+    hence relative squares of named combinations.
     """
 
     ambient: FourManifoldModel
@@ -277,7 +273,7 @@ class ConfigurationEmbedding:
     profile_gram: tuple[tuple[int, ...], ...] | None = None
     # given as a {name: row} dict, kept as sorted (name, row) pairs
     profile_pairings: tuple[tuple[str, tuple[int, ...]], ...] | None = None
-    # G u_i for every vertex class u_i, or None for a profile-only embedding
+    # G u_i for every vertex class u_i, or None for a profile
     vertex_images: tuple[tuple[int, ...], ...] | None = field(
         init=False, repr=False, compare=False)
 
@@ -321,7 +317,7 @@ class ConfigurationEmbedding:
         raise KeyError(f"no pairing profile for class {name!r}")
 
     def pairing_vector(self, candidate) -> tuple[int, ...]:
-        """Vector (candidate . u_i); candidate is a class or {name: coeff}."""
+        """Vector (candidate . u_i); candidate is a class, or {name: coeff} on a profile."""
         if isinstance(candidate, HomologyClass):
             if self.vertex_classes is None:
                 raise ValueError(
@@ -345,33 +341,34 @@ class EmbeddingReport:
         return tuple(desc for desc, good in self.entries if not good)
 
 
+def _vertex_coords(emb: ConfigurationEmbedding) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of the vertex classes, which a profile does not have."""
+    if emb.vertex_classes is None:
+        raise ValueError("this step needs explicit vertex classes; a profile supports "
+                         "only pairing vectors and relative squares")
+    return tuple(u.coords for u in emb.vertex_classes)
+
+
 def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = None) -> EmbeddingReport:
     """Check a realized configuration against its chain, entry by entry.
 
     Mismatch is a report outcome, not an error.  For the seven-sphere tree the
     checks are the tree adjacency (central vertex with three length-2 legs)
-    and orthogonality of every vertex to the marked fiber T.  With explicit
-    vertex classes the report depends only on the ambient Gram, the vertex
-    coordinates, the chain and the fiber's coordinates, so it comes from a
-    bounded memo, ``_explicit_embedding_report``.
+    and orthogonality of every vertex to the marked fiber T.  The report
+    depends only on the ambient Gram, the vertex coordinates, the chain and
+    the fiber's coordinates, so it comes from a bounded memo,
+    ``_embedding_report``.
     """
     chain = chain or emb.chain
-    if emb.vertex_classes is None:
-        return _embedding_report(emb.profile_gram, chain, None)
+    vertices = _vertex_coords(emb)
     fiber = None if chain.is_linear() else emb.ambient.marked_class("T").coords
-    return _explicit_embedding_report(
-        emb.ambient.lattice.gram, tuple(u.coords for u in emb.vertex_classes), chain, fiber)
+    return _embedding_report(emb.ambient.lattice.gram, vertices, chain, fiber)
 
 
 @lru_cache(maxsize=64)
-def _explicit_embedding_report(gram, vertices, chain, fiber) -> EmbeddingReport:
+def _embedding_report(gram, vertices, chain: PlumbingChain, fiber) -> EmbeddingReport:
     images = [mat_vec(gram, u) for u in vertices]
     realized = [[dot(u, image) for image in images] for u in vertices]
-    fiber_row = None if fiber is None else [dot(fiber, image) for image in images]
-    return _embedding_report(realized, chain, fiber_row)
-
-
-def _embedding_report(realized, chain: PlumbingChain, fiber_row) -> EmbeddingReport:
     entries: list[tuple[str, bool]] = []
     expected = chain.matrix()
     entries.append((f"configuration size {chain.size}", len(realized) == chain.size))
@@ -386,9 +383,8 @@ def _embedding_report(realized, chain: PlumbingChain, fiber_row) -> EmbeddingRep
     if not chain.is_linear():
         entries.append(("tree adjacency: central vertex with three length-2 legs",
                         _is_three_leg_star(chain)))
-        if fiber_row is not None:
-            for i, x in enumerate(fiber_row):
-                entries.append((f"vertex {i} orthogonal to the fiber", x == 0))
+        for i, image in enumerate(images):
+            entries.append((f"vertex {i} orthogonal to the fiber", dot(fiber, image) == 0))
     return EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
 
 
@@ -426,30 +422,20 @@ def relative_square_of_restriction(emb: ConfigurationEmbedding, k) -> Fraction:
 
 
 def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
-    """Filter candidates whose relative restriction square equals -(p - 1).
+    """The classes among ``candidates`` whose restriction has relative square -(p - 1).
 
     That is the value preserving the formal dimension through the blowdown.
-    Candidates are all explicit classes or all profile ({name: coeff} maps).
-    Explicit classes must be characteristic in the ambient lattice; their
-    characteristic tests and restriction squares come from the bounded memo
-    ``_lift_plan``, keyed on exact data, so a repeated search costs one
-    lookup.  Profile candidates are taken as asserted characteristic and
-    tested on every call.  The output is closed under negation whenever the
-    input is.
+    Every candidate must be a characteristic class of the ambient lattice.
+    The characteristic tests and restriction squares come from the bounded
+    memo ``_lift_plan``, keyed on exact data, so a repeated search costs one
+    lookup.  The output is closed under negation whenever the input is.
     """
-    explicit = [c for c in candidates if isinstance(c, HomologyClass)]
-    if not explicit:
-        return [c for c in candidates if relative_square_of_restriction(emb, c) == -(p - 1)]
-    if len(explicit) != len(candidates):
-        raise ValueError("lift candidates must be all classes or all {name: coeff} maps")
-    if emb.vertex_classes is None:
-        raise ValueError("profile-only embedding: pass candidates as {name: coeff} combinations")
+    vertices = _vertex_coords(emb)
     lattice = emb.ambient.lattice
-    for c in explicit:
+    for c in candidates:
         require_same_lattice(c.lattice, lattice)
-    plan = _lift_plan(lattice, tuple(u.coords for u in emb.vertex_classes), emb.chain, p,
-                      tuple(c.coords for c in explicit), False)
-    return [c for c, kept in zip(explicit, plan) if kept is not None]
+    plan = _lift_plan(lattice, vertices, emb.chain, p, tuple(c.coords for c in candidates), False)
+    return [c for c, kept in zip(candidates, plan) if kept is not None]
 
 
 @lru_cache(maxsize=64)
@@ -545,7 +531,8 @@ def _blowdown_geometry(gram, vertices, p: int):
     if any(x % den2 for row in scaled for x in row):
         raise EmbeddingError("overlattice pairing is not integral")
     gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
-    if abs(bareiss_det(gram_m)) != 1:
+    # nonsingular, as M contains the nondegenerate C with finite index
+    if abs(bareiss_adjugate(gram_m)[0]) != 1:
         raise EmbeddingError("overlattice is not unimodular")
     # symmetric as gram_c is, and nondegenerate as unimodular: built trusted
     lattice_m = IntersectionLattice._trusted(tuple(f"c{i}" for i in range(len(gram_m))), gram_m)
@@ -569,30 +556,21 @@ def rational_blowdown(
 ) -> FourManifoldModel:
     """Replace an embedded order-p chain by the rational ball it bounds.
 
-    Requirements: the embedding verifies against cp_chain(p) with explicit
-    vertex classes, and the period class H is orthogonal to every vertex.
-    The new model's lattice is the unimodular overlattice of the orthogonal
-    complement of the vertices; euler drops by p - 1, sign rises by p - 1,
-    and the SW table transfers through the characteristic lifts found among
-    X's basic classes, evaluated in the chamber of H (wall-crossing
-    corrections included by chamber_sw).  Simple connectivity of the result
-    is supplied by the caller with a justification note.
+    First checked: the embedding's explicit vertex classes realize
+    cp_chain(p), and the period class H is orthogonal to every vertex.  The
+    new lattice is the unimodular overlattice of the orthogonal complement
+    of the vertices; euler drops by p - 1, sign rises by p - 1, and the SW
+    table transfers through the characteristic lifts among X's basic
+    classes, evaluated in the chamber of H (wall crossing included by
+    chamber_sw).  Simple connectivity is supplied by the caller with a
+    justification note.
 
-    The checks run in this order: the embedding, the period class, then the
-    lattice geometry.  The geometry (complement, discriminant, overlattice,
-    unimodularity and the push-down matrix) depends only on X's Gram, the
-    vertex coordinates and p, so it comes from a bounded memo,
-    ``_blowdown_geometry``.  Which basic classes transfer, and their
-    push-down images, depend only on that and the table's classes, so they
-    come from a second one, ``_lift_plan``; the chamber values, the
+    The lattice geometry comes from the memo ``_blowdown_geometry`` and the
+    transfer (which classes survive, and their push-down images) from
+    ``_lift_plan``, both keyed on exact data; the chamber values, the
     divisibility of each image and the new table and model are computed on
     every call.
     """
-    if emb.vertex_classes is None:
-        raise ValueError(
-            "rational blowdown needs explicit vertex classes; profiles support "
-            "only lift searches and relative squares"
-        )
     chain = cp_chain(p)
     report = verify_embedding(emb, chain)
     if not report.ok:
@@ -606,7 +584,7 @@ def rational_blowdown(
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    vertices = tuple(u.coords for u in emb.vertex_classes)
+    vertices = _vertex_coords(emb)
     lattice_m, push, divisor = _blowdown_geometry(X.lattice.gram, vertices, p)
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(

@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from swsurgery.cli import MAX_CHAIN_VERTICES, MAX_KNOTS, main
+from swsurgery.cli import (
+    MAX_ADJUGATE_BITS,
+    MAX_CHAIN_VERTICES,
+    MAX_KNOTS,
+    MAX_TWIST_DIGITS,
+    main,
+)
 from swsurgery.manifold import FourManifoldModel
 
 
@@ -81,7 +87,7 @@ def test_outputs_equal_with_cold_and_warm_memos(capsys):
     from swsurgery.pipelines import _cycle_fiber_monodromy, _profile_lifts
     from swsurgery.plumbing import (
         _blowdown_geometry,
-        _explicit_embedding_report,
+        _embedding_report,
         _lift_plan,
         _sign_flips,
         cp_chain,
@@ -93,7 +99,7 @@ def test_outputs_equal_with_cold_and_warm_memos(capsys):
         for key in ("xn", "qn", "b7", "b8") for n in range(1, 6)
     ]
     for memo in (_signature_cached, _blowdown_geometry, intersection_matrix, _lift_plan,
-                 _explicit_embedding_report, _sign_flips, cp_chain, _cycle_fiber_monodromy,
+                 _embedding_report, _sign_flips, cp_chain, _cycle_fiber_monodromy,
                  _profile_lifts):
         memo.cache_clear()
     cold = [run_cli(capsys, *argv) for argv in commands]
@@ -229,6 +235,53 @@ def test_sw_knot_count_limit(capsys):
     code, out, err = run_cli(capsys, "sw", "e1-surgery", f"--knots={knots},1")
     assert (code, out) == (2, "")
     assert f"{MAX_KNOTS + 1} knots given; the limit is {MAX_KNOTS}" in err
+
+
+def test_plumbing_inverse_size_budget(capsys, monkeypatch):
+    import swsurgery.cli as cli
+    from swsurgery.plumbing import _continuants
+
+    def refuse(*args):
+        raise AssertionError("the adjugate was built")
+
+    def size(weights):
+        lead, tail = _continuants(weights)
+        return len(weights) ** 2 * max(abs(x).bit_length() for x in lead + tail)
+
+    # a heavy head on a -2 tail: the smallest head past the budget, and the one before it
+    n = MAX_CHAIN_VERTICES
+    head = 2 ** (MAX_ADJUGATE_BITS // n ** 2 - 12)
+    while size((-head,) + (-2,) * (n - 1)) <= MAX_ADJUGATE_BITS:
+        head *= 2
+    assert size((-(head // 2),) + (-2,) * (n - 1)) <= MAX_ADJUGATE_BITS
+    monkeypatch.setattr(cli, "intersection_matrix", refuse)
+    past = "--weights=" + ",".join([str(-head)] + ["-2"] * (n - 1))
+    code, out, err = run_cli(capsys, "plumbing", "cp", past, "--invert")
+    assert (code, out) == (2, "")
+    assert f"the limit for --invert is {MAX_ADJUGATE_BITS}" in err
+    within = "--weights=" + ",".join([str(-(head // 2))] + ["-2"] * (n - 1))
+    with pytest.raises(AssertionError, match="adjugate was built"):
+        run_cli(capsys, "plumbing", "cp", within, "--invert")
+    # without --invert no adjugate is built, so there is no budget
+    code, out, _ = run_cli(capsys, "plumbing", "cp", past, "--json")
+    assert code == 0 and json.loads(out)["weights"][0] == -head
+
+
+def test_sw_twist_digit_budget(capsys, monkeypatch):
+    import swsurgery.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the SW polynomial was built")
+
+    # 200 twists of 20 digits sit at the budget; one digit more is past it
+    twists = ["9" * (MAX_TWIST_DIGITS // MAX_KNOTS)] * MAX_KNOTS
+    code, out, _ = run_cli(capsys, "sw", "e1-surgery", "--knots=" + ",".join(twists), "--json")
+    assert code == 0 and len(json.loads(out)["table"]) > 0
+    monkeypatch.setattr(cli, "e1_knot_surgery_sw", refuse)
+    for past in (twists[:-1] + ["-1" + twists[-1]], ["1" + "0" * MAX_TWIST_DIGITS]):
+        code, out, err = run_cli(capsys, "sw", "e1-surgery", "--knots=" + ",".join(past))
+        assert (code, out) == (2, "")
+        assert f"digits; the limit is {MAX_TWIST_DIGITS}" in err
 
 
 def test_sw_e1_surgery(capsys):

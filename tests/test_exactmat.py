@@ -6,7 +6,6 @@ import pytest
 from swsurgery.exactmat import (
     SingularMatrixError,
     bareiss_adjugate,
-    bareiss_det,
     hnf_row_basis,
     kernel_rows,
     identity,
@@ -15,15 +14,23 @@ from swsurgery.exactmat import (
     transpose,
 )
 
-from .oracles import random_unimodular
+from .oracles import fraction_det, random_unimodular
+
+
+def _det(m):
+    """The determinant from ``bareiss_adjugate``, 0 where it finds m singular."""
+    try:
+        return bareiss_adjugate(m)[0]
+    except SingularMatrixError:
+        return 0
 
 
 def test_bareiss_small_cases():
-    assert bareiss_det(((2,),)) == 2
-    assert bareiss_det(((1, 2), (3, 4))) == -2
-    assert bareiss_det(((0, 1), (1, 0))) == -1
-    assert bareiss_det(((1, 1), (1, 1))) == 0
-    assert bareiss_det(()) == 1
+    assert _det(((2,),)) == 2
+    assert _det(((1, 2), (3, 4))) == -2
+    assert _det(((0, 1), (1, 0))) == -1
+    assert _det(((1, 1), (1, 1))) == 0
+    assert _det(()) == 1
 
 
 def test_bareiss_multiplicative_random():
@@ -32,8 +39,8 @@ def test_bareiss_multiplicative_random():
         n = rng.randint(1, 4)
         a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         u = random_unimodular(rng, n)
-        assert bareiss_det(matmul(u, a)) == bareiss_det(u) * bareiss_det(a)
-        assert bareiss_det(u) in (1, -1)
+        assert _det(matmul(u, a)) == _det(u) * _det(a) == fraction_det(matmul(u, a))
+        assert _det(u) in (1, -1)
 
 
 def test_bareiss_adjugate_inverse_and_singular():

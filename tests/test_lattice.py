@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swsurgery.exactmat import bareiss_det
 from swsurgery.lattice import (
     DegenerateFormError,
     HomologyClass,
@@ -20,7 +19,13 @@ from swsurgery.models import class_from_coeffs, e6_sphere_classes
 from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import cp_chain, intersection_matrix
 
-from .oracles import congruent_gram, minors_signature, naive_is_characteristic, naive_pair
+from .oracles import (
+    congruent_gram,
+    fraction_det,
+    minors_signature,
+    naive_is_characteristic,
+    naive_pair,
+)
 from .trusted import memos
 
 
@@ -212,7 +217,7 @@ def lattices_with_vectors(draw):
     for i in range(n):
         for j in (i,) if diagonal else range(i, n):
             gram[i][j] = gram[j][i] = draw(entries)
-    relative = bareiss_det(gram) == 0 or draw(st.booleans())
+    relative = fraction_det(gram) == 0 or draw(st.booleans())
     lattice = IntersectionLattice(tuple(f"g{i}" for i in range(n)), gram, relative=relative)
     vectors = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
     return lattice, draw(vectors), draw(vectors), draw(vectors)

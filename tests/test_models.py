@@ -1,9 +1,9 @@
 from swsurgery.lattice import pair, square
 from swsurgery.models import (
     I6_HEXAGON_COEFFS,
+    WN_C7_PROFILE,
     class_from_coeffs,
     e6_sphere_classes,
-    wn_c7_profile_embedding,
 )
 from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import PlumbingChain, verify_embedding
@@ -42,10 +42,10 @@ def test_i6_hexagon_structure(v3):
 
 def test_wn_profile_matches_realization(w3):
     emb = FAMILIES["qn"].embedding(w3)
-    profile = wn_c7_profile_embedding(w3)
-    assert emb.realized_gram() == profile.realized_gram()
-    for name in ("T", "E0", "E1"):
-        assert emb.profile_row(name) == profile.profile_row(name)
+    assert emb.realized_gram() == WN_C7_PROFILE["gram"]
+    assert [name for name, _ in WN_C7_PROFILE["pairings"]] == ["T", "E0", "E1"]
+    for name, row in WN_C7_PROFILE["pairings"]:
+        assert emb.profile_row(name) == row
     assert verify_embedding(emb).ok
 
 

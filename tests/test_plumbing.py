@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from swsurgery.exactmat import SingularMatrixError, matmul
 from swsurgery.lattice import LatticeMismatchError, pair, square
 from swsurgery.manifold import Chamber
-from swsurgery.models import (
-    class_from_coeffs,
-    e6_embedding,
-    wn_c7_profile_embedding,
-)
+from swsurgery.models import WN_C7_PROFILE, class_from_coeffs, e6_embedding
 from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import (
     ConfigurationEmbedding,
@@ -30,7 +26,19 @@ from swsurgery.plumbing import (
     verify_embedding,
 )
 
-from .oracles import chain_determinant_recurrence, continued_fraction, gauss_jordan_solve
+from .oracles import (
+    chain_determinant_recurrence,
+    continued_fraction,
+    fraction_det,
+    gauss_jordan_solve,
+)
+
+
+def _wn_profile(w3):
+    """The shipped W_n profile as a profile-only embedding."""
+    return ConfigurationEmbedding(ambient=w3, chain=cp_chain(7),
+                                  profile_gram=WN_C7_PROFILE["gram"],
+                                  profile_pairings=dict(WN_C7_PROFILE["pairings"]))
 
 
 def test_cp_chain_shapes():
@@ -274,13 +282,11 @@ def test_lift_searches(z3, w3):
 
 
 def test_lift_closed_under_negation(w3):
-    emb = wn_c7_profile_embedding(w3)
-    candidates = [{"T": st, "E0": s0, "E1": s1}
-                  for st in (3, -3, 1, -1) for s0 in (1, -1) for s1 in (1, -1)]
+    emb = FAMILIES["qn"].embedding(w3)
+    candidates = default_lift_candidates(w3)
+    assert {c.coords for c in candidates} == {(-c).coords for c in candidates}
     found = find_characteristic_lifts(emb, candidates, 7)
-    as_sets = {tuple(sorted(d.items())) for d in found}
-    negated = {tuple(sorted((k, -v) for k, v in d.items())) for d in found}
-    assert as_sets == negated
+    assert found and {k.coords for k in found} == {(-k).coords for k in found}
 
 
 def test_lift_requires_characteristic(z3):
@@ -290,11 +296,21 @@ def test_lift_requires_characteristic(z3):
 
 
 def test_rational_blowdown_requires_classes(w3):
-    emb = wn_c7_profile_embedding(w3)
+    emb = _wn_profile(w3)
     with pytest.raises(ValueError, match="profile-only"):
         emb.pairing_vector(w3.marked_class("T"))
     with pytest.raises(ValueError, match="explicit vertex classes"):
         rational_blowdown(w3, emb, 7, FAMILIES["qn"].chamber(w3), simply_connected=True)
+
+
+@pytest.mark.parametrize("step", [
+    lambda emb, w: verify_embedding(emb),
+    lambda emb, w: find_characteristic_lifts(emb, default_lift_candidates(w), 7),
+    lambda emb, w: rational_blowdown(w, emb, 7, FAMILIES["qn"].chamber(w), simply_connected=True),
+], ids=["verify_embedding", "find_characteristic_lifts", "rational_blowdown"])
+def test_profile_steps_need_explicit_vertex_classes(w3, step):
+    with pytest.raises(ValueError, match="needs explicit vertex classes"):
+        step(_wn_profile(w3), w3)
 
 
 def test_rational_blowdown_checks_chamber(z3):
@@ -313,7 +329,6 @@ def test_rational_blowdown_checks_embedding(z3):
 
 
 def test_rational_blowdown_output(z3):
-    from swsurgery.exactmat import bareiss_det
     from swsurgery.lattice import is_characteristic, signature_and_betti
 
     model = rational_blowdown(
@@ -322,7 +337,7 @@ def test_rational_blowdown_output(z3):
     )
     assert model.lattice.rank == 7
     assert signature_and_betti(model.lattice) == (1, 6)
-    assert abs(bareiss_det(model.lattice.gram)) == 1
+    assert abs(fraction_det(model.lattice.gram)) == 1
     assert (model.euler, model.sign) == (9, -5)
     assert model.sw.magnitudes() == (3, 3)
     k = model.sw.classes()[0]
@@ -354,12 +369,6 @@ def test_failed_lift_check_raises_on_every_call(z3):
             find_characteristic_lifts(emb, [bad], 7)
         with pytest.raises(ValueError, match="not characteristic"):
             find_characteristic_lifts(emb, [*default_lift_candidates(z3), bad], 7)
-
-
-def test_lift_candidates_are_all_classes_or_all_profiles(z3):
-    emb = FAMILIES["xn"].embedding(z3)
-    with pytest.raises(ValueError, match="all classes or all"):
-        find_characteristic_lifts(emb, [FAMILIES["xn"].lift(z3), {"T": 1}], 7)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
