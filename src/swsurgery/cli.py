@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 all checks passed, 1 a check failed or stdout closed early,
+2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -15,7 +17,7 @@ from .knots import e1_knot_surgery_sw
 from .lattice import HomologyClass, is_characteristic, pair, square
 from .manifold import FourManifoldModel
 from .models import class_from_coeffs, e1, v_n, y_n
-from .monodromy import WordSyntaxError, parse_word, verify_factorization
+from .monodromy import parse_word, verify_factorization
 from .plumbing import (
     PlumbingChain,
     _continuants,
@@ -43,11 +45,13 @@ MAX_KNOTS = 200
 # Magnitudes are bounded too, before any adjugate or polynomial is built.
 # Each adjugate entry is a product of two continuants, so n^2 times the bit
 # length of the largest continuant sizes the adjugate that --invert prints
-# (--p 301 comes to 1.5 million, 300 weights of -20 to 117 million).  An SW
-# coefficient has at most about 120 digits more than the twists together, so
-# 4000 twist digits keep every one printable (int to str stops at 4300)
+# (--p 301 comes to 1.5 million, 300 weights of -20 to 117 million).  The
+# printed integers stay below 4300 digits, where int to str stops, when the
+# inputs have at most 4000 digits together: an SW coefficient has at most
+# about 120 digits more than the twists, and a continuant is at most the
+# product of the |weight| + 1, below 10^(the weights' digits)
 MAX_ADJUGATE_BITS = 150_000_000
-MAX_TWIST_DIGITS = 4000
+MAX_INPUT_DIGITS = 4000
 
 
 class CliError(Exception):
@@ -192,6 +196,12 @@ def _check_chain_size(vertices: int) -> None:
         raise CliError(f"the chain has {vertices} vertices; the limit is {MAX_CHAIN_VERTICES}")
 
 
+def _check_digits(values, what: str) -> None:
+    digits = sum(len(str(abs(v))) for v in values)
+    if digits > MAX_INPUT_DIGITS:
+        raise CliError(f"the {what} have {digits} digits; the limit is {MAX_INPUT_DIGITS}")
+
+
 def cmd_plumbing_cp(args) -> int:
     if args.weights is not None:
         try:
@@ -199,6 +209,7 @@ def cmd_plumbing_cp(args) -> int:
         except ValueError:
             raise CliError(f"bad weight list {args.weights!r}; expected comma-separated integers")
         _check_chain_size(len(weights))
+        _check_digits(weights, "weights")
         chain = PlumbingChain(weights, tuple((i, i + 1) for i in range(len(weights) - 1)))
     else:
         _check_chain_size(args.p - 1)
@@ -245,9 +256,7 @@ def cmd_sw_e1_surgery(args) -> int:
         raise CliError(f"bad knot list {args.knots!r}; expected comma-separated integers")
     if len(twists) > MAX_KNOTS:
         raise CliError(f"{len(twists)} knots given; the limit is {MAX_KNOTS}")
-    digits = sum(len(str(abs(n))) for n in twists)
-    if digits > MAX_TWIST_DIGITS:
-        raise CliError(f"the twists have {digits} digits; the limit is {MAX_TWIST_DIGITS}")
+    _check_digits(twists, "twists")
     table = e1_knot_surgery_sw(twists)
     payload = {"knots": twists, "table": {str(j): v for j, v in sorted(table.items())}}
     lines = [f"knots: {', '.join(f'T({n})' for n in twists) or '(none)'}"]
@@ -352,16 +361,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, WordSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:  # WordSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull, so the
+        # flush at interpreter exit cannot raise again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

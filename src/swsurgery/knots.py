@@ -2,13 +2,13 @@
 
 Laurent polynomials live in one variable t with half-integer exponents
 allowed; exponents are stored doubled as integers so all arithmetic stays
-in Z.  The surgery rule rewrites a symmetric Alexander polynomial through
-the variable s = t^(1/2) - t^(-1/2) and reads SW values for multiples of
-the fiber off the Laurent expansion of (P(s^2) - P(0)) / s.
+in Z.  The surgery rule reads SW values for multiples of the fiber off the
+exact Laurent quotient (D - D(1)) / (t^(1/2) - t^(-1/2)), where D is the
+product of the knots' Alexander polynomials.
 
 ``LaurentPolynomial(terms)``, ``from_doubled`` and ``parse`` normalize and
-validate outside terms; the arithmetic builds its already-normalized results
-through ``LaurentPolynomial._trusted``.  The surgery rule builds its SW table
+validate outside terms; products build their already-normalized results
+through ``LaurentPolynomial._trusted``.  Knot surgery builds its SW table
 and model trusted as well: every class in the table is an odd multiple j T
 of the fiber, characteristic when T is (checked once), the quotient is
 antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
@@ -45,49 +45,16 @@ class LaurentPolynomial:
         return self
 
     @classmethod
-    def _from_sums(cls, sums: dict[int, int]) -> "LaurentPolynomial":
-        """The polynomial of an int {doubled exponent: coefficient} map."""
-        return cls._trusted(tuple(sorted((e, c) for e, c in sums.items() if c)))
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPolynomial":
-        return cls(((0, c),))
-
-    @classmethod
     def from_doubled(cls, mapping) -> "LaurentPolynomial":
         return cls(tuple(mapping.items()))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = self.as_dict()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial._from_sums(out)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._trusted(tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPolynomial._trusted(())
-            return LaurentPolynomial._trusted(tuple((e, c * other) for e, c in self.terms))
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial._from_sums(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return LaurentPolynomial._trusted(tuple(sorted((e, c) for e, c in out.items() if c)))
 
     def mirror(self) -> "LaurentPolynomial":
         """Substitution t -> t^(-1)."""
@@ -102,37 +69,16 @@ class LaurentPolynomial:
     def has_half_powers(self) -> bool:
         return any(e % 2 for e, _ in self.terms)
 
-    def top_doubled_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return self.terms[-1][0]
-
-    def coefficient(self, doubled_exponent: int) -> int:
-        for e, c in self.terms:
-            if e == doubled_exponent:
-                return c
-        return 0
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in sorted(self.terms, reverse=True):
-            if e == 0:
-                body = str(abs(c))
-            else:
-                if e % 2 == 0:
-                    power = f"t^{e // 2}"
-                else:
-                    power = f"t^{e}/2"
-                body = power if abs(c) == 1 else f"{abs(c)}{power}"
-            sign = "-" if c < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        text = ""
+        for e, c in reversed(self.terms):
+            power = "" if e == 0 else f"t^{e // 2}" if e % 2 == 0 else f"t^{e}/2"
+            if text:
+                text += " - " if c < 0 else " + "
+            elif c < 0:
+                text = "-"
+            text += power if power and abs(c) == 1 else f"{abs(c)}{power}"
+        return text or "0"
 
     _TERM = re.compile(
         r"\s*(?P<sign>[+-])?\s*(?:"
@@ -194,61 +140,39 @@ def alexander_twist(n: int) -> LaurentPolynomial:
     return LaurentPolynomial.from_doubled({2: n, 0: -(2 * n - 1), -2: n})
 
 
-def poly_in_s(p: LaurentPolynomial) -> dict[int, int]:
-    """Rewrite a symmetric normalized Laurent polynomial in powers of s^2.
-
-    Here s = t^(1/2) - t^(-1/2), so s^2 = t - 2 + t^(-1).  The input must be
-    symmetric (p(t) = p(1/t)), have integer exponents, and satisfy p(1) = +-1.
-    Returns {m: a_m} with p = sum a_m (s^2)^m; the rewrite is exact and
-    invertible.
-    """
+def _check_alexander(p: LaurentPolynomial) -> None:
+    """Refuse a polynomial that is not a normalized Alexander polynomial."""
     if p.has_half_powers():
         raise ValueError("input must have integer exponents")
     if not p.is_symmetric():
         raise ValueError("input polynomial is not symmetric under t -> 1/t")
     if p.at_one() not in (1, -1):
         raise ValueError(f"normalization requires p(1) = +-1, got {p.at_one()}")
-    s_squared = LaurentPolynomial.from_doubled({2: 1, 0: -2, -2: 1})
+
+
+def poly_in_s(p: LaurentPolynomial) -> dict[int, int]:
+    """Rewrite a symmetric normalized Laurent polynomial in powers of s^2.
+
+    Here s = t^(1/2) - t^(-1/2), so s^2 = t - 2 + t^(-1).  The input must be
+    symmetric (p(t) = p(1/t)), have integer exponents, and satisfy p(1) = +-1.
+    Returns {m: a_m} with p = sum a_m (s^2)^m; the rewrite is exact and
+    invertible.  The top term a t^m is peeled off with
+    (s^2)^m = sum_k (-1)^(m-k) C(2m, m-k) t^k, which keeps the rest symmetric.
+    """
+    _check_alexander(p)
+    rest = dict(p.terms)  # doubled exponent -> coefficient, never 0
     out: dict[int, int] = {}
-    rest = p
-    while not rest.is_zero():
-        top = rest.top_doubled_exponent()
-        if top < 0:
-            raise RuntimeError("asymmetric residual; symmetry check should prevent this")
+    while rest:
+        top = max(rest)
         m = top // 2
-        coeff = rest.coefficient(top)
-        out[m] = coeff
-        power = LaurentPolynomial.constant(1)
-        for _ in range(m):
-            power = power * s_squared
-        rest = rest - coeff * power
-    return {m: c for m, c in sorted(out.items()) if c != 0}
-
-
-def s_series_product(*series: dict[int, int]) -> dict[int, int]:
-    """Product of polynomials in s^2 given as {power: coefficient} maps."""
-    out = {0: 1}
-    for s in series:
-        nxt: dict[int, int] = {}
-        for m1, c1 in out.items():
-            for m2, c2 in s.items():
-                nxt[m1 + m2] = nxt.get(m1 + m2, 0) + c1 * c2
-        out = {m: c for m, c in nxt.items() if c != 0}
-    return out
-
-
-def s_odd_part_to_t(series: dict[int, int]) -> LaurentPolynomial:
-    """Expand sum_m a_m s^(2m-1) (m >= 1) as a Laurent polynomial in t^(1/2)."""
-    out: dict[int, int] = {}
-    for m, a in series.items():
-        if m == 0:
-            continue
-        power = 2 * m - 1
-        # (t^(1/2) - t^(-1/2))^power; doubled exponent of each term is power - 2j
-        for j in range(power + 1):
-            e = power - 2 * j
-            out[e] = out.get(e, 0) + a * ((-1) ** j) * comb(power, j)
-    return LaurentPolynomial._from_sums(out)
+        a = out[m] = rest[top]
+        for k in range(-m, m + 1):
+            c = rest.get(2 * k, 0) - a * (-1) ** (m - k) * comb(2 * m, m - k)
+            if c:
+                rest[2 * k] = c
+            else:
+                rest.pop(2 * k, None)
+    return dict(sorted(out.items()))
 
 
 def _as_alexander(knot) -> LaurentPolynomial:
@@ -261,30 +185,31 @@ def _as_alexander(knot) -> LaurentPolynomial:
     raise TypeError(f"expected TwistKnot, int, or LaurentPolynomial, got {type(knot)!r}")
 
 
-def e1_knot_surgery_sw(knots, model: FourManifoldModel | None = None):
+def e1_knot_surgery_sw(knots) -> dict[int, int]:
     """SW data of iterated fiber surgeries on the rational elliptic surface.
 
-    With P(s^2) the product of the knots' Alexander polynomials rewritten in
-    s^2, the table is the Laurent expansion of (P - P(0)) / s: the coefficient
-    of t^(j/2) is the value at the class j.T.  The result is antisymmetric
-    under j -> -j.
+    With D the product of the knots' Alexander polynomials, the table is the
+    Laurent quotient (D - D(1)) / (t^(1/2) - t^(-1/2)): the coefficient of
+    t^(j/2) is the value at the class j T.  The division is exact, and its
+    coefficient at each odd doubled exponent j is the sum of the numerator's
+    coefficients above j.  The result is antisymmetric under j -> -j.
 
-    Returns {j: value}; with ``model`` given (its marked class T is the fiber)
-    the same data is attached as an SWTable in the model's lattice.
+    Returns {j: value} over the nonzero values, in increasing j.
     """
-    polys = [_as_alexander(k) for k in knots]
-    series = s_series_product(*[poly_in_s(p) for p in polys])
-    quotient = s_odd_part_to_t(series)
-    table = {e: c for e, c in quotient.terms}
-    if model is None:
-        return table
-    fiber = model.marked_class("T").coords
-    entries = tuple(sorted((tuple(j * x for x in fiber), value) for j, value in table.items()))
-    if any(fiber) and is_characteristic(HomologyClass._trusted(model.lattice, fiber)):
-        # every j is odd, so each j T is characteristic with T; the classes
-        # are distinct as T != 0, and the quotient is antisymmetric in j
-        return SWTable._trusted(model.lattice, entries, model.sw.convention_note)
-    return SWTable(model.lattice, entries, model.sw.convention_note)
+    product = LaurentPolynomial._trusted(((0, 1),))
+    for p in [_as_alexander(k) for k in knots]:
+        _check_alexander(p)
+        product = product * p
+    numerator = dict(product.terms)
+    numerator[0] = numerator.get(0, 0) - product.at_one()
+    top = product.terms[-1][0]  # the product is symmetric, so -top is its bottom
+    descending = []
+    running = 0
+    for j in range(top - 1, -top, -2):
+        running += numerator.get(j + 1, 0)
+        if running:
+            descending.append((j, running))
+    return dict(reversed(descending))
 
 
 def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> FourManifoldModel:
@@ -310,6 +235,14 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
             f"(needs 3 sign + 2 euler = 0, got {3 * X.sign + 2 * X.euler})"
         )
     history = X.surgery_history + (_as_alexander(knot),)
-    # every class of the new table is j T with d(j T) = (0 - 0) / 4 = 0
-    return X._replaced(name=f"{X.name}_K", sw=e1_knot_surgery_sw(history, model=X),
-                       surgery_history=history)
+    table = e1_knot_surgery_sw(history)
+    entries = tuple(sorted((tuple(j * x for x in fiber.coords), value)
+                           for j, value in table.items()))
+    if any(fiber.coords) and is_characteristic(fiber):
+        # every j is odd, so each j T is characteristic with T; the classes
+        # are distinct as T != 0, the quotient is antisymmetric in j, and
+        # d(j T) = (0 - 0) / 4 = 0
+        sw = SWTable._trusted(X.lattice, entries, X.sw.convention_note)
+    else:
+        sw = SWTable(X.lattice, entries, X.sw.convention_note)
+    return X._replaced(name=f"{X.name}_K", sw=sw, surgery_history=history)

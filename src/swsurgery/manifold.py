@@ -344,9 +344,7 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
         raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
     if H.model is not X and H.model != X:
         raise ValueError("chamber belongs to a different model")
-    d = dimension(X, k)
-    if d < 0 or d % 2:
-        raise ValueError(f"chamber invariant needs d(k) >= 0 and even, got {d}")
+    jump = wall_crossing_delta(X, k)
     hk = pair(X.marked_class("h"), k)
     Hk = pair(H.period, k)
     if Hk == 0:
@@ -356,7 +354,6 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     base = X.sw.value(k)
     if (Hk > 0) == (hk > 0):
         return base
-    jump = (-1) ** (1 + d // 2)
     return base + (jump if Hk > 0 else -jump)
 
 

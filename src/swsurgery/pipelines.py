@@ -64,6 +64,8 @@ from .report import DEFINITION, DERIVED, REPORTED, VerificationReport
 E6_FACTORIZATION = "(ab)^4a^2(Aba)b"
 I6_FACTORIZATION = "a^6(A^3ba^3)(baB)^2b^2(Bab)"
 I6_FIBRATION = "(a^3b)^3"
+# the family parameters n that verify_paper's knots and pipelines sections sweep
+N_SWEEP = range(1, 11)
 
 # the -2 spheres of the tree fiber (S1..S7) and of the cycle fiber (c0..c5)
 SPHERE_COEFFS = {**E6_SPHERE_COEFFS, **I6_HEXAGON_COEFFS}
@@ -356,7 +358,7 @@ def build_Qn(n: int) -> tuple[FourManifoldModel, VerificationReport]:
     return build_family("qn", n)
 
 
-def _lattice_checks(rep: VerificationReport, n_range) -> None:
+def _lattice_checks(rep: VerificationReport) -> None:
     base = e1()
     eta = base.lattice.basis_class("eta")
     eps1 = base.lattice.basis_class("eps1")
@@ -395,7 +397,7 @@ def _lattice_checks(rep: VerificationReport, n_range) -> None:
             [0, 6], list(signature_and_betti(c7_lattice)), DERIVED)
 
 
-def _fourmanifold_checks(rep: VerificationReport, n_range) -> None:
+def _fourmanifold_checks(rep: VerificationReport) -> None:
     n = 3
     y = y_n(n)
     z = FAMILIES["xn"].ambient(n, y)
@@ -437,7 +439,7 @@ def _fourmanifold_checks(rep: VerificationReport, n_range) -> None:
             [13, -9], [blown.euler, blown.sign], DEFINITION)
 
 
-def _knots_checks(rep: VerificationReport, n_range) -> None:
+def _knots_checks(rep: VerificationReport) -> None:
     rep.add("knots.alexander.n1", "one-twist polynomial",
             "t^1 - 1 + t^-1", str(alexander_twist(1)), REPORTED)
     rep.add("knots.alexander.n0", "the unknot has trivial polynomial",
@@ -449,7 +451,7 @@ def _knots_checks(rep: VerificationReport, n_range) -> None:
     rep.add("knots.s.product", "product of rewrites matches rewrite of product",
             poly_in_s(alexander_twist(1) * alexander_twist(4)),
             {0: 1, 1: 5, 2: 4}, DERIVED)
-    for n in n_range:
+    for n in N_SWEEP:
         table = e1_knot_surgery_sw([n])
         rep.add(f"knots.yn.sw.n={n}", "single surgery table at the fiber",
                 {1: n, -1: -n} if n else {}, table, REPORTED)
@@ -464,7 +466,7 @@ def _knots_checks(rep: VerificationReport, n_range) -> None:
             [1, 3], [square(h), pair(h, y.marked_class("T"))], REPORTED)
 
 
-def _monodromy_checks(rep: VerificationReport, n_range) -> None:
+def _monodromy_checks(rep: VerificationReport) -> None:
     ab = evaluate("ab")
     rep.add("monodromy.ab.trace", "product of the two twists has trace 1",
             1, ab.trace, DERIVED)
@@ -494,7 +496,7 @@ def _monodromy_checks(rep: VerificationReport, n_range) -> None:
             [2] * 4, [d.base_trace for d in i6.factors[1:]], DERIVED)
 
 
-def _plumbing_checks(rep: VerificationReport, n_range) -> None:
+def _plumbing_checks(rep: VerificationReport) -> None:
     rep.add("plumbing.c7.weights", "order-7 chain weights",
             [-9, -2, -2, -2, -2, -2], list(cp_chain(7).weights), REPORTED)
     for p in range(2, 21):
@@ -543,7 +545,7 @@ def _plumbing_checks(rep: VerificationReport, n_range) -> None:
             _coords([k_w, -k_w]), _coords(wlifts), REPORTED)
 
 
-def _pipeline_checks(rep: VerificationReport, n_range) -> None:
+def _pipeline_checks(rep: VerificationReport) -> None:
     magnitudes = {}
     for n in (1, 2, 3):
         model, sub = build_Xn(n)
@@ -561,9 +563,9 @@ def _pipeline_checks(rep: VerificationReport, n_range) -> None:
         _, sub8 = build_b8_family(n)
         rep.add(f"pipelines.b8.n={n}", "full b- = 8 pipeline report is green",
                 True, sub8.all_pass, DERIVED)
-    separation = [sorted(abs(v) for v in e1_knot_surgery_sw([n]).values()) for n in n_range]
+    separation = [sorted(abs(v) for v in e1_knot_surgery_sw([n]).values()) for n in N_SWEEP]
     rep.add("pipelines.separation", "SW magnitude sets separate the family members",
-            len(list(n_range)), len({tuple(s) for s in separation}), REPORTED)
+            len(N_SWEEP), len({tuple(s) for s in separation}), REPORTED)
 
 
 SECTIONS = {
@@ -576,16 +578,15 @@ SECTIONS = {
 }
 
 
-def verify_paper(only: str | None = None, n_range=range(1, 11)) -> VerificationReport:
+def verify_paper(only: str | None = None) -> VerificationReport:
     """Run every golden check; the exit-status of the CLI reflects full pass.
 
-    ``only`` restricts to one of the SECTIONS.  ``n_range`` is the range of
-    family parameters the knots and pipelines sections sweep.
+    ``only`` restricts to one of the SECTIONS.
     """
     if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown module {only!r}; choose from {sorted(SECTIONS)}")
     rep = VerificationReport()
     for name, section in SECTIONS.items():
         if only is None or name == only:
-            section(rep, n_range)
+            section(rep)
     return rep

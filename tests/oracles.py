@@ -7,7 +7,8 @@ recurrence, linear solves by one ``Fraction`` Gauss-Jordan pass, lens-space
 boundaries by evaluating the continued fraction, characteristic vectors
 mod 2 by trying every 0/1 vector, twist words one letter at a time, the
 blowup-pair test by squaring every difference, report values by recursing
-into every item.
+into every item, products in s^2 term by term, and the knot-surgery
+quotient by sympy polynomial division.
 """
 
 from fractions import Fraction
@@ -196,3 +197,36 @@ def recursive_canonical(value):
     if isinstance(value, int):
         return value
     return str(value)
+
+
+def s_series_product(*series):
+    """Product of polynomials in s^2 given as {power: coefficient} maps."""
+    out = {0: 1}
+    for s in series:
+        nxt = {}
+        for m1, c1 in out.items():
+            for m2, c2 in s.items():
+                nxt[m1 + m2] = nxt.get(m1 + m2, 0) + c1 * c2
+        out = {m: c for m, c in nxt.items() if c != 0}
+    return out
+
+
+def surgery_table_by_division(polys):
+    """(D - D(1)) / (t^(1/2) - t^(-1/2)) for D the product of symmetric
+    {t exponent: coefficient} maps, by sympy division in x = t^(1/2).
+
+    Each factor is shifted to a polynomial in x and the quotient by
+    x - 1/x = (x^2 - 1) / x is taken with a zero-remainder check; returns
+    {doubled exponent: coefficient} over the nonzero terms."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    shift = sum(max(p) for p in polys)  # D times x^(2 shift) is a polynomial
+    product = sympy.Poly(1, x)
+    for p in polys:
+        product *= sympy.Poly(sum(c * x ** (2 * (k + max(p))) for k, c in p.items()), x)
+    numerator = product - sympy.Poly(product.eval(1) * x ** (2 * shift), x)
+    quotient, remainder = sympy.div(numerator, sympy.Poly(x ** 2 - 1, x))
+    assert remainder.is_zero
+    # the quotient is (D - D(1)) / (x - 1/x) times x^(2 shift - 1)
+    return {m - 2 * shift + 1: int(c) for (m,), c in quotient.terms() if c}

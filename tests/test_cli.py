@@ -9,7 +9,7 @@ from swsurgery.cli import (
     MAX_ADJUGATE_BITS,
     MAX_CHAIN_VERTICES,
     MAX_KNOTS,
-    MAX_TWIST_DIGITS,
+    MAX_INPUT_DIGITS,
     main,
 )
 from swsurgery.manifold import FourManifoldModel
@@ -274,14 +274,31 @@ def test_sw_twist_digit_budget(capsys, monkeypatch):
         raise AssertionError("the SW polynomial was built")
 
     # 200 twists of 20 digits sit at the budget; one digit more is past it
-    twists = ["9" * (MAX_TWIST_DIGITS // MAX_KNOTS)] * MAX_KNOTS
+    twists = ["9" * (MAX_INPUT_DIGITS // MAX_KNOTS)] * MAX_KNOTS
     code, out, _ = run_cli(capsys, "sw", "e1-surgery", "--knots=" + ",".join(twists), "--json")
     assert code == 0 and len(json.loads(out)["table"]) > 0
     monkeypatch.setattr(cli, "e1_knot_surgery_sw", refuse)
-    for past in (twists[:-1] + ["-1" + twists[-1]], ["1" + "0" * MAX_TWIST_DIGITS]):
+    for past in (twists[:-1] + ["-1" + twists[-1]], ["1" + "0" * MAX_INPUT_DIGITS]):
         code, out, err = run_cli(capsys, "sw", "e1-surgery", "--knots=" + ",".join(past))
         assert (code, out) == (2, "")
-        assert f"digits; the limit is {MAX_TWIST_DIGITS}" in err
+        assert f"digits; the limit is {MAX_INPUT_DIGITS}" in err
+
+
+def test_plumbing_weight_digit_budget(capsys, monkeypatch):
+    import swsurgery.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the continuants were built")
+
+    # four weights of 1000 digits sit at the budget; one digit more is past it
+    weights = ["-" + "9" * (MAX_INPUT_DIGITS // 4)] * 4
+    code, out, _ = run_cli(capsys, "plumbing", "cp", "--weights=" + ",".join(weights), "--json")
+    assert code == 0 and len(str(json.loads(out)["determinant"])) > 3000
+    monkeypatch.setattr(cli, "_continuants", refuse)
+    past = weights[:-1] + ["-1" + weights[-1][1:]]
+    code, out, err = run_cli(capsys, "plumbing", "cp", "--weights=" + ",".join(past), "--invert")
+    assert (code, out) == (2, "")
+    assert f"the weights have {MAX_INPUT_DIGITS + 1} digits; the limit is {MAX_INPUT_DIGITS}" in err
 
 
 def test_sw_e1_surgery(capsys):
@@ -386,3 +403,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["determinant"] == 9
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # more output than a pipe buffers, so the reader closes it mid-write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swsurgery", "plumbing", "cp", "--p", "301", "--invert"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""

@@ -1,6 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swsurgery.knots import (
     LaurentPolynomial,
@@ -9,10 +12,11 @@ from swsurgery.knots import (
     e1_knot_surgery_sw,
     knot_surgery_manifold,
     poly_in_s,
-    s_series_product,
 )
 from swsurgery.lattice import pair, square
 from swsurgery.manifold import blowup
+
+from .oracles import s_series_product, surgery_table_by_division
 
 S_LAURENT = LaurentPolynomial.from_doubled({1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
 
@@ -94,13 +98,52 @@ def test_quotient_reconstruction_oracle():
     for _ in range(200):
         knots = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
         polys = [alexander_twist(n) for n in knots]
-        product = LaurentPolynomial.constant(1)
-        for poly in polys:
-            product = product * poly
+        product = reduce(LaurentPolynomial.__mul__, polys)
         table = e1_knot_surgery_sw(knots)
-        quotient = LaurentPolynomial.from_doubled(table)
+        reconstructed = dict((S_LAURENT * LaurentPolynomial.from_doubled(table)).terms)
         constant = s_series_product(*[poly_in_s(p) for p in polys]).get(0, 0)
-        assert S_LAURENT * quotient + LaurentPolynomial.constant(constant) == product
+        reconstructed[0] = reconstructed.get(0, 0) + constant
+        assert {e: c for e, c in reconstructed.items() if c} == dict(product.terms)
+
+
+@st.composite
+def alexander_maps(draw):
+    """A symmetric integer {t exponent: coefficient} map of degree <= 6 with p(1) = +-1."""
+    upper = draw(st.lists(st.integers(-20, 20), max_size=6))
+    terms = {0: draw(st.sampled_from((1, -1))) - 2 * sum(upper)}
+    for k, c in enumerate(upper, 1):
+        terms[k] = terms[-k] = c
+    return terms
+
+
+def _polynomial(terms):
+    return LaurentPolynomial.from_doubled({2 * k: c for k, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(alexander_maps(), max_size=4))
+def test_surgery_rule_matches_sympy_division(maps):
+    table = e1_knot_surgery_sw([_polynomial(m) for m in maps])
+    assert table == surgery_table_by_division(maps)
+    assert list(table) == sorted(table)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alexander_maps(), st.integers(1, 6), st.integers(1, 20),
+       st.sampled_from(("integer exponents", "symmetric", "normalization")))
+def test_surgery_rule_refuses_non_alexander_input(terms, k, c, fault):
+    doubled = {2 * e: v for e, v in terms.items()}
+    if fault == "integer exponents":  # symmetric, but with t^((2k - 1)/2) terms
+        doubled[2 * k - 1] = doubled[1 - 2 * k] = c
+    elif fault == "symmetric":  # t^k gains c, and p(1) is kept
+        doubled[2 * k] = doubled.get(2 * k, 0) + c
+        doubled[0] -= c
+    else:  # p(1) = +-(1 + c)
+        doubled[0] += c * sum(terms.values())
+    bad = LaurentPolynomial.from_doubled(doubled)
+    for compute in (poly_in_s, lambda p: e1_knot_surgery_sw([1, p])):
+        with pytest.raises(ValueError, match=fault):
+            compute(bad)
 
 
 def test_knot_surgery_manifold(e1_model):

@@ -83,6 +83,14 @@ def test_chamber_sw_on_wall(z3):
         chamber_sw(z3, lift, Chamber(z3, on_wall))
 
 
+def test_chamber_sw_checks_dimension_before_the_wall(e1_model):
+    k_neg = e1_model.lattice.element((1,) + (1,) * 9)  # d = -2
+    on_wall = e1_model.lattice.element((3, 1, 1, 1) + (0,) * 6)
+    assert pair(on_wall, k_neg) == 0
+    with pytest.raises(ValueError, match="wall crossing needs d"):
+        chamber_sw(e1_model, k_neg, Chamber(e1_model, on_wall))
+
+
 def test_chamber_sw_needs_b_plus_one():
     model = diag_model("two_plus", 2, 1)
     k = model.lattice.element((1, 1, 1))
