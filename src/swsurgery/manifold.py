@@ -16,15 +16,16 @@ keep these invariants by construction: ``blowup`` (k +- E is characteristic
 with k, and d(k +- E) = d(k)), ``renamed``, and the knot surgery of
 ``knots``.  ``plumbing.rational_blowdown`` builds its table and model
 through the public constructors, as the pushed-down classes are not known
-to be characteristic.
+to be characteristic.  ``dimension`` runs the characteristic test only on
+classes outside the model's own table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
+from operator import mul, sub
 from typing import NamedTuple
 
 from .lattice import (
@@ -103,13 +104,16 @@ class SWTable:
     def items(self) -> tuple[tuple[HomologyClass, int], ...]:
         return tuple((HomologyClass._trusted(self.lattice, c), v) for c, v in self.entries)
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        """Coordinates -> value, built on first use; not a field, so never
+        compared, hashed or serialized."""
+        return dict(self.entries)
+
     def value(self, k: HomologyClass) -> int:
         if not same_lattice(k.lattice, self.lattice):
             raise ValueError("class does not live in the table's lattice")
-        for coords, v in self.entries:
-            if coords == k.coords:
-                return v
-        return 0
+        return self._index.get(k.coords, 0)
 
     def magnitudes(self) -> tuple[int, ...]:
         return tuple(sorted(abs(v) for _, v in self.entries))
@@ -311,12 +315,20 @@ class Chamber:
         if pair(self.period, self.model.marked_class("h")) <= 0:
             raise ValueError("period class must pair positively with the marked class h")
 
+    @cached_property
+    def _images(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(G h, G H), built on first use, so that h.k and H.k are dot
+        products with k's coordinates."""
+        return gram_image(self.model.marked_class("h")), gram_image(self.period)
+
 
 def dimension(X: FourManifoldModel, k: HomologyClass) -> int:
     """Formal dimension d(k) = (k^2 - 3 sign - 2 euler) / 4 for characteristic k."""
     if not same_lattice(k.lattice, X.lattice):
         raise ValueError("class does not live in the model lattice")
-    if not is_characteristic(k):
+    # a class of the model's own table was checked characteristic when the
+    # table was built (or holds by construction), so only others are tested
+    if k.coords not in X.sw._index and not is_characteristic(k):
         raise NonCharacteristicError(f"{k.coords} is not characteristic in {X.name!r}")
     numerator = square(k) - 3 * X.sign - 2 * X.euler
     if numerator % 4:
@@ -345,8 +357,9 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     if H.model is not X and H.model != X:
         raise ValueError("chamber belongs to a different model")
     jump = wall_crossing_delta(X, k)
-    hk = pair(X.marked_class("h"), k)
-    Hk = pair(H.period, k)
+    h_image, period_image = H._images  # H.model equals X, so h is X's h
+    hk = sum(map(mul, h_image, k.coords))
+    Hk = sum(map(mul, period_image, k.coords))
     if Hk == 0:
         raise OnWallError(f"period class lies on the wall of {k.coords}")
     if hk == 0:
@@ -418,36 +431,60 @@ class MinimalityVerdict:
     e_square: int | None = None
 
 
+def _blowup_partners(rows, c1, c2) -> bool:
+    """Whether the classes with coordinates c1, c2 differ by 2E with E^2 = -1,
+    that is (k1 - k2)^2 = -4, squared over the sparse Gram ``rows``."""
+    d = tuple(map(sub, c1, c2))
+    total = 0
+    for di, row in zip(d, rows):
+        if di:
+            for j, g in row:
+                total += di * g * d[j]
+    return total == -4
+
+
 def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
     """Blowup-pairing obstruction on the SW table.
 
-    In a blowup every basic class comes paired with a partner differing by
-    2E, so (k1 - k2)^2 = -4.  Classes of magnitude >= 2 that admit no such
-    partner certify minimality; if every such class is paired the table is
-    consistent with a blowup; with no magnitude >= 2 class the test is silent.
+    In a blowup every basic class comes paired with a partner of the same
+    magnitude differing by 2E, so (k1 - k2)^2 = -4.  Over the classes of
+    magnitude >= 2 the verdict is three-way: ``minimal_certified`` when none
+    of them has a partner, ``blowup_pair_found`` when every one does (the
+    witness is the first class in table order with a later partner, and its
+    first later partner), and ``inconclusive`` when some do and some do not.
+    With no magnitude >= 2 class the test is silent (``inconclusive``).
+
+    Partners share a magnitude, so each class looks for one only in its
+    magnitude group: among the later entries first, then the earlier ones.
+    A class found as the later partner of an earlier one is paired without a
+    search, and the search stops as soon as the verdict is decided.
     """
-    items = X.sw.items()
-    high_coords = {k.coords for k, v in items if abs(v) >= 2}
-    if not high_coords:
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for coords, v in X.sw.entries:
+        if abs(v) >= 2:
+            groups.setdefault(abs(v), []).append(coords)
+    if not groups:
         return MinimalityVerdict("inconclusive")
-    # (k1 - k2)^2 = k1^2 + k2^2 - 2 k1.(G k2), with G k and k^2 taken once per entry
-    entries = []
-    for k, v in items:
-        gk = gram_image(k)
-        entries.append((k.coords, abs(v), gk, sum(map(mul, k.coords, gk))))
-    pairs = []
-    for i, (c1, m1, _, sq1) in enumerate(entries):
-        for c2, m2, gk2, sq2 in entries[i + 1:]:
-            if m1 == m2 and sq1 + sq2 - 2 * sum(map(mul, c1, gk2)) == -4:
-                pairs.append((c1, c2))
-    paired = {c for pair_coords in pairs for c in pair_coords}
-    high_pairs = [(c1, c2) for c1, c2 in pairs if c1 in high_coords and c2 in high_coords]
-    if not high_pairs:
+    rows = X.lattice.rows
+    pairs, found, unpaired = [], set(), False
+    for group in groups.values():
+        for i, c in enumerate(group):
+            if c in found:
+                continue
+            later = next((c2 for c2 in group[i + 1:] if _blowup_partners(rows, c, c2)), None)
+            if later is not None:
+                pairs.append((c, later))
+                found.add(later)
+            elif not any(_blowup_partners(rows, c, c2) for c2 in group[:i]):
+                unpaired = True
+            if pairs and unpaired:
+                return MinimalityVerdict("inconclusive")
+    if not pairs:
         return MinimalityVerdict("minimal_certified")
-    if high_coords <= paired:
-        # the pair differs by 2E, so E^2 = (k1 - k2)^2 / 4 = -1
-        return MinimalityVerdict("blowup_pair_found", high_pairs[0], -1)
-    return MinimalityVerdict("inconclusive")
+    # every class is paired, so the table's first one (first in the first
+    # group) has a later partner and gave the first pair; the pair differs
+    # by 2E, so E^2 = (k1 - k2)^2 / 4 = -1
+    return MinimalityVerdict("blowup_pair_found", pairs[0], -1)
 
 
 def fingerprint(X: FourManifoldModel) -> Fingerprint:

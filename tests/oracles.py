@@ -6,7 +6,9 @@ plain ``Fraction`` elimination, chain determinants by the tridiagonal
 recurrence, linear solves by one ``Fraction`` Gauss-Jordan pass, lens-space
 boundaries by evaluating the continued fraction, characteristic vectors
 mod 2 by trying every 0/1 vector, twist words one letter at a time, the
-blowup-pair test by squaring every difference, report values by recursing
+blowup-pair test by squaring every difference, SW table lookups by a linear
+scan, the formal dimension and chamber invariant with the characteristic
+test always run and every pairing a double loop, report values by recursing
 into every item, products in s^2 term by term, and the knot-surgery
 quotient by sympy polynomial division.
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import islice, permutations, product
 from math import gcd
 
-from swsurgery.manifold import MinimalityVerdict
+from swsurgery.manifold import MinimalityVerdict, NonCharacteristicError, OnWallError
 
 
 def naive_pair(gram, x, y):
@@ -80,6 +82,56 @@ def pairwise_minimality(model):
         diff = [x - y for x, y in zip(c1, c2)]
         return MinimalityVerdict("blowup_pair_found", (c1, c2), naive_pair(gram, diff, diff) // 4)
     return MinimalityVerdict("inconclusive")
+
+
+def _same_form(a, b):
+    return (a.basis, a.gram) == (b.basis, b.gram)
+
+
+def naive_value(table, k):
+    """``SWTable.value`` by a linear scan of the entries."""
+    if not _same_form(k.lattice, table.lattice):
+        raise ValueError("class does not live in the table's lattice")
+    for coords, v in table.entries:
+        if coords == k.coords:
+            return v
+    return 0
+
+
+def naive_dimension(model, k):
+    """``dimension`` with the characteristic test run on every class and
+    k^2 by the double loop."""
+    if not _same_form(k.lattice, model.lattice):
+        raise ValueError("class does not live in the model lattice")
+    gram = model.lattice.gram
+    if not naive_is_characteristic(gram, k.coords):
+        raise NonCharacteristicError(f"{k.coords} is not characteristic in {model.name!r}")
+    return (naive_pair(gram, k.coords, k.coords) - 3 * model.sign - 2 * model.euler) // 4
+
+
+def naive_chamber_sw(model, k, chamber):
+    """``chamber_sw`` with the same checks in the same order, h.k and H.k by
+    the double loop and the table value by ``naive_value``."""
+    b_plus, _ = model.b_plus_minus()
+    if b_plus != 1:
+        raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
+    if chamber.model != model:
+        raise ValueError("chamber belongs to a different model")
+    d = naive_dimension(model, k)
+    if d < 0 or d % 2:
+        raise ValueError(f"wall crossing needs d(k) >= 0 and even, got {d}")
+    gram = model.lattice.gram
+    hk = naive_pair(gram, dict(model.marked)["h"], k.coords)
+    Hk = naive_pair(gram, chamber.period.coords, k.coords)
+    if Hk == 0:
+        raise OnWallError(f"period class lies on the wall of {k.coords}")
+    if hk == 0:
+        raise OnWallError("the reference class h lies on the wall of this class")
+    base = naive_value(model.sw, k)
+    if (Hk > 0) == (hk > 0):
+        return base
+    jump = -1 if d % 4 == 0 else 1  # (-1)^(1 + d/2)
+    return base + (jump if Hk > 0 else -jump)
 
 
 def minors_signature(gram):

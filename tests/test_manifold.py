@@ -1,15 +1,20 @@
+import dataclasses
+import json
 import random
+from collections import Counter
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swsurgery import manifold
 from swsurgery.knots import TwistKnot, knot_surgery_manifold
 from swsurgery.lattice import IntersectionLattice, pair, square
 from swsurgery.manifold import (
     Chamber,
     FourManifoldModel,
+    MinimalityVerdict,
     NonCharacteristicError,
     OnWallError,
     SWTable,
@@ -23,7 +28,17 @@ from swsurgery.manifold import (
 from swsurgery.models import class_from_coeffs, e1
 from swsurgery.pipelines import FAMILIES
 
-from .oracles import pairwise_minimality, random_unimodular, transformed_gram
+from .oracles import (
+    naive_chamber_sw,
+    naive_dimension,
+    naive_value,
+    pairwise_minimality,
+    random_unimodular,
+    transformed_gram,
+)
+
+# the (knot count, blowup count) strata of the calculus benchmark workload
+STRATA = tuple((knots, blowups) for knots in range(1, 5) for blowups in range(5))
 
 
 def diag_model(name, plus, minus, sw_pairs=None, note=None):
@@ -225,6 +240,30 @@ def _minimality_tables():
     return model, model2, empty, ones
 
 
+def _table_model(plus, minus, values):
+    """A model on <1>^plus + <-1>^minus with the given {coords: value} entries
+    and their negations."""
+    lat = _diag_lattice("table", plus, minus)
+    entries = {}
+    for coords, value in values.items():
+        entries[coords], entries[tuple(-x for x in coords)] = value, -value
+    n = plus + minus
+    return FourManifoldModel("table", lat, 2 + n, plus - minus, True, {},
+                             SWTable(lat, tuple(entries.items())))
+
+
+# (3, +-1, ..., +-1) on <1> + n<-1> is characteristic with d = 0, and
+# (5, +-1, ..., +-1) with d = 4
+PARTNERS_ALL_EARLIER = _table_model(  # every sign pattern: (3, 1, 1, 1) has only earlier partners
+    1, 3, {(3, a, b, c): 2 for a in (1, -1) for b in (1, -1) for c in (1, -1)})
+MIXED_GROUP = _table_model(  # (3, 1, +-1) are partners, (5, 1, 1) has none: one magnitude
+    1, 2, {(3, 1, 1): 2, (3, 1, -1): 2, (5, 1, 1): 2})
+ONLY_LOW_PAIRED = _table_model(  # the partners have magnitude 1, the class of magnitude 2 none
+    1, 2, {(3, 1, 1): 1, (3, 1, -1): 1, (5, 1, 1): 2})
+EARLIER_SCAN = _table_model(  # (3, 1, -1, 1) is no earlier class's first later partner
+    1, 3, {(3, -1, -1, 1): 2, (3, -1, 1, 1): 2, (3, 1, -1, 1): 2})
+
+
 def test_minimality_verdicts():
     model, model2, empty, ones = _minimality_tables()
     assert minimality_check(model).status == "minimal_certified"
@@ -233,18 +272,29 @@ def test_minimality_verdicts():
     assert verdict.e_square == -1
     assert minimality_check(empty).status == "inconclusive"
     assert minimality_check(ones).status == "inconclusive"
+    assert minimality_check(PARTNERS_ALL_EARLIER) == MinimalityVerdict(
+        "blowup_pair_found", ((-3, -1, -1, -1), (-3, -1, -1, 1)), -1)
+    assert minimality_check(MIXED_GROUP).status == "inconclusive"
+    assert minimality_check(ONLY_LOW_PAIRED).status == "minimal_certified"
+    assert minimality_check(EARLIER_SCAN) == MinimalityVerdict(
+        "blowup_pair_found", ((-3, -1, 1, -1), (-3, 1, 1, -1)), -1)
+
+
+def _surgered(twists, blowups):
+    X = e1()
+    for n in twists:
+        X = knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(n))
+    for _ in range(blowups):
+        X = blowup(X)
+    return X
 
 
 def test_minimality_matches_pairwise_oracle_on_surgered_models():
     rng = random.Random(17)
     models = list(_minimality_tables())
-    for _ in range(25):
-        X = e1()
-        for _ in range(rng.randint(1, 4)):
-            X = knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(rng.randint(-30, 30)))
-        for _ in range(rng.randint(0, 4)):
-            X = blowup(X)
-        models.append(X)
+    for knots, blowups in STRATA:
+        for _ in range(2):
+            models.append(_surgered([rng.randint(-30, 30) for _ in range(knots)], blowups))
     verdicts = [minimality_check(X) for X in models]
     assert verdicts == [pairwise_minimality(X) for X in models]
     assert {v.status for v in verdicts} == {"minimal_certified", "blowup_pair_found", "inconclusive"}
@@ -255,7 +305,9 @@ def congruent_models(draw):
     """A model on <1> + n<-1> (n = 9..11) seen through a random unimodular basis
     change, so its Gram is not diagonal.  SW classes are drawn in diagonal
     coordinates (odd entries, so characteristic), some with a partner that
-    differs by 2e_i, with magnitudes 1-3, and mapped by the inverse transpose."""
+    differs by 2e_i, with magnitudes 1-3, and mapped by the inverse transpose.
+    The marked classes are h (the image of e_0) and a period H with H^2 > 0
+    and H.h > 0."""
     n = draw(st.integers(9, 11))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     change = random_unimodular(rng, n + 1)
@@ -281,13 +333,127 @@ def congruent_models(draw):
             if x not in entries and neg not in entries:
                 entries[x], entries[neg] = value, -value
     table = SWTable(lattice, tuple(entries.items()))
-    return FourManifoldModel("congruent", lattice, n + 3, 1 - n, True, {}, table)
+    period = [draw(st.integers(4, 9))] + [draw(st.integers(-1, 1)) for _ in range(n)]
+    marked = {name: tuple(int(t) for t in inv_t * sympy.Matrix(y))
+              for name, y in (("h", [1] + [0] * n), ("H", period))}
+    return FourManifoldModel("congruent", lattice, n + 3, 1 - n, True, marked, table)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(congruent_models())
+@example(PARTNERS_ALL_EARLIER)
+@example(MIXED_GROUP)
+@example(ONLY_LOW_PAIRED)
+@example(EARLIER_SCAN)
 def test_minimality_matches_pairwise_oracle_on_non_diagonal_lattices(model):
     assert minimality_check(model) == pairwise_minimality(model)
+
+
+def _outcome(query, *args):
+    """The query's value, or the type and text of the ValueError it raised."""
+    try:
+        return query(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _assert_queries_match_oracles(model, chambers):
+    """value, dimension and chamber_sw against the naive oracles on the table
+    and marked classes k, the characteristic k + 2e and non-characteristic
+    k + e off the table, and k's coordinates in a lattice of another form."""
+    lattice = model.lattice
+    other = _diag_lattice("other", 2, lattice.rank - 2)
+    base = list(model.sw.classes()) + [model.marked_class(name) for name, _ in model.marked]
+    queries = []
+    for i, k in enumerate(base):
+        e = lattice.basis_class(lattice.basis[i % lattice.rank])
+        queries += [k, k + 2 * e, k + e, other.element(k.coords)]
+    kinds = Counter()
+    for k in queries:
+        value = _outcome(model.sw.value, k)
+        assert value == _outcome(naive_value, model.sw, k)
+        d = _outcome(dimension, model, k)
+        assert d == _outcome(naive_dimension, model, k)
+        kinds[d[0].__name__ if isinstance(d, tuple) else "int"] += 1
+        for chamber in chambers:
+            assert _outcome(chamber_sw, model, k, chamber) == \
+                _outcome(naive_chamber_sw, model, k, chamber)
+    return kinds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(congruent_models())
+def test_sw_queries_match_naive_oracles_on_non_diagonal_lattices(model):
+    chambers = [Chamber(model, model.marked_class("h")), Chamber(model, model.marked_class("H"))]
+    _assert_queries_match_oracles(model, chambers)
+
+
+def test_sw_queries_match_naive_oracles_on_surgered_models():
+    rng = random.Random(29)
+    kinds = Counter()
+    for knots, blowups in STRATA:
+        X = _surgered([rng.randint(-30, 30) for _ in range(knots)], blowups)
+        # a period crossing the walls of some k - E_i (as in the z3 tests) besides h
+        coeffs = {"eta": 7, "eps3": -3, **{f"eps{i}": -2 for i in (1, 2, 4, 5, 6, 7, 8, 9)},
+                  **{f"E{i}": -1 for i in range(min(blowups, 3))}}
+        chambers = [Chamber(X, X.marked_class("h")), Chamber(X, class_from_coeffs(X, coeffs))]
+        kinds += _assert_queries_match_oracles(X, chambers)
+    # dimensions, a non-characteristic class and a class of another lattice all met
+    assert set(kinds) == {"int", "NonCharacteristicError", "ValueError"}
+
+
+def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
+    X = _surgered((9, -14, 17, -8), 4)
+    classes = X.sw.classes()
+    assert len(classes) == 128
+    chamber = Chamber(X, X.marked_class("h"))
+    calls = Counter()
+    for name in ("is_characteristic", "pair", "gram_image", "_blowup_partners"):
+        def counted(*args, _name=name, _fn=getattr(manifold, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(manifold, name, counted)
+    # the table's classes were validated when it was built
+    assert [dimension(X, k) for k in classes] == [0] * 128
+    assert calls == Counter()
+    off_table = classes[0] + 2 * X.marked_class("h")
+    assert X.sw.value(off_table) == 0
+    dimension(X, off_table)
+    assert calls == Counter(is_characteristic=1)
+    calls.clear()
+    # G h and G H once per chamber, then one dot product each per class
+    assert [chamber_sw(X, k, chamber) for k in classes] == [v for _, v in X.sw.entries]
+    assert calls == Counter(gram_image=2)
+    calls.clear()
+    # partners are sought within a magnitude group, and a class found as a
+    # later partner is not searched from: one test per pair here, against
+    # the 8,128 entry pairs of a pairwise scan
+    assert minimality_check(X).status == "blowup_pair_found"
+    assert calls == Counter(_blowup_partners=len(classes) // 2)
+
+
+def test_cached_indexes_stay_invisible(z3):
+    fresh = FourManifoldModel.from_dict(z3.to_dict())
+    queried = FourManifoldModel.from_dict(z3.to_dict())
+    k = queried.sw.classes()[0]
+    chamber = Chamber(queried, queried.marked_class("h"))
+    assert queried.sw.value(k) == chamber_sw(queried, k, chamber)
+    assert dimension(queried, k) == 0
+    assert "_index" in vars(queried.sw) and "_images" in vars(chamber)
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert queried.sw == fresh.sw and hash(queried.sw) == hash(fresh.sw)
+    untouched = Chamber(fresh, fresh.marked_class("h"))
+    assert chamber == untouched and hash(chamber) == hash(untouched)
+    assert json.dumps(queried.to_dict()) == json.dumps(fresh.to_dict())
+    assert [f.name for f in dataclasses.fields(SWTable)] == ["lattice", "entries", "convention_note"]
+    assert [f.name for f in dataclasses.fields(Chamber)] == ["model", "period"]
+    # no cache sits on the model itself, whose _replaced spreads __dict__
+    model_fields = {f.name for f in dataclasses.fields(FourManifoldModel)}
+    assert set(vars(queried)) == model_fields
+    renamed = queried.renamed("queried")
+    assert set(vars(renamed)) == model_fields
+    assert renamed == fresh.renamed("queried") and renamed.name == "queried"
+    assert chamber_sw(renamed, k, Chamber(renamed, renamed.marked_class("h"))) == queried.sw.value(k)
 
 
 def test_fingerprint(e1_model):
