@@ -241,8 +241,8 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
     if any(fiber.coords) and is_characteristic(fiber):
         # every j is odd, so each j T is characteristic with T; the classes
         # are distinct as T != 0, the quotient is antisymmetric in j, and
-        # d(j T) = (0 - 0) / 4 = 0
-        sw = SWTable._trusted(X.lattice, entries, X.sw.convention_note)
+        # d(j T) = (0 - 0) / 4 = 0 with (j T)^2 = j^2 T^2 = 0 carried
+        sw = SWTable._trusted(X.lattice, entries, X.sw.convention_note, square=0)
     else:
         sw = SWTable(X.lattice, entries, X.sw.convention_note)
     return X._replaced(name=f"{X.name}_K", sw=sw, surgery_history=history)

@@ -18,6 +18,14 @@ with k, and d(k +- E) = d(k)), ``renamed``, and the knot surgery of
 through the public constructors, as the pushed-down classes are not known
 to be characteristic.  ``dimension`` runs the characteristic test only on
 classes outside the model's own table.
+
+Two trusted constructions also carry the square k^2 that every class of
+their table shares, exact by construction: knot surgery (its classes are
+j T with T^2 = 0 checked, so (j T)^2 = 0) and ``blowup`` of a table that
+carries one ((k +- E)^2 = k^2 - 1, as E^2 = -1 and k . E = 0).  ``dimension``
+reads it for a class of the table instead of squaring.  Tables from the
+public constructors, ``from_dict`` and ``plumbing.rational_blowdown`` carry
+none, and ``dimension`` squares their classes.
 """
 
 from __future__ import annotations
@@ -78,12 +86,20 @@ class SWTable:
             if not is_characteristic(HomologyClass(self.lattice, coords)):
                 raise ValueError(f"SW class {coords} is not characteristic")
 
+    # k^2 (an int) shared by every class of a table built with it known by
+    # construction, else None; unannotated, so not a field and never
+    # compared, hashed or serialized
+    _square = None
+
     @classmethod
-    def _trusted(cls, lattice: IntersectionLattice, entries, convention_note: str = DEFAULT_CONVENTION):
+    def _trusted(cls, lattice: IntersectionLattice, entries,
+                 convention_note: str = DEFAULT_CONVENTION, square: int | None = None):
         """A table whose entries are sorted (int-tuple, nonzero int) pairs
-        known to form a valid table in ``lattice``; nothing is checked."""
+        known to form a valid table in ``lattice``, every class of square
+        ``square`` when that is given; nothing is checked."""
         self = object.__new__(cls)
-        self.__dict__.update(lattice=lattice, entries=entries, convention_note=convention_note)
+        self.__dict__.update(lattice=lattice, entries=entries, convention_note=convention_note,
+                             _square=square)
         return self
 
     @classmethod
@@ -316,6 +332,11 @@ class Chamber:
             raise ValueError("period class must pair positively with the marked class h")
 
     @cached_property
+    def _b_plus(self) -> int:
+        """The model's b+, computed on first use."""
+        return self.model.b_plus_minus()[0]
+
+    @cached_property
     def _images(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(G h, G H), built on first use, so that h.k and H.k are dot
         products with k's coordinates."""
@@ -327,10 +348,14 @@ def dimension(X: FourManifoldModel, k: HomologyClass) -> int:
     if not same_lattice(k.lattice, X.lattice):
         raise ValueError("class does not live in the model lattice")
     # a class of the model's own table was checked characteristic when the
-    # table was built (or holds by construction), so only others are tested
-    if k.coords not in X.sw._index and not is_characteristic(k):
+    # table was built (or holds by construction), so only others are tested;
+    # a table built with its classes' common square carries it
+    carried = None
+    if k.coords in X.sw._index:
+        carried = X.sw._square
+    elif not is_characteristic(k):
         raise NonCharacteristicError(f"{k.coords} is not characteristic in {X.name!r}")
-    numerator = square(k) - 3 * X.sign - 2 * X.euler
+    numerator = (square(k) if carried is None else carried) - 3 * X.sign - 2 * X.euler
     if numerator % 4:
         raise RuntimeError("internal invariant violation: d(k) is not an integer")
     return numerator // 4
@@ -351,7 +376,7 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     otherwise the wall-crossing jump is added, oriented from the h-side to
     the H-side.  Only available for b+ = 1 models.
     """
-    b_plus, _ = X.b_plus_minus()
+    b_plus = H._b_plus if H.model is X else X.b_plus_minus()[0]
     if b_plus != 1:
         raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
     if H.model is not X and H.model != X:
@@ -400,7 +425,8 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
     The output is valid by construction, so it is built trusted: k +- E is
     characteristic with k (E^2 = -1 is odd), the table stays closed under
     negation, and (k +- E)^2 = k^2 - 1 against 3 sign + 2 euler dropping by 1
-    keeps d(k) >= 0 and even, so no entry is pruned.
+    keeps d(k) >= 0 and even, so no entry is pruned.  A carried common
+    square drops by 1 with it.
     """
     label = str(label or _next_exceptional_label(X.lattice))
     if label in X.lattice.basis:
@@ -418,7 +444,8 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
         sign=X.sign - 1,
         simply_connected=X.simply_connected,
         marked=marked,
-        sw=SWTable._trusted(lattice, tuple(entries), X.sw.convention_note),
+        sw=SWTable._trusted(lattice, tuple(entries), X.sw.convention_note,
+                            None if X.sw._square is None else X.sw._square - 1),
         pi1_note=X.pi1_note,
         surgery_history=X.surgery_history,
     )

@@ -6,6 +6,11 @@ inverses).  With this convention ab has trace 1 and order 6.  A parsed word
 is evaluated over its factor tree: every power, of a letter or of a
 parenthesized group, is taken by repeated squaring, so its cost grows with
 the logarithm of the exponent.
+
+Only the boundary validates: the public ``IntegerMatrix2(...)`` checks
+det = 1, while products, inverses and the identity are built unchecked
+through ``IntegerMatrix2._trusted``, as det(AB) = det A det B = 1 and the
+inverse of a det-1 matrix has det 1.
 """
 
 from __future__ import annotations
@@ -34,11 +39,18 @@ class IntegerMatrix2:
             raise ValueError("determinant must be +1")
 
     @classmethod
+    def _trusted(cls, a: int, b: int, c: int, d: int) -> "IntegerMatrix2":
+        """A matrix of int entries known to have determinant 1; unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
+        return self
+
+    @classmethod
     def identity(cls) -> "IntegerMatrix2":
-        return cls(1, 0, 0, 1)
+        return cls._trusted(1, 0, 0, 1)
 
     def __matmul__(self, other: "IntegerMatrix2") -> "IntegerMatrix2":
-        return IntegerMatrix2(
+        return IntegerMatrix2._trusted(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -58,7 +70,7 @@ class IntegerMatrix2:
         return result
 
     def inverse(self) -> "IntegerMatrix2":
-        return IntegerMatrix2(self.d, -self.b, -self.c, self.a)
+        return IntegerMatrix2._trusted(self.d, -self.b, -self.c, self.a)
 
     @property
     def trace(self) -> int:
@@ -153,10 +165,10 @@ def _spell(items, power: int = 1) -> tuple[str, ...]:
             stack.append((iter(item.inner), item.power, []))
 
 
-def _product(factors) -> IntegerMatrix2:
+def _product(matrices) -> IntegerMatrix2:
     m = IntegerMatrix2.identity()
-    for f in factors:
-        m = m @ f.base ** f.power
+    for x in matrices:
+        m = m @ x
     return m
 
 
@@ -219,7 +231,8 @@ def parse_word(text: str) -> MCGWord:
             start, items = stack.pop()
             pos += 1
             power = parse_power()
-            items.append(Factor(text[start:pos], power, _product(inner), tuple(inner),
+            base = _product(f.base ** f.power for f in inner)
+            items.append(Factor(text[start:pos], power, base, tuple(inner),
                                 abs(power) * sum(f.length for f in inner)))
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", pos)
@@ -231,7 +244,7 @@ def evaluate(word: MCGWord | str) -> IntegerMatrix2:
     the empty word is the identity."""
     if isinstance(word, str):
         word = parse_word(word)
-    return _product(word.factors)
+    return _product(f.base ** f.power for f in word.factors)
 
 
 def parabolic_width(m: IntegerMatrix2) -> int | None:
@@ -277,11 +290,11 @@ def verify_factorization(word: MCGWord | str, expected: MCGWord | str | None = N
     target = None
     if expected is not None:
         target = parse_word(expected) if isinstance(expected, str) else expected
-    lhs = evaluate(word)
+    powers = [f.base ** f.power for f in word.factors]
+    lhs = _product(powers)
     rhs = evaluate(target) if target is not None else IntegerMatrix2.identity()
     diags = []
-    for f in word.factors:
-        factor_matrix = f.base ** f.power
+    for f, factor_matrix in zip(word.factors, powers):
         diags.append(
             FactorDiagnostic(
                 text=f.text,

@@ -408,28 +408,94 @@ def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
     assert len(classes) == 128
     chamber = Chamber(X, X.marked_class("h"))
     calls = Counter()
-    for name in ("is_characteristic", "pair", "gram_image", "_blowup_partners"):
+    for name in ("is_characteristic", "pair", "square", "signature_and_betti", "gram_image",
+                 "_blowup_partners"):
         def counted(*args, _name=name, _fn=getattr(manifold, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(manifold, name, counted)
-    # the table's classes were validated when it was built
+    # the table's classes were validated when it was built, and their
+    # common square k^2 = -4 was carried through surgery and blowups
     assert [dimension(X, k) for k in classes] == [0] * 128
     assert calls == Counter()
     off_table = classes[0] + 2 * X.marked_class("h")
     assert X.sw.value(off_table) == 0
     dimension(X, off_table)
-    assert calls == Counter(is_characteristic=1)
+    assert calls == Counter(is_characteristic=1, square=1)
     calls.clear()
-    # G h and G H once per chamber, then one dot product each per class
+    # b+ once and G h, G H once per chamber, then one dot product each per class
     assert [chamber_sw(X, k, chamber) for k in classes] == [v for _, v in X.sw.entries]
-    assert calls == Counter(gram_image=2)
+    assert calls == Counter(signature_and_betti=1, gram_image=2)
     calls.clear()
     # partners are sought within a magnitude group, and a class found as a
     # later partner is not searched from: one test per pair here, against
     # the 8,128 entry pairs of a pairwise scan
     assert minimality_check(X).status == "blowup_pair_found"
     assert calls == Counter(_blowup_partners=len(classes) // 2)
+
+
+def _plus_sum(X):
+    """X # CP^2 with an empty table: b+ = 2, so it has no chamber invariants."""
+    n = X.lattice.rank
+    gram = tuple(row + (0,) for row in X.lattice.gram) + ((0,) * n + (1,),)
+    lattice = IntersectionLattice(X.lattice.basis + ("P",), gram, name=f"{X.name}#cp2")
+    marked = {name: coords + (0,) for name, coords in X.marked}
+    return FourManifoldModel(f"{X.name}#cp2", lattice, X.euler + 1, X.sign + 1, True, marked,
+                             SWTable.empty(lattice))
+
+
+def _carried_answers(model):
+    """dimension and chamber_sw on a spread of the table's classes, each
+    checked against the naive oracles, with every invalid chamber input."""
+    classes = model.sw.classes()
+    sample = classes[::max(1, len(classes) // 12)]
+    h = model.marked_class("h")
+    chambers = [Chamber(model, h), Chamber(FourManifoldModel.from_dict(model.to_dict()), h)]
+    other = Chamber(model.renamed("other"), h)
+    plus = _plus_sum(model)
+    answers = []
+    for k in sample:
+        d = dimension(model, k)
+        assert d == naive_dimension(model, k)
+        answers.append(d)
+        # the reference chamber (the model itself, and an equal copy), another
+        # model's chamber, and a period on k's wall when k^2 < 0: with
+        # P = (h.k) k - k^2 h, P.k = 0, P.h = (h.k)^2 - k^2 > 0 and
+        # P^2 = -k^2 ((h.k)^2 - k^2) > 0
+        queries = [(model, k, chamber) for chamber in chambers] + [(model, k, other)]
+        if square(k) < 0:
+            wall = Chamber(model, pair(h, k) * k - square(k) * h)
+            queries.append((model, k, wall))
+        # b+ = 2 is refused before the chamber's model is compared
+        lifted = plus.lattice.element(k.coords + (1,))
+        queries += [(plus, lifted, Chamber(plus, plus.marked_class("h"))),
+                    (plus, lifted, chambers[0])]
+        for args in queries:
+            outcome = _outcome(chamber_sw, *args)
+            assert outcome == _outcome(naive_chamber_sw, *args)
+            answers.append(outcome)
+    return answers
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=3), st.integers(0, 5))
+@example([0, -3], 5)
+@example([0], 2)
+def test_carried_square_matches_oracles(twists, blowups):
+    X = _surgered(twists, blowups)
+    # (j T)^2 = 0 after surgery, and each blowup takes 1 off
+    assert X.sw._square == -blowups
+    assert all(square(k) == X.sw._square for k in X.sw.classes())
+    answers = _carried_answers(X)
+    # every invalid input was met, a wall once k^2 < 0
+    raised = {a[0] for a in answers if isinstance(a, tuple)}
+    expected = {ValueError, OnWallError} if blowups else {ValueError}
+    assert raised == (expected if len(X.sw) else set())
+    # a model loaded from JSON squares its classes, before and after a blowup
+    loaded = FourManifoldModel.from_dict(X.to_dict())
+    assert loaded.sw._square is None and blowup(loaded).sw._square is None
+    assert _carried_answers(loaded) == answers
+    assert _carried_answers(blowup(loaded)) == _carried_answers(blowup(X))
 
 
 def test_cached_indexes_stay_invisible(z3):

@@ -117,8 +117,9 @@ def test_verify_against_identity_default():
 
 
 def test_matrix_type():
-    with pytest.raises(ValueError, match="determinant"):
-        IntegerMatrix2(1, 0, 0, -1)
+    for entries in ((1, 0, 0, -1), (2, 0, 0, 1)):
+        with pytest.raises(ValueError, match="determinant"):
+            IntegerMatrix2(*entries)
     m = evaluate("aabAB")
     assert (m @ m.inverse()).is_identity()
     assert m ** -2 == (m.inverse()) ** 2
@@ -186,8 +187,14 @@ def test_factor_tree_matches_letter_product(drawn):
     assert len(word.letters) == word.length == length
     assert evaluate(text) == IntegerMatrix2(*naive_word_matrix(word.letters))
     report = verify_factorization(text)
+    assert report.lhs == evaluate(text) and report.rhs.is_identity()
     assert len(report.factors) == len(word.factors)
-    for d, f in zip(report.factors, word.factors):
+    # products are built unchecked; the public constructor rechecks det = 1
+    powers = [f.base ** f.power for f in word.factors]
+    for m in [report.lhs, report.rhs, *powers, *(f.base for f in word.factors)]:
+        assert IntegerMatrix2(m.a, m.b, m.c, m.d) == m
+    for d, f, power in zip(report.factors, word.factors, powers):
+        assert (d.factor_trace, d.width) == (power.trace, parabolic_width(power))
         base = naive_word_matrix(f.base_letters)
         factor = naive_word_matrix(f.letters)
         assert (d.text, d.power) == (f.text, f.power)

@@ -12,6 +12,7 @@ from swsurgery.knots import LaurentPolynomial, TwistKnot, alexander_twist, knot_
 from swsurgery.lattice import IntersectionLattice
 from swsurgery.manifold import FourManifoldModel, SWTable, blowup
 from swsurgery.models import e1
+from swsurgery.monodromy import TWIST_A, TWIST_B, IntegerMatrix2
 from swsurgery.pipelines import FAMILIES, build_family, verify_paper
 
 from .trusted import SHIPPED, validating_trusted
@@ -34,6 +35,18 @@ def test_trusted_constructions_match_public_constructors():
         for (key, n), expected in families.items():
             model, rep = build_family(key, n)
             assert rep.all_pass and rep.to_json() == expected
+
+
+def test_validation_covers_carried_squares_and_word_products():
+    with validating_trusted():
+        X = e1()
+        X = blowup(knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(3)))
+        assert X.sw._square == -1  # so dimension still reads the carried square
+        with pytest.raises(AssertionError, match="carried square"):
+            SWTable._trusted(X.lattice, X.sw.entries, X.sw.convention_note, square=0)
+        assert (TWIST_A @ TWIST_B).rows() == ((0, 1), (-1, 1))
+        with pytest.raises(ValueError, match="determinant"):
+            IntegerMatrix2._trusted(2, 0, 0, 1)
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))

@@ -5,8 +5,11 @@ with a private ``_trusted`` classmethod that checks nothing.
 ``validating_trusted()`` replaces each such classmethod by one that builds
 the object both ways, asserts that every field agrees (fields left out of
 equality, such as a lattice's name and sparse rows, included), and returns
-the validated object.  Memos are cleared on entry and exit so that no object
-built one way is served under the other.
+the validated object.  A table built with a carried square (the k^2 every
+class shares) must have that square on every class, and the validated
+table carries it too, so ``dimension`` takes the same branch.  Memos are
+cleared on entry and exit so that no object built one way is served under
+the other.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from contextlib import contextmanager
 
 import swsurgery
 from swsurgery.knots import LaurentPolynomial
-from swsurgery.lattice import HomologyClass, IntersectionLattice
+from swsurgery.lattice import HomologyClass, IntersectionLattice, square
 from swsurgery.manifold import FourManifoldModel, SWTable
+from swsurgery.monodromy import IntegerMatrix2
 
-TRUSTED = (HomologyClass, IntersectionLattice, SWTable, FourManifoldModel, LaurentPolynomial)
+TRUSTED = (HomologyClass, IntersectionLattice, SWTable, FourManifoldModel, LaurentPolynomial,
+           IntegerMatrix2)
 
 # the classmethods as the package defines them, before any patching
 SHIPPED = {cls: vars(cls)["_trusted"] for cls in TRUSTED}
@@ -53,6 +58,11 @@ def _validating(cls, trusted):
         for f in fields:
             assert getattr(fast, f.name) == getattr(slow, f.name), (
                 f"trusted {cls.__name__}.{f.name} differs from the validated one")
+        if cls is SWTable and fast._square is not None:
+            for coords, _ in slow.entries:
+                assert square(HomologyClass(slow.lattice, coords)) == fast._square, (
+                    f"SW class {coords} does not have the carried square {fast._square}")
+            slow.__dict__["_square"] = fast._square
         return slow
 
     return classmethod(build)
