@@ -6,8 +6,9 @@ fraction-free elimination, ``bareiss_adjugate``, which returns the
 determinant and the integer adjugate; callers build a ``fractions.Fraction``
 only where a rational entry is output (linear plumbing chains take theirs
 from continuants instead, see ``plumbing``).  Ranks, kernels and row spans
-come from one integer echelon, ``row_echelon_unimodular``.  Only the
-signature routine ``symmetric_diagonalize`` works over ``Fraction``.
+come from one integer echelon, ``row_echelon_unimodular``; ``kernel_rows``
+serves ``lattice.orthogonal_complement``, the one orthogonal complement.
+Only the signature routine ``symmetric_diagonalize`` works over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ def dot(u: Sequence, v: Sequence):
 def matmul(a, b) -> tuple[tuple, ...]:
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_vec(m, v) -> tuple:
-    return tuple(dot(row, v) for row in m)
-
-
-def vec_mat(v, m) -> tuple:
-    return tuple(dot(v, col) for col in transpose(m))
 
 
 def is_symmetric(m) -> bool:
@@ -187,22 +180,17 @@ def kernel_rows(a) -> tuple[tuple[int, ...], ...]:
 
 
 def hnf_row_basis(rows) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis (Hermite-style) of the integer row span of ``rows``."""
+    """Hermite normal form of the integer row span of ``rows``: positive pivots,
+    each entry above a pivot in [0, pivot), one basis for every generating set.
+    Taken top down, each pivot row is zero in the earlier pivot columns."""
     ech, _ = row_echelon_unimodular(rows)
     basis = [list(r) for r in ech if any(x != 0 for x in r)]
-    # normalize: positive pivots, entries above a pivot reduced mod the pivot
-    pivots = []
-    for row in basis:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        pivots.append(c)
     for idx, row in enumerate(basis):
-        if row[pivots[idx]] < 0:
-            basis[idx] = [-x for x in row]
-    for idx in range(len(basis) - 1, -1, -1):
-        c = pivots[idx]
-        piv = basis[idx][c]
+        c = next(j for j, x in enumerate(row) if x != 0)
+        if row[c] < 0:
+            basis[idx] = row = [-x for x in row]
         for above in range(idx):
-            q = basis[above][c] // piv
+            q = basis[above][c] // row[c]
             if q:
-                basis[above] = [x - q * y for x, y in zip(basis[above], basis[idx])]
+                basis[above] = [x - q * y for x, y in zip(basis[above], row)]
     return freeze(basis)

@@ -435,8 +435,8 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
     n = X.lattice.rank
     marked = tuple(sorted([(name, coords + (0,)) for name, coords in X.marked]
                           + [(label, (0,) * n + (1,))]))
-    entries = [(coords + (eps,), value) for coords, value in X.sw.entries for eps in (1, -1)]
-    entries.sort()
+    # the parent's coordinates are sorted and distinct, so these come out sorted
+    entries = tuple((coords + (eps,), value) for coords, value in X.sw.entries for eps in (-1, 1))
     return FourManifoldModel._trusted(
         name=f"{X.name}#cp2bar",
         lattice=lattice,
@@ -444,7 +444,7 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
         sign=X.sign - 1,
         simply_connected=X.simply_connected,
         marked=marked,
-        sw=SWTable._trusted(lattice, tuple(entries), X.sw.convention_note,
+        sw=SWTable._trusted(lattice, entries, X.sw.convention_note,
                             None if X.sw._square is None else X.sw._square - 1),
         pi1_note=X.pi1_note,
         surgery_history=X.surgery_history,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import gcd
 
@@ -23,11 +23,8 @@ from .exactmat import (
     dot,
     freeze,
     hnf_row_basis,
-    kernel_rows,
-    mat_vec,
     matmul,
     transpose,
-    vec_mat,
 )
 from .lattice import (
     HomologyClass,
@@ -35,6 +32,7 @@ from .lattice import (
     LatticeMismatchError,
     gram_image,
     is_characteristic,
+    orthogonal_complement,
     require_same_lattice,
     same_lattice,
     square,
@@ -341,51 +339,16 @@ class EmbeddingReport:
         return tuple(desc for desc, good in self.entries if not good)
 
 
-def _vertex_coords(emb: ConfigurationEmbedding) -> tuple[tuple[int, ...], ...]:
-    """The coordinates of the vertex classes, which a profile does not have."""
-    if emb.vertex_classes is None:
-        raise ValueError("this step needs explicit vertex classes; a profile supports "
-                         "only pairing vectors and relative squares")
-    return tuple(u.coords for u in emb.vertex_classes)
-
-
 def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = None) -> EmbeddingReport:
     """Check a realized configuration against its chain, entry by entry.
 
     Mismatch is a report outcome, not an error.  For the seven-sphere tree the
     checks are the tree adjacency (central vertex with three length-2 legs)
     and orthogonality of every vertex to the marked fiber T.  The report
-    depends only on the ambient Gram, the vertex coordinates, the chain and
-    the fiber's coordinates, so it comes from a bounded memo,
-    ``_embedding_report``.
+    comes from the plan ``_chain_plan``, one per ambient lattice, vertex
+    coordinates, chain and fiber.
     """
-    chain = chain or emb.chain
-    vertices = _vertex_coords(emb)
-    fiber = None if chain.is_linear() else emb.ambient.marked_class("T").coords
-    return _embedding_report(emb.ambient.lattice.gram, vertices, chain, fiber)
-
-
-@lru_cache(maxsize=64)
-def _embedding_report(gram, vertices, chain: PlumbingChain, fiber) -> EmbeddingReport:
-    images = [mat_vec(gram, u) for u in vertices]
-    realized = [[dot(u, image) for image in images] for u in vertices]
-    entries: list[tuple[str, bool]] = []
-    expected = chain.matrix()
-    entries.append((f"configuration size {chain.size}", len(realized) == chain.size))
-    common = min(len(realized), chain.size)
-    for i in range(common):
-        for j in range(i, common):
-            ok = realized[i][j] == expected[i][j]
-            kind = "self-intersection" if i == j else "pairing"
-            entries.append(
-                (f"vertex {kind} ({i},{j}): expected {expected[i][j]}, got {realized[i][j]}", ok)
-            )
-    if not chain.is_linear():
-        entries.append(("tree adjacency: central vertex with three length-2 legs",
-                        _is_three_leg_star(chain)))
-        for i, image in enumerate(images):
-            entries.append((f"vertex {i} orthogonal to the fiber", dot(fiber, image) == 0))
-    return EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
+    return _plan(emb, chain or emb.chain).report
 
 
 def _is_three_leg_star(chain: PlumbingChain) -> bool:
@@ -426,43 +389,20 @@ def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
 
     That is the value preserving the formal dimension through the blowdown.
     Every candidate must be a characteristic class of the ambient lattice.
-    The characteristic tests and restriction squares come from the bounded
-    memo ``_lift_plan``, keyed on exact data, so a repeated search costs one
-    lookup.  The output is closed under negation whenever the input is.
+    The characteristic tests and restriction squares on ``emb.chain`` come
+    from the plan ``_chain_plan``, so a repeated search computes neither.
+    The output is closed under negation whenever the input is.
     """
-    vertices = _vertex_coords(emb)
-    lattice = emb.ambient.lattice
+    plan = _plan(emb, emb.chain)
     for c in candidates:
-        require_same_lattice(c.lattice, lattice)
-    plan = _lift_plan(lattice, vertices, emb.chain, p, tuple(c.coords for c in candidates), False)
-    return [c for c, kept in zip(candidates, plan) if kept is not None]
-
-
-@lru_cache(maxsize=64)
-def _lift_plan(lattice, vertices, chain, p: int, classes, descend: bool):
-    """The SW-side work on ambient ``classes`` (coordinate tuples), from exact data only.
-
-    ``vertices`` are the coordinates of the vertex classes of ``chain`` in
-    ``lattice``.  Returns one entry per class: None unless its restriction
-    has relative square -(p - 1).  A kept class maps to its push-down image
-    (M-coordinates times the divisor of ``_blowdown_geometry``) when
-    ``descend``, else to True; without ``descend`` every class is a lift
-    candidate and must be characteristic.  In a family only the SW values
-    change with n, so every build reads the same entries; failed checks
-    raise and are not cached.
-    """
-    if descend:
-        _, push, _ = _blowdown_geometry(lattice.gram, vertices, p)
-    images = [gram_image(HomologyClass._trusted(lattice, u)) for u in vertices]
-    plan = []
-    for coords in classes:
-        if not descend and not is_characteristic(HomologyClass._trusted(lattice, coords)):
-            raise ValueError(f"lift candidate {coords} is not characteristic")
-        if relative_square(chain, [dot(coords, image) for image in images]) != -(p - 1):
-            plan.append(None)
-        else:
-            plan.append(vec_mat(coords, push) if descend else True)
-    return tuple(plan)
+        require_same_lattice(c.lattice, emb.ambient.lattice)
+    lifts = []
+    for c in candidates:
+        if not plan.characteristic(c.coords):
+            raise ValueError(f"lift candidate {c.coords} is not characteristic")
+        if plan.restriction_square(c.coords) == -(p - 1):
+            lifts.append(c)
+    return lifts
 
 
 def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
@@ -503,45 +443,119 @@ def _overlattice_basis(det_c: int, adj_c, p: int):
     return hnf_row_basis(rows)
 
 
-@lru_cache(maxsize=64)
-def _blowdown_geometry(gram, vertices, p: int):
-    """The lattice side of an order-p blowdown, from exact integer data only.
+def _plan(emb: ConfigurationEmbedding, chain: PlumbingChain) -> "_ChainPlan":
+    """The plan of ``emb``'s vertex classes as a realization of ``chain``; the
+    fiber T is part of the key only for a tree, whose report checks it."""
+    if emb.vertex_classes is None:
+        raise ValueError("this step needs explicit vertex classes; a profile supports "
+                         "only pairing vectors and relative squares")
+    vertices = tuple(u.coords for u in emb.vertex_classes)
+    fiber = None if chain.is_linear() else emb.ambient.marked_class("T").coords
+    return _chain_plan(emb.ambient.lattice, vertices, chain, fiber)
 
-    ``gram`` is the ambient Gram and ``vertices`` the coordinate tuples of
-    the chain's vertex classes, which the caller has verified to realize
-    cp_chain(p).  Returns (M, P, divisor): the unimodular overlattice M of
-    the orthogonal complement C, unnamed, with basis c0, c1, ...; and the
-    integer matrix P with M-coordinates of an ambient class k equal to
-    k P / divisor.  None of this depends on the SW data, so a family
-    computes it once for every n; failed checks raise and are not cached.
-    """
-    complement = kernel_rows(tuple(mat_vec(gram, u) for u in vertices))
-    gram_c = matmul(matmul(complement, gram), transpose(complement))
-    # nondegenerate, as the ambient form and the verified chain form both are
-    det_c, adj_c = bareiss_adjugate(gram_c)
-    if abs(det_c) != p * p:
-        raise EmbeddingError(
-            f"complement discriminant is not p^2 = {p * p}; "
-            "the configuration is not primitively embedded"
-        )
-    basis = _overlattice_basis(det_c, adj_c, p)
-    # the overlattice vectors are basis / den, so their Gram is B G B^T / den^2
-    den2 = det_c * det_c
-    scaled = matmul(matmul(basis, gram_c), transpose(basis))
-    if any(x % den2 for row in scaled for x in row):
-        raise EmbeddingError("overlattice pairing is not integral")
-    gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
-    # nonsingular, as M contains the nondegenerate C with finite index
-    if abs(bareiss_adjugate(gram_m)[0]) != 1:
-        raise EmbeddingError("overlattice is not unimodular")
-    # symmetric as gram_c is, and nondegenerate as unimodular: built trusted
-    lattice_m = IntersectionLattice._trusted(tuple(f"c{i}" for i in range(len(gram_m))), gram_m)
-    # k pairs with C as k G W^T (W the complement rows), which has
-    # C-coordinates k G W^T G_C^(-1) and M-coordinates
-    # k G W^T adj_c adj_b / divisor, with B adj_b = det_b I
-    det_b, adj_b = bareiss_adjugate(basis)
-    push = matmul(matmul(matmul(gram, transpose(complement)), adj_c), adj_b)
-    return lattice_m, push, det_b if det_c > 0 else -det_b
+
+@dataclass(eq=False)
+class _ChainPlan:
+    """What the vertex classes (coordinates ``vertices``) of ``chain`` in
+    ``lattice`` determine, with ``fiber`` the fiber T for a tree, else None.
+
+    Each part is built on first use: the ``report`` of ``verify_embedding``,
+    the blowdown ``geometry`` of a verified chain, and per ambient class its
+    characteristic test, restriction square and push-down image.  A failed
+    check raises on every call: a ``geometry`` that raises is not kept, and
+    the per-class tables hold outcomes, which the callers test."""
+
+    lattice: IntersectionLattice
+    vertices: tuple[tuple[int, ...], ...]
+    chain: PlumbingChain
+    fiber: tuple[int, ...] | None
+
+    def __post_init__(self):
+        self.images = tuple(gram_image(HomologyClass._trusted(self.lattice, u))
+                            for u in self.vertices)
+        self._characteristic, self._squares, self._push = {}, {}, {}
+
+    @cached_property
+    def report(self) -> EmbeddingReport:
+        chain, images = self.chain, self.images
+        realized = [[dot(u, image) for image in images] for u in self.vertices]
+        expected = chain.matrix()
+        entries = [(f"configuration size {chain.size}", len(realized) == chain.size)]
+        common = min(len(realized), chain.size)
+        entries += [(f"vertex {'self-intersection' if i == j else 'pairing'} ({i},{j}): "
+                     f"expected {expected[i][j]}, got {realized[i][j]}",
+                     realized[i][j] == expected[i][j])
+                    for i in range(common) for j in range(i, common)]
+        if not chain.is_linear():
+            entries.append(("tree adjacency: central vertex with three length-2 legs",
+                            _is_three_leg_star(chain)))
+            entries += [(f"vertex {i} orthogonal to the fiber", dot(self.fiber, image) == 0)
+                        for i, image in enumerate(images)]
+        return EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
+
+    @cached_property
+    def geometry(self):
+        """(M, columns of P, divisor) for ``chain`` = cp_chain(p): the
+        unimodular overlattice M of the orthogonal complement C, unnamed, with
+        basis c0, c1, ...; and the integer matrix P with M-coordinates of an
+        ambient class k equal to k P / divisor."""
+        p = self.chain.size + 1
+        complement = orthogonal_complement(
+            self.lattice, [HomologyClass._trusted(self.lattice, u) for u in self.vertices])
+        gram_c = complement.gram
+        # nondegenerate, as the ambient form and the verified chain form both are
+        det_c, adj_c = bareiss_adjugate(gram_c)
+        if abs(det_c) != p * p:
+            raise EmbeddingError(
+                f"complement discriminant is not p^2 = {p * p}; "
+                "the configuration is not primitively embedded"
+            )
+        basis = _overlattice_basis(det_c, adj_c, p)
+        # the overlattice vectors are basis / den, so their Gram is B G B^T / den^2
+        den2 = det_c * det_c
+        scaled = matmul(matmul(basis, gram_c), transpose(basis))
+        if any(x % den2 for row in scaled for x in row):
+            raise EmbeddingError("overlattice pairing is not integral")
+        gram_m = freeze(tuple(x // den2 for x in row) for row in scaled)
+        # nonsingular, as M contains the nondegenerate C with finite index
+        if abs(bareiss_adjugate(gram_m)[0]) != 1:
+            raise EmbeddingError("overlattice is not unimodular")
+        # symmetric as gram_c is, and nondegenerate as unimodular: built trusted
+        lattice_m = IntersectionLattice._trusted(tuple(f"c{i}" for i in range(len(gram_m))), gram_m)
+        # k pairs with C as k G W^T (W the complement rows), so its
+        # M-coordinates are k G W^T adj_c adj_b / divisor (B adj_b = det_b I):
+        # P = G W^T adj_c adj_b, kept by columns as adj_b^T adj_c (W G)
+        det_b, adj_b = bareiss_adjugate(basis)
+        images_c = [gram_image(w) for w in complement.vectors]
+        columns = matmul(matmul(transpose(adj_b), adj_c), images_c)
+        return lattice_m, columns, det_b if det_c > 0 else -det_b
+
+    def characteristic(self, coords) -> bool:
+        return _remember(self._characteristic, coords, lambda: is_characteristic(
+            HomologyClass._trusted(self.lattice, coords)))
+
+    def restriction_square(self, coords) -> Fraction:
+        return _remember(self._squares, coords, lambda: relative_square(
+            self.chain, [dot(coords, image) for image in self.images]))
+
+    def push_image(self, coords) -> tuple[int, ...]:
+        """k P for the ambient coordinates k: the divisor times its M-coordinates."""
+        return _remember(self._push, coords, lambda: tuple(
+            dot(coords, column) for column in self.geometry[1]))
+
+
+def _remember(table: dict, coords, compute):
+    """table[coords], from ``compute()``, kept while the table has < 256 classes."""
+    value = table.get(coords)
+    if value is None:
+        value = compute()
+        if len(table) < 256:
+            table[coords] = value
+    return value
+
+
+# one plan per (ambient lattice, vertex coordinates, chain, fiber)
+_chain_plan = lru_cache(maxsize=64)(_ChainPlan)
 
 
 def rational_blowdown(
@@ -561,22 +575,19 @@ def rational_blowdown(
     new lattice is the unimodular overlattice of the orthogonal complement
     of the vertices; euler drops by p - 1, sign rises by p - 1, and the SW
     table transfers through the characteristic lifts among X's basic
-    classes, evaluated in the chamber of H (wall crossing included by
-    chamber_sw).  Simple connectivity is supplied by the caller with a
+    classes (relative square -(p - 1) on cp_chain(p)), evaluated in the
+    chamber of H (wall crossing included by chamber_sw).  Simple connectivity is supplied by the caller with a
     justification note.
 
-    The lattice geometry comes from the memo ``_blowdown_geometry`` and the
-    transfer (which classes survive, and their push-down images) from
-    ``_lift_plan``, both keyed on exact data; the chamber values, the
-    divisibility of each image and the new table and model are computed on
-    every call.
+    The report, the geometry and each class's restriction square and image
+    come from the plan of the vertices as cp_chain(p) (``_chain_plan``);
+    the chamber values, the divisibility of each image and the new table
+    and model are computed on every call.
     """
-    chain = cp_chain(p)
-    report = verify_embedding(emb, chain)
-    if not report.ok:
-        raise EmbeddingError(
-            "embedding does not realize the blowdown chain: " + "; ".join(report.failures())
-        )
+    plan = _plan(emb, cp_chain(p))
+    if not plan.report.ok:
+        raise EmbeddingError("embedding does not realize the blowdown chain: "
+                             + "; ".join(plan.report.failures()))
     if square(H.period) <= 0:
         raise ValueError("period class must have positive square")
     if any(emb.pairing_vector(H.period)):
@@ -584,14 +595,14 @@ def rational_blowdown(
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    vertices = _vertex_coords(emb)
-    lattice_m, push, divisor = _blowdown_geometry(X.lattice.gram, vertices, p)
+    lattice_m, _, divisor = plan.geometry
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(
         lattice_m.basis, lattice_m.gram, new_name, rows=lattice_m.rows
     )
 
-    def push_down(coords, image) -> HomologyClass:
+    def push_down(coords) -> HomologyClass:
+        image = plan.push_image(coords)
         if any(x % divisor for x in image):
             raise EmbeddingError(f"class {coords} does not descend to the new lattice")
         return HomologyClass._trusted(new_lattice, tuple(x // divisor for x in image))
@@ -600,15 +611,14 @@ def rational_blowdown(
     # pushed-down classes are characteristic, and whether the chamber values
     # of a table that is not antisymmetric stay closed under negation, is not
     # known by construction; nor is the caller's simply_connected flag
-    plan = _lift_plan(X.lattice, vertices, emb.chain, p, tuple(c for c, _ in X.sw.entries), True)
     entries = {}
-    for (coords, _), image in zip(X.sw.entries, plan):
-        if image is not None:
+    for coords, _ in X.sw.entries:
+        if plan.restriction_square(coords) == -(p - 1):
             value = chamber_sw(X, HomologyClass._trusted(X.lattice, coords), H)
             if value != 0:
-                entries[push_down(coords, image)] = value
+                entries[push_down(coords)] = value
     table = SWTable.from_pairs(new_lattice, entries, X.sw.convention_note)
-    marked = {"h": push_down(H.period.coords, vec_mat(H.period.coords, push))}
+    marked = {"h": push_down(H.period.coords)}
     return FourManifoldModel(
         name=new_name,
         lattice=new_lattice,

@@ -14,6 +14,8 @@ from swsurgery.cli import (
 )
 from swsurgery.manifold import FourManifoldModel
 
+from .trusted import memos
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -83,28 +85,16 @@ def test_golden_output_bytes(capsys, argv):
 
 
 def test_outputs_equal_with_cold_and_warm_memos(capsys):
-    from swsurgery.lattice import _signature_cached
-    from swsurgery.pipelines import _cycle_fiber_monodromy, _profile_lifts
-    from swsurgery.plumbing import (
-        _blowdown_geometry,
-        _embedding_report,
-        _lift_plan,
-        _sign_flips,
-        cp_chain,
-        intersection_matrix,
-    )
+    from swsurgery.plumbing import _chain_plan
 
     commands = [("verify-paper", "--json")] + [
         ("family", key, "--n", str(n), "--json")
         for key in ("xn", "qn", "b7", "b8") for n in range(1, 6)
     ]
-    for memo in (_signature_cached, _blowdown_geometry, intersection_matrix, _lift_plan,
-                 _embedding_report, _sign_flips, cp_chain, _cycle_fiber_monodromy,
-                 _profile_lifts):
+    for memo in memos():
         memo.cache_clear()
     cold = [run_cli(capsys, *argv) for argv in commands]
-    assert _blowdown_geometry.cache_info().hits > 0
-    assert _lift_plan.cache_info().hits > 0
+    assert _chain_plan.cache_info().hits > 0
     warm = [run_cli(capsys, *argv) for argv in commands]
     assert cold == warm
     assert all(code == 0 for code, _, _ in cold)

@@ -102,6 +102,36 @@ def test_hnf_row_basis_canonical():
     assert hnf_row_basis(((2, 10), (2, 4), (0, 6))) == basis
 
 
+def _random_rows(rng, k, n):
+    return [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+
+
+def test_hnf_row_basis_same_for_two_generating_sets():
+    rng = random.Random(29)
+    for _ in range(400):
+        k, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _random_rows(rng, k, n)
+        # the same lattice: a unimodular change of the generators, plus two
+        # integer combinations of them, in a random order
+        others = [list(row) for row in matmul(random_unimodular(rng, k), rows)]
+        for _ in range(2):
+            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+            others.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+        rng.shuffle(others)
+        assert hnf_row_basis(others) == hnf_row_basis(rows)
+
+
+def test_hnf_row_basis_is_reduced_above_pivots():
+    rng = random.Random(31)
+    for _ in range(400):
+        basis = hnf_row_basis(_random_rows(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        for idx, c in enumerate(pivots):
+            assert basis[idx][c] > 0
+            assert all(0 <= basis[above][c] < basis[idx][c] for above in range(idx))
+
+
 def test_symmetric_diagonalize_congruence():
     rng = random.Random(13)
     for _ in range(100):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swsurgery.exactmat import SingularMatrixError, matmul
+from swsurgery.exactmat import SingularMatrixError, bareiss_adjugate, hnf_row_basis, matmul
 from swsurgery.lattice import LatticeMismatchError, pair, square
 from swsurgery.manifold import Chamber
 from swsurgery.models import WN_C7_PROFILE, class_from_coeffs, e6_embedding
@@ -15,6 +15,7 @@ from swsurgery.plumbing import (
     EmbeddingError,
     LensSpace,
     PlumbingChain,
+    _overlattice_basis,
     boundary_lens_space,
     cp_chain,
     default_lift_candidates,
@@ -28,6 +29,7 @@ from swsurgery.plumbing import (
 
 from .oracles import (
     chain_determinant_recurrence,
+    congruent_gram,
     continued_fraction,
     fraction_det,
     gauss_jordan_solve,
@@ -356,6 +358,59 @@ def test_failed_blowdown_geometry_raises_on_every_call(z3):
     for _ in range(2):
         with pytest.raises(EmbeddingError, match="not primitively embedded"):
             rational_blowdown(z3, emb, 2, chamber, simply_connected=True)
+
+
+def _mislabelled(z3):
+    """The xn vertex classes, labelled as a path of six -2 spheres, not cp_chain(7)."""
+    chain = PlumbingChain((-2,) * 6, tuple((i, i + 1) for i in range(5)))
+    return ConfigurationEmbedding(ambient=z3, chain=chain,
+                                  vertex_classes=FAMILIES["xn"].embedding(z3).vertex_classes)
+
+
+def test_rational_blowdown_uses_the_verified_chain(z3):
+    chamber = FAMILIES["xn"].chamber(z3)
+    right = rational_blowdown(z3, FAMILIES["xn"].embedding(z3), 7, chamber,
+                              simply_connected=True, name="X3")
+    wrong = rational_blowdown(z3, _mislabelled(z3), 7, chamber, simply_connected=True, name="X3")
+    assert wrong == right
+    assert wrong.sw.magnitudes() == (3, 3)
+
+
+def test_blowdown_checks_hold_against_a_warm_plan(z3):
+    chamber = FAMILIES["xn"].chamber(z3)
+    right = rational_blowdown(z3, FAMILIES["xn"].embedding(z3), 7, chamber, simply_connected=True)
+    wrong = _mislabelled(z3)
+    assert not verify_embedding(wrong).ok
+    find_characteristic_lifts(wrong, default_lift_candidates(z3), 7)
+    # 2 E0 realizes the order-2 chain but is not primitive (see above)
+    doubled = ConfigurationEmbedding(ambient=z3, chain=cp_chain(2),
+                                     vertex_classes=(2 * z3.marked_class("E0"),))
+    assert verify_embedding(doubled).ok
+    find_characteristic_lifts(doubled, default_lift_candidates(z3), 2)
+    for _ in range(2):
+        assert rational_blowdown(z3, wrong, 7, chamber, simply_connected=True) == right
+        with pytest.raises(EmbeddingError, match="not primitively embedded"):
+            rational_blowdown(z3, doubled, 2, Chamber(z3, z3.marked_class("h")),
+                              simply_connected=True)
+
+
+def test_overlattice_basis_contains_the_complement_with_index_p():
+    # M = C + p C* contains C = den * I, with index p when the discriminant
+    # group is cyclic of order p^2, as for the complement of a primitive chain
+    rng = random.Random(37)
+    cases = [(((0, 3, -3, 1), (3, -3, 0, 1), (-3, 0, 2, -3), (1, 1, -3, 1)), 3)]
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        signs = [rng.choice((1, -1)) for _ in range(rng.randint(1, 6))]
+        cases.append((congruent_gram(rng, [signs[0] * p * p] + signs[1:]), p))
+    for gram, p in cases:
+        det_c, adj_c = bareiss_adjugate(gram)
+        assert abs(det_c) == p * p
+        den, r = abs(det_c), len(gram)
+        basis = _overlattice_basis(det_c, adj_c, p)
+        scaled = [[den if i == j else 0 for j in range(r)] for i in range(r)]
+        assert hnf_row_basis(list(basis) + scaled) == basis
+        assert abs(fraction_det(basis)) == den ** r // p
 
 
 def test_failed_lift_check_raises_on_every_call(z3):
