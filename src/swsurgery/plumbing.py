@@ -390,19 +390,15 @@ def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
     That is the value preserving the formal dimension through the blowdown.
     Every candidate must be a characteristic class of the ambient lattice.
     The characteristic tests and restriction squares on ``emb.chain`` come
-    from the plan ``_chain_plan``, so a repeated search computes neither.
+    from ``transfer`` of the plan ``_chain_plan``, so a repeated search
+    costs one lookup.
     The output is closed under negation whenever the input is.
     """
     plan = _plan(emb, emb.chain)
     for c in candidates:
         require_same_lattice(c.lattice, emb.ambient.lattice)
-    lifts = []
-    for c in candidates:
-        if not plan.characteristic(c.coords):
-            raise ValueError(f"lift candidate {c.coords} is not characteristic")
-        if plan.restriction_square(c.coords) == -(p - 1):
-            lifts.append(c)
-    return lifts
+    kept = plan.transfer(tuple(c.coords for c in candidates), p, False)
+    return [c for c, lift in zip(candidates, kept) if lift is not None]
 
 
 def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
@@ -459,11 +455,9 @@ class _ChainPlan:
     """What the vertex classes (coordinates ``vertices``) of ``chain`` in
     ``lattice`` determine, with ``fiber`` the fiber T for a tree, else None.
 
-    Each part is built on first use: the ``report`` of ``verify_embedding``,
-    the blowdown ``geometry`` of a verified chain, and per ambient class its
-    characteristic test, restriction square and push-down image.  A failed
-    check raises on every call: a ``geometry`` that raises is not kept, and
-    the per-class tables hold outcomes, which the callers test."""
+    The ``report`` of ``verify_embedding`` is built with the plan, the
+    blowdown ``geometry`` of a verified chain and each ``transfer`` on first
+    use.  A failed check raises on every call and is not kept."""
 
     lattice: IntersectionLattice
     vertices: tuple[tuple[int, ...], ...]
@@ -471,27 +465,27 @@ class _ChainPlan:
     fiber: tuple[int, ...] | None
 
     def __post_init__(self):
-        self.images = tuple(gram_image(HomologyClass._trusted(self.lattice, u))
-                            for u in self.vertices)
-        self._characteristic, self._squares, self._push = {}, {}, {}
-
-    @cached_property
-    def report(self) -> EmbeddingReport:
-        chain, images = self.chain, self.images
-        realized = [[dot(u, image) for image in images] for u in self.vertices]
+        chain = self.chain
+        self.images = [gram_image(HomologyClass._trusted(self.lattice, u)) for u in self.vertices]
+        realized = [[dot(u, image) for image in self.images] for u in self.vertices]
+        entries: list[tuple[str, bool]] = []
         expected = chain.matrix()
-        entries = [(f"configuration size {chain.size}", len(realized) == chain.size)]
+        entries.append((f"configuration size {chain.size}", len(realized) == chain.size))
         common = min(len(realized), chain.size)
-        entries += [(f"vertex {'self-intersection' if i == j else 'pairing'} ({i},{j}): "
-                     f"expected {expected[i][j]}, got {realized[i][j]}",
-                     realized[i][j] == expected[i][j])
-                    for i in range(common) for j in range(i, common)]
+        for i in range(common):
+            for j in range(i, common):
+                ok = realized[i][j] == expected[i][j]
+                kind = "self-intersection" if i == j else "pairing"
+                entries.append(
+                    (f"vertex {kind} ({i},{j}): expected {expected[i][j]}, got {realized[i][j]}", ok)
+                )
         if not chain.is_linear():
             entries.append(("tree adjacency: central vertex with three length-2 legs",
                             _is_three_leg_star(chain)))
-            entries += [(f"vertex {i} orthogonal to the fiber", dot(self.fiber, image) == 0)
-                        for i, image in enumerate(images)]
-        return EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
+            for i, image in enumerate(self.images):
+                entries.append((f"vertex {i} orthogonal to the fiber", dot(self.fiber, image) == 0))
+        self.report = EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
+        self._transfers = {}
 
     @cached_property
     def geometry(self):
@@ -530,28 +524,28 @@ class _ChainPlan:
         columns = matmul(matmul(transpose(adj_b), adj_c), images_c)
         return lattice_m, columns, det_b if det_c > 0 else -det_b
 
-    def characteristic(self, coords) -> bool:
-        return _remember(self._characteristic, coords, lambda: is_characteristic(
-            HomologyClass._trusted(self.lattice, coords)))
-
-    def restriction_square(self, coords) -> Fraction:
-        return _remember(self._squares, coords, lambda: relative_square(
-            self.chain, [dot(coords, image) for image in self.images]))
-
-    def push_image(self, coords) -> tuple[int, ...]:
-        """k P for the ambient coordinates k: the divisor times its M-coordinates."""
-        return _remember(self._push, coords, lambda: tuple(
-            dot(coords, column) for column in self.geometry[1]))
-
-
-def _remember(table: dict, coords, compute):
-    """table[coords], from ``compute()``, kept while the table has < 256 classes."""
-    value = table.get(coords)
-    if value is None:
-        value = compute()
-        if len(table) < 256:
-            table[coords] = value
-    return value
+    def transfer(self, classes, p: int, descend: bool):
+        """The SW-side work on ambient ``classes`` (coordinate tuples): one
+        entry per class, None unless its restriction has relative square
+        -(p - 1).  A kept class maps to its image k P under ``geometry`` when
+        ``descend``, else to True; without ``descend`` every class is a lift
+        candidate and must be characteristic.  Kept per (classes, p,
+        descend): in a family only the SW values change with n, so every
+        build reads the same entries."""
+        key = (classes, p, descend)
+        kept = self._transfers.get(key)
+        if kept is None:
+            columns = self.geometry[1] if descend else ()
+            kept = []
+            for coords in classes:
+                if not descend and not is_characteristic(HomologyClass._trusted(self.lattice, coords)):
+                    raise ValueError(f"lift candidate {coords} is not characteristic")
+                if relative_square(self.chain, [dot(coords, image) for image in self.images]) != -(p - 1):
+                    kept.append(None)
+                else:
+                    kept.append(tuple(dot(coords, c) for c in columns) if descend else True)
+            kept = self._transfers[key] = tuple(kept)
+        return kept
 
 
 # one plan per (ambient lattice, vertex coordinates, chain, fiber)
@@ -576,13 +570,13 @@ def rational_blowdown(
     of the vertices; euler drops by p - 1, sign rises by p - 1, and the SW
     table transfers through the characteristic lifts among X's basic
     classes (relative square -(p - 1) on cp_chain(p)), evaluated in the
-    chamber of H (wall crossing included by chamber_sw).  Simple connectivity is supplied by the caller with a
-    justification note.
+    chamber of H (wall crossing included by chamber_sw).  Simple
+    connectivity is supplied by the caller with a justification note.
 
-    The report, the geometry and each class's restriction square and image
-    come from the plan of the vertices as cp_chain(p) (``_chain_plan``);
-    the chamber values, the divisibility of each image and the new table
-    and model are computed on every call.
+    The report, the geometry and the transfer (which classes survive, and
+    their push-down images) come from the plan of the vertices as
+    cp_chain(p) (``_chain_plan``); the chamber values, the divisibility of
+    each image and the new table and model are computed on every call.
     """
     plan = _plan(emb, cp_chain(p))
     if not plan.report.ok:
@@ -595,14 +589,13 @@ def rational_blowdown(
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    lattice_m, _, divisor = plan.geometry
+    lattice_m, columns, divisor = plan.geometry
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(
         lattice_m.basis, lattice_m.gram, new_name, rows=lattice_m.rows
     )
 
-    def push_down(coords) -> HomologyClass:
-        image = plan.push_image(coords)
+    def push_down(coords, image) -> HomologyClass:
         if any(x % divisor for x in image):
             raise EmbeddingError(f"class {coords} does not descend to the new lattice")
         return HomologyClass._trusted(new_lattice, tuple(x // divisor for x in image))
@@ -611,14 +604,16 @@ def rational_blowdown(
     # pushed-down classes are characteristic, and whether the chamber values
     # of a table that is not antisymmetric stay closed under negation, is not
     # known by construction; nor is the caller's simply_connected flag
+    transfer = plan.transfer(tuple(c for c, _ in X.sw.entries), p, True)
     entries = {}
-    for coords, _ in X.sw.entries:
-        if plan.restriction_square(coords) == -(p - 1):
+    for (coords, _), image in zip(X.sw.entries, transfer):
+        if image is not None:
             value = chamber_sw(X, HomologyClass._trusted(X.lattice, coords), H)
             if value != 0:
-                entries[push_down(coords)] = value
+                entries[push_down(coords, image)] = value
     table = SWTable.from_pairs(new_lattice, entries, X.sw.convention_note)
-    marked = {"h": push_down(H.period.coords)}
+    h = H.period.coords
+    marked = {"h": push_down(h, tuple(dot(h, c) for c in columns))}
     return FourManifoldModel(
         name=new_name,
         lattice=new_lattice,
