@@ -49,7 +49,8 @@ MAX_KNOTS = 200
 # printed integers stay below 4300 digits, where int to str stops, when the
 # inputs have at most 4000 digits together: an SW coefficient has at most
 # about 120 digits more than the twists, and a continuant is at most the
-# product of the |weight| + 1, below 10^(the weights' digits)
+# product of the |weight| + 1, below 10^(the weights' digits).  The entries
+# of a model file's Gram share the total, which caps its rank at 63
 MAX_ADJUGATE_BITS = 150_000_000
 MAX_INPUT_DIGITS = 4000
 
@@ -68,7 +69,9 @@ def resolve_model(spec: str) -> FourManifoldModel:
     if key != "e1" and key not in BUILTIN_MODELS and key not in pipelines.FAMILIES:
         try:
             with open(spec) as fh:
-                return FourManifoldModel.from_dict(json.load(fh))
+                data = json.load(fh)
+            _check_digits(_gram_entries(data), "model Gram entries")
+            return FourManifoldModel.from_dict(data)
         except FileNotFoundError:
             raise CliError(f"no model file or builtin named {spec!r}") from None
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -84,6 +87,13 @@ def resolve_model(spec: str) -> FourManifoldModel:
     if key in pipelines.FAMILIES:
         return pipelines.build_family(key, n)[0]
     return BUILTIN_MODELS[key](n)
+
+
+def _gram_entries(data) -> list[int]:
+    """The integer entries of a model payload's Gram; the schema is checked later."""
+    gram = data.get("gram") if isinstance(data, dict) else None
+    rows = gram if isinstance(gram, list) else ()
+    return [x for row in rows if isinstance(row, list) for x in row if type(x) is int]
 
 
 _CLASS_TERM = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*\*?\s*(?P<name>[A-Za-z][A-Za-z0-9_]*)?\s*")

@@ -7,13 +7,13 @@ determinant and the integer adjugate; callers build a ``fractions.Fraction``
 only where a rational entry is output (linear plumbing chains take theirs
 from continuants instead, see ``plumbing``).  Ranks, kernels and row spans
 come from one integer echelon, ``row_echelon_unimodular``; ``kernel_rows``
-serves ``lattice.orthogonal_complement``, the one orthogonal complement.
-Only the signature routine ``symmetric_diagonalize`` works over ``Fraction``.
+serves ``lattice.orthogonal_complement``, the one orthogonal complement, and
+the radical of a degenerate form.  Signatures come from ``inertia``, the
+symmetric form of the same fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -81,51 +81,42 @@ def bareiss_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return sign * prev, freeze([sign * x for x in row[n:]] for row in a)
 
 
-def symmetric_diagonalize(gram):
-    """Congruence-diagonalize a symmetric rational matrix.
+def inertia(gram) -> tuple[int, int, int]:
+    """(b+, b-, nullity) of a symmetric integer matrix.
 
-    Returns (diag, p) with p * gram * p^T diagonal and diag its diagonal.
-    Pivoting rule: first nonzero diagonal entry; if the whole remaining
-    diagonal vanishes, a row+column addition manufactures one.  Rows of p
-    past the last pivot are radical vectors when zeros remain on diag.
+    Fraction-free symmetric elimination: a pivot d turns each remaining entry
+    into (d * m[r][c] - m[r][i] * m[i][c]) / prev, the division exact as in
+    ``bareiss_adjugate``.  After a negative pivot the remaining block is
+    negated and prev = |d|.  If the whole remaining diagonal vanishes, adding
+    row and column b to row and column a makes the pivot 2 * m[a][b]; that
+    changes the basis only among the vectors not yet eliminated, so the
+    divisions stay exact.  Each step is a congruence times a positive scalar,
+    so by Sylvester's law the inertia is kept; the block left all zero at the
+    end is the radical.
     """
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        p[i], p[j] = p[j], p[i]
-
-    def add_rowcol(dst, src, f):
-        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
-        for row in m:
-            row[dst] += f * row[src]
-        p[dst] = [x + f * y for x, y in zip(p[dst], p[src])]
-
-    for i in range(n):
-        if m[i][i] == 0:
-            k = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
-            if k is not None:
-                swap(i, k)
-            else:
-                off = next(
-                    ((a, b) for a in range(i, n) for b in range(a + 1, n) if m[a][b] != 0),
-                    None,
-                )
-                if off is None:
-                    break  # remaining block is identically zero
-                a, b = off
-                add_rowcol(a, b, Fraction(1))
-                if a != i:
-                    swap(i, a)
-        piv = m[i][i]
-        for j in range(i + 1, n):
-            if m[j][i]:
-                add_rowcol(j, i, -m[j][i] / piv)
-    return tuple(m[i][i] for i in range(n)), freeze(p)
+    m = [[int(x) for x in row] for row in gram]
+    signs = []
+    prev = 1
+    while m:
+        n = len(m)
+        i = next((k for k in range(n) if m[k][k]), None)
+        if i is None:
+            off = next(((a, b) for a in range(n) for b in range(a + 1, n) if m[a][b]), None)
+            if off is None:
+                break  # the remaining block is identically zero
+            i, b = off
+            m[i] = [x + y for x, y in zip(m[i], m[b])]
+            for row in m:
+                row[i] += row[b]
+        pivot_row = m.pop(i)
+        d = pivot_row.pop(i)
+        sign = 1 if d > 0 else -1
+        column = [row.pop(i) for row in m]
+        m = [[sign * (d * x - f * y) // prev for x, y in zip(row, pivot_row)]
+             for row, f in zip(m, column)]
+        signs.append(sign)
+        prev = abs(d)
+    return signs.count(1), signs.count(-1), len(m)
 
 
 def row_echelon_unimodular(rows):

@@ -30,11 +30,12 @@ from functools import lru_cache
 from operator import add, sub
 
 from .exactmat import (
+    dot,
     freeze,
+    inertia,
     is_symmetric,
     kernel_rows,
     row_echelon_unimodular,
-    symmetric_diagonalize,
 )
 
 
@@ -76,14 +77,12 @@ class IntersectionLattice:
             raise ValueError("gram size does not match basis")
         if not is_symmetric(self.gram):
             raise ValueError("gram matrix must be symmetric")
-        if not self.relative and self.rank:
-            radical = _signature_cached(gram)[2]
-            if radical is not None:
-                raise DegenerateFormError(
-                    f"lattice {self.name or '<unnamed>'} is degenerate; "
-                    "pass relative=True for plumbing interiors",
-                    radical=radical,
-                )
+        if not self.relative and _signature_cached(gram)[2]:
+            raise DegenerateFormError(
+                f"lattice {self.name or '<unnamed>'} is degenerate; "
+                "pass relative=True for plumbing interiors",
+                radical=kernel_rows(gram)[0],
+            )
 
     @classmethod
     def _trusted(cls, basis, gram, name: str = "", relative: bool = False, rows=None):
@@ -219,31 +218,25 @@ def is_characteristic(k: HomologyClass) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _signature_cached(gram):
-    """(b+, b-, a radical vector or None) of a nonempty symmetric Gram.
+def _signature_cached(gram) -> tuple[int, int, int]:
+    """(b+, b-, nullity) of a symmetric Gram.
 
-    One exact diagonalization per distinct Gram serves both the
-    nondegeneracy check of every new lattice and its signature.
+    One integer elimination per distinct Gram serves both the nondegeneracy
+    check of every new lattice and its signature.
     """
-    diag, trans = symmetric_diagonalize(gram)
-    radical = next((trans[i] for i, d in enumerate(diag) if d == 0), None)
-    b_plus = sum(1 for d in diag if d > 0)
-    return b_plus, sum(1 for d in diag if d < 0), radical
+    return inertia(gram)
 
 
 def _signature(gram) -> tuple[int, int]:
-    b_plus, b_minus, radical = _signature_cached(gram)
-    if radical is not None:
-        raise DegenerateFormError(
-            f"degenerate form; radical vector {tuple(radical)}", radical=radical
-        )
+    b_plus, b_minus, nullity = _signature_cached(gram)
+    if nullity:
+        radical = kernel_rows(gram)[0]
+        raise DegenerateFormError(f"degenerate form; radical vector {radical}", radical=radical)
     return b_plus, b_minus
 
 
 def signature_and_betti(lattice: IntersectionLattice) -> tuple[int, int]:
-    """(b+, b-) by exact rational congruence diagonalization."""
-    if lattice.rank == 0:
-        return (0, 0)
+    """(b+, b-) by fraction-free symmetric elimination (``exactmat.inertia``)."""
     return _signature(lattice.gram)
 
 
@@ -260,8 +253,6 @@ class Sublattice:
         return len(self.vectors)
 
     def signature_and_betti(self) -> tuple[int, int]:
-        if not self.vectors:
-            return (0, 0)
         return _signature(self.gram)
 
 
@@ -282,5 +273,10 @@ def orthogonal_complement(lattice: IntersectionLattice, classes) -> Sublattice:
         raise ValueError("complement input classes are linearly dependent")
     basis_rows = kernel_rows(tuple(gram_image(u) for u in classes))
     vectors = tuple(HomologyClass._trusted(lattice, row) for row in basis_rows)
-    gram = freeze(tuple(pair(v, w) for w in vectors) for v in vectors)
-    return Sublattice(lattice, vectors, gram)
+    # one image G v per vector; v . w is then a dot product, mirrored below the diagonal
+    gram = [[0] * len(basis_rows) for _ in basis_rows]
+    for i, v in enumerate(vectors):
+        image = gram_image(v)
+        for j in range(i, len(basis_rows)):
+            gram[i][j] = gram[j][i] = dot(image, basis_rows[j])
+    return Sublattice(lattice, vectors, freeze(gram))

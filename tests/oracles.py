@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: pairings by explicit
 double loops, signatures by Jacobi's leading-minor rule over determinants by
-plain ``Fraction`` elimination, chain determinants by the tridiagonal
+plain ``Fraction`` elimination, inertia by rational congruence
+diagonalization, chain determinants by the tridiagonal
 recurrence, linear solves by one ``Fraction`` Gauss-Jordan pass, lens-space
 boundaries by evaluating the continued fraction, characteristic vectors
 mod 2 by trying every 0/1 vector, twist words one letter at a time, the
@@ -17,6 +18,7 @@ from fractions import Fraction
 from itertools import islice, permutations, product
 from math import gcd
 
+from swsurgery.exactmat import freeze
 from swsurgery.manifold import MinimalityVerdict, NonCharacteristicError, OnWallError
 
 
@@ -147,6 +149,53 @@ def minors_signature(gram):
             neg = sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
             return (n - neg, neg)
     raise AssertionError("no permutation with nonvanishing leading minors found")
+
+
+def symmetric_diagonalize(gram):
+    """Congruence-diagonalize a symmetric rational matrix.
+
+    Returns (diag, p) with p * gram * p^T diagonal and diag its diagonal.
+    Pivoting rule: first nonzero diagonal entry; if the whole remaining
+    diagonal vanishes, a row+column addition manufactures one.  Rows of p
+    past the last pivot are radical vectors when zeros remain on diag.
+    """
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        p[i], p[j] = p[j], p[i]
+
+    def add_rowcol(dst, src, f):
+        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
+        for row in m:
+            row[dst] += f * row[src]
+        p[dst] = [x + f * y for x, y in zip(p[dst], p[src])]
+
+    for i in range(n):
+        if m[i][i] == 0:
+            k = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if k is not None:
+                swap(i, k)
+            else:
+                off = next(
+                    ((a, b) for a in range(i, n) for b in range(a + 1, n) if m[a][b] != 0),
+                    None,
+                )
+                if off is None:
+                    break  # remaining block is identically zero
+                a, b = off
+                add_rowcol(a, b, Fraction(1))
+                if a != i:
+                    swap(i, a)
+        piv = m[i][i]
+        for j in range(i + 1, n):
+            if m[j][i]:
+                add_rowcol(j, i, -m[j][i] / piv)
+    return tuple(m[i][i] for i in range(n)), freeze(p)
 
 
 def chain_determinant_recurrence(p):

@@ -376,6 +376,32 @@ def test_malformed_model_file_exits_2(capsys, tmp_path, payload, fault):
     assert fault in err and "Traceback" not in err
 
 
+def test_model_file_gram_is_bounded_before_it_is_built(capsys, tmp_path, monkeypatch):
+    import random
+
+    rng = random.Random(160)
+    n = 160  # 25600 entries: far past MAX_INPUT_DIGITS, which caps the rank at 63
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(-9, 9)
+    payload = {"name": "M", "basis": [f"x{i}" for i in range(n)], "gram": gram,
+               "euler": n + 2, "sign": 0, "simply_connected": True}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+
+    def unreachable(data):
+        raise AssertionError("from_dict was reached")
+
+    monkeypatch.setattr(FourManifoldModel, "from_dict", staticmethod(unreachable))
+    code, out, err = run_cli(capsys, "lattice", "pair", "--model", str(path),
+                             "--class", "x0", "--class", "x1")
+    assert (code, out) == (2, "")
+    # one digit per entry
+    assert f"the model Gram entries have {n * n} digits; the limit is {MAX_INPUT_DIGITS}" in err
+    assert "Traceback" not in err
+
+
 def test_lattice_errors(capsys):
     code, _, err = run_cli(capsys, "lattice", "pair", "--model", "e1", "--class", "T")
     assert code == 2

@@ -2,19 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swsurgery import exactmat
 from swsurgery.exactmat import (
     SingularMatrixError,
     bareiss_adjugate,
     hnf_row_basis,
+    inertia,
     kernel_rows,
     identity,
     matmul,
-    symmetric_diagonalize,
     transpose,
 )
 
-from .oracles import fraction_det, random_unimodular
+from .oracles import fraction_det, random_unimodular, symmetric_diagonalize
 
 
 def _det(m):
@@ -154,3 +157,54 @@ def test_symmetric_diagonalize_radical():
     radical = p[zero_positions[0]]
     assert any(radical)
     assert all(sum(radical[k] * ((0, 0), (0, 1))[k][j] for k in range(2)) == 0 for j in range(2))
+
+
+def _oracle_inertia(gram):
+    diag, _ = symmetric_diagonalize(gram)
+    return (sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0),
+            sum(1 for d in diag if d == 0))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A random symmetric integer matrix of size 0-9: entries drawn directly,
+    with an all-zero diagonal in a third of them (so the first pivot is
+    manufactured from an off-diagonal entry), or A D A^T for an n x k matrix
+    A with k <= n and a diagonal D that may hold zeros, which makes
+    degenerate forms common."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(("entries", "zero diagonal", "A D A^T")))
+    if kind == "A D A^T":
+        k = draw(st.integers(0, n))
+        a = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(n)]
+        d = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        return tuple(tuple(sum(x * dk * y for x, dk, y in zip(u, d, v)) for v in a) for u in a)
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -7))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if kind == "zero diagonal" else i, n):
+            gram[i][j] = gram[j][i] = draw(entries)
+    return tuple(map(tuple, gram))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_inertia_matches_rational_diagonalization(gram):
+    assert inertia(gram) == _oracle_inertia(gram)
+
+
+def test_inertia_small_cases():
+    assert inertia(()) == (0, 0, 0)
+    assert inertia(((0, 0), (0, 0))) == (0, 0, 2)
+    # all-zero diagonals: the hyperbolic plane, alone and beside a radical
+    assert inertia(((0, 1), (1, 0))) == (1, 1, 0)
+    assert inertia(((0, 1, 0), (1, 0, 0), (0, 0, 0))) == (1, 1, 1)
+    # E(1) = <1> + 9<-1> and the C_3 chain (-5, -2)
+    assert inertia(tuple(tuple((1 if i == 0 else -1) * (i == j) for j in range(10))
+                         for i in range(10))) == (1, 9, 0)
+    assert inertia(((-5, 1), (1, -2))) == (0, 2, 0)
+
+
+def test_exactmat_works_in_the_integers_only():
+    assert "Fraction" not in vars(exactmat)
+    assert "fractions" not in vars(exactmat)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swsurgery import lattice as lattice_module
 from swsurgery.lattice import (
     DegenerateFormError,
     HomologyClass,
@@ -151,6 +152,23 @@ def test_orthogonal_complement_of_chain(z3):
     assert sub.gram == tuple(zip(*sub.gram))  # induced gram is symmetric
 
 
+def test_orthogonal_complement_fills_its_gram_without_pair(z3, monkeypatch):
+    rng = random.Random(41)
+    lat = IntersectionLattice(tuple(f"x{i}" for i in range(6)),
+                              congruent_gram(rng, [1, -1, -1, 2, -3, -1]))
+    cases = [
+        (z3.lattice, FAMILIES["xn"].embedding(z3).vertex_classes),
+        (z3.lattice, [z3.marked_class("E0")]),
+        (lat, [lat.element((1, 2, 0, -1, 0, 3)), lat.element((0, 1, 1, 0, -2, 0))]),
+    ]
+    calls = []
+    monkeypatch.setattr(lattice_module, "pair", lambda x, y: calls.append((x, y)) or pair(x, y))
+    subs = [orthogonal_complement(ambient, classes) for ambient, classes in cases]
+    assert calls == []
+    for sub in subs:
+        assert sub.gram == tuple(tuple(pair(v, w) for w in sub.vectors) for v in sub.vectors)
+
+
 def test_orthogonal_complement_single_exceptional(z3):
     sub = orthogonal_complement(z3.lattice, [z3.marked_class("E0")])
     assert sub.rank == 12
@@ -168,14 +186,35 @@ def test_lattice_mismatch_error(e1_model, z3):
         pair(e1_model.marked_class("T"), z3.marked_class("T"))
 
 
+DEGENERATE_GRAMS = (
+    ((0, 0), (0, 1)),
+    ((1, 2, 3), (2, 4, 6), (3, 6, 9)),
+    # all-zero diagonals: the first pivot is manufactured
+    ((0, 1, 0), (1, 0, 0), (0, 0, 0)),
+    ((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)),
+    congruent_gram(random.Random(43), [1, -1, 0, -2, 0]),
+)
+
+
 def test_degenerate_lattice_rejected():
-    with pytest.raises(DegenerateFormError) as err:
-        IntersectionLattice(("x", "y"), ((0, 0), (0, 1)))
-    assert err.value.radical is not None
-    # relative lattices may be degenerate
-    lat = IntersectionLattice(("x", "y"), ((0, 0), (0, 1)), relative=True)
-    with pytest.raises(DegenerateFormError):
-        signature_and_betti(lat)
+    for gram in DEGENERATE_GRAMS:
+        basis = tuple(f"x{i}" for i in range(len(gram)))
+        radicals = []
+        for name in ("M", ""):
+            with pytest.raises(DegenerateFormError) as err:
+                IntersectionLattice(basis, gram, name=name)
+            assert str(err.value) == (f"lattice {name or '<unnamed>'} is degenerate; "
+                                      "pass relative=True for plumbing interiors")
+            radicals.append(err.value.radical)
+        # relative lattices may be degenerate; their signature is refused
+        lat = IntersectionLattice(basis, gram, relative=True)
+        with pytest.raises(DegenerateFormError) as err:
+            signature_and_betti(lat)
+        radicals.append(err.value.radical)
+        # each raise path carries a nonzero radical vector: G r = 0
+        for radical in radicals:
+            assert len(radical) == len(gram) and any(radical)
+            assert all(sum(g * x for g, x in zip(row, radical)) == 0 for row in gram)
 
 
 def test_lattice_validation_errors():
