@@ -5,6 +5,15 @@ build_family reconstructs it from the rational elliptic surface by knot
 surgery, blowups, and a rational blowdown, and returns the final model
 together with a report asserting every numerical claim along the way.  SW data is compared by absolute value; the
 signed values follow the recorded quotient convention.
+
+The parameter n enters only through the knot's Alexander polynomial, so each
+family has one plan per process (``_family_plan``): its vertex, chamber and
+lift classes, the embedding with its vertex images, and the computed side of
+every check that depends only on the lattice, the marked classes and the SW
+classes (the qn monodromy and profile checks included).  A build does the
+knot surgery and blowups, the chamber of its ambient, the blowdown's SW
+transfer and the SW and minimality checks, and emits the plan's values in
+their places in the report.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Callable
 
 from . import models
@@ -71,8 +81,8 @@ N_SWEEP = range(1, 11)
 SPHERE_COEFFS = {**E6_SPHERE_COEFFS, **I6_HEXAGON_COEFFS}
 
 
-def _coords(classes) -> list[list[int]]:
-    return sorted(list(k.coords) for k in classes)
+def _coords(classes) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(k.coords for k in classes))
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,15 @@ class FamilySpec:
     """One family as data: knot-surger E(1), blow up, embed the order-p chain
     u0, tail..., pick the lift, and rationally blow down.
 
-    ``checks`` adds the family's own checks before the shared blowdown ones;
-    it is passed the knot-surgered base model that the ambient blows up.
+    Only the knot surgery depends on n: the ambients of every n share one
+    lattice and one set of marked and SW classes.  So the vertex, chamber
+    and lift classes, the embedding, and the computed side of every check
+    that they determine form the family's plan, ``_family_plan``, built on
+    the family's first build in a process.  ``fixed`` adds the family's own
+    values to the plan, from (ambient, embedding, period class, lift);
+    ``checks`` adds the family's own checks before the shared blowdown ones,
+    from the knot-surgered base model that the ambient blows up, the ambient
+    and the plan's values.
     """
 
     key: str  # CLI name and report tag
@@ -97,6 +114,7 @@ class FamilySpec:
     chamber_coeffs: dict[str, int]
     lift_coeffs: dict[str, int]
     lift_square: int
+    fixed: Callable
     checks: Callable
     unique: bool = False  # the source states one basic class up to sign
 
@@ -122,7 +140,18 @@ class FamilySpec:
         return class_from_coeffs(ambient, self.lift_coeffs)
 
 
-def _xn_checks(rep, n, y, z, emb, chamber, k_lift) -> None:
+def _relsquare_fixed(ambient, emb, period, k_lift) -> dict:
+    return {"lift.relsquare": str(relative_square_of_restriction(emb, k_lift))}
+
+
+def _xn_fixed(z, emb, H, k_lift) -> dict:
+    h = z.marked_class("h")
+    return {**_relsquare_fixed(z, emb, H, k_lift),
+            "H.h": pair(H, h), "H.square": square(H), "H.lift": pair(H, k_lift),
+            "h.lift": pair(h, k_lift), "lift.profile": emb.pairing_vector(k_lift)}
+
+
+def _xn_checks(rep, n, y, z, fixed) -> None:
     rep.add("xn.yn.sw", "fiber surgery SW magnitudes at the fiber classes",
             sorted([n, n]), list(y.sw.magnitudes()), REPORTED)
     rep.add("xn.zn.sw.count", "three blowups spread the table over 16 sign classes",
@@ -131,50 +160,38 @@ def _xn_checks(rep, n, y, z, emb, chamber, k_lift) -> None:
             sorted([n] * 16), list(z.sw.magnitudes()), REPORTED)
     rep.add("xn.zn.bookkeeping", "(euler, sign) after three blowups",
             [15, -11], [z.euler, z.sign], DEFINITION)
-    rep.add("xn.u0.square", "the resolved -9 sphere",
-            -9, square(emb.vertex_classes[0]), REPORTED)
-    H = chamber.period
-    h = z.marked_class("h")
-    rep.add("xn.H.h", "period class against the reference class", 7, pair(H, h), REPORTED)
-    rep.add("xn.H.square", "square of the period class", 5, square(H), REPORTED)
-    rep.add("xn.H.lift", "period class against the lift", 5, pair(H, k_lift), REPORTED)
-    rep.add("xn.h.lift", "reference class against the lift", 3, pair(h, k_lift), REPORTED)
+    rep.add("xn.u0.square", "the resolved -9 sphere", -9, fixed["u0.square"], REPORTED)
+    rep.add("xn.H.h", "period class against the reference class", 7, fixed["H.h"], REPORTED)
+    rep.add("xn.H.square", "square of the period class", 5, fixed["H.square"], REPORTED)
+    rep.add("xn.H.lift", "period class against the lift", 5, fixed["H.lift"], REPORTED)
+    rep.add("xn.h.lift", "reference class against the lift", 3, fixed["h.lift"], REPORTED)
     rep.add("xn.lift.profile", "the lift restricts as 7 gamma_0",
-            [7, 0, 0, 0, 0, 0], list(emb.pairing_vector(k_lift)), REPORTED)
+            [7, 0, 0, 0, 0, 0], fixed["lift.profile"], REPORTED)
     rep.add("xn.lift.relsquare", "relative square of the restricted lift",
-            "-6", str(relative_square_of_restriction(emb, k_lift)), REPORTED)
+            "-6", fixed["lift.relsquare"], REPORTED)
 
 
-def _b7_checks(rep, n, base, ambient, emb, chamber, k_lift) -> None:
+def _b7_checks(rep, n, base, ambient, fixed) -> None:
     rep.add("b7.ambient.sw", "two blowups give 8 classes of magnitude n",
             sorted([n] * 8), list(ambient.sw.magnitudes()), DERIVED)
     rep.add("b7.u0.square", "pseudo-section plus one fiber, doubly blown up",
-            -7, square(emb.vertex_classes[0]), DERIVED)
+            -7, fixed["u0.square"], DERIVED)
     rep.add("b7.lift.relsquare", "lift target for the order-5 chain",
-            "-4", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
+            "-4", fixed["lift.relsquare"], DERIVED)
 
 
-def _b8_checks(rep, n, base, ambient, emb, chamber, k_lift) -> None:
+def _b8_checks(rep, n, base, ambient, fixed) -> None:
     rep.add("b8.reading", "family parameters read as b- = 8; the printed b+ = 8 "
             "variant is inconsistent with one blowup of a b+ = 1 manifold",
             "b_minus=8", "b_minus=8", DERIVED)
     rep.add("b8.ambient.sw", "one blowup gives 4 classes of magnitude n",
             sorted([n] * 4), list(ambient.sw.magnitudes()), DERIVED)
     rep.add("b8.u0.square", "pseudo-section with its double point blown up",
-            -5, square(emb.vertex_classes[0]), DERIVED)
+            -5, fixed["u0.square"], DERIVED)
     rep.add("b8.lift.relsquare", "lift target for the order-3 chain",
-            "-2", str(relative_square_of_restriction(emb, k_lift)), DERIVED)
+            "-2", fixed["lift.relsquare"], DERIVED)
 
 
-@lru_cache(maxsize=4)
-def _cycle_fiber_monodromy(factorization: str, fibration: str, block: str):
-    """The computed sides of the qn monodromy checks, from the word strings only."""
-    fact = verify_factorization(factorization, fibration)
-    return (fact.equal, evaluate(factorization).is_identity(),
-            parabolic_width(evaluate(block)), tuple(d.base_trace for d in fact.factors[1:]))
-
-
-@lru_cache(maxsize=4)
 def _profile_lifts(chain, rows) -> tuple:
     """The qn profile-level lift search over both sign families, from the
     shipped (name, row) pairings only: the combinations sum coeff * row whose
@@ -190,15 +207,30 @@ def _profile_lifts(chain, rows) -> tuple:
     return tuple(sorted(lifts))
 
 
-def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
-    equal, identity, width, nodal = _cycle_fiber_monodromy(
-        I6_FACTORIZATION, I6_FIBRATION, "a^6")
+def _qn_fixed(w, emb, H, k_lift) -> dict:
+    """The computed sides of the monodromy checks, from the word strings only,
+    and of the profile checks, from the realization and the shipped profile."""
+    fact = verify_factorization(I6_FACTORIZATION, I6_FIBRATION)
+    rows = models.WN_C7_PROFILE["pairings"]
+    return {
+        "monodromy.refactor": fact.equal,
+        "monodromy.identity": evaluate(I6_FACTORIZATION).is_identity(),
+        "monodromy.i6": parabolic_width(evaluate("a^6")),
+        "monodromy.nodal": tuple(d.base_trace for d in fact.factors[1:]),
+        "profile.gram": emb.realized_gram(),
+        **{f"profile.{name}": emb.profile_row(name) for name, _ in rows},
+        "lifts.profile": _profile_lifts(cp_chain(7), rows),
+    }
+
+
+def _qn_checks(rep, n, v, w, fixed) -> None:
     rep.add("qn.monodromy.refactor", "cycle-fiber word equals the cubed word",
-            True, equal, REPORTED)
+            True, fixed["monodromy.refactor"], REPORTED)
     rep.add("qn.monodromy.identity", "cycle-fiber word is a fibration word",
-            True, identity, REPORTED)
+            True, fixed["monodromy.identity"], REPORTED)
     rep.add("qn.monodromy.i6", "first factor is a parabolic block of width 6",
-            6, width, REPORTED)
+            6, fixed["monodromy.i6"], REPORTED)
+    nodal = fixed["monodromy.nodal"]
     rep.add("qn.monodromy.nodal", "remaining factors are nodal (trace 2) twists",
             [2] * len(nodal), nodal, DERIVED)
     t = v.marked_class("T")
@@ -211,19 +243,16 @@ def _qn_checks(rep, n, v, w, emb, chamber, k_lift) -> None:
     rep.add("qn.wn.bookkeeping", "(euler, sign) after two blowups",
             [14, -10], [w.euler, w.sign], DEFINITION)
     rep.add("qn.u0.square", "pseudo-section with both double points blown up",
-            -9, square(emb.vertex_classes[0]), REPORTED)
-    rows = models.WN_C7_PROFILE["pairings"]
+            -9, fixed["u0.square"], REPORTED)
     rep.add("qn.profile.gram", "shipped profile matches the realized chain",
-            [list(r) for r in models.WN_C7_PROFILE["gram"]],
-            [list(r) for r in emb.realized_gram()], DERIVED)
-    for name, row in rows:
+            [list(r) for r in models.WN_C7_PROFILE["gram"]], fixed["profile.gram"], DERIVED)
+    for name, row in models.WN_C7_PROFILE["pairings"]:
         rep.add(f"qn.profile.{name}", f"profile row of {name} matches the realization",
-                list(row), list(emb.profile_row(name)), DERIVED)
+                list(row), fixed[f"profile.{name}"], DERIVED)
     expected_lifts = [{"T": 3, "E0": 1, "E1": 1}, {"T": -3, "E0": -1, "E1": -1}]
     rep.add("qn.lifts.profile", "profile-level lift search over both sign families",
             sorted(sorted([k, v] for k, v in d.items()) for d in expected_lifts),
-            _profile_lifts(cp_chain(7), rows),
-            REPORTED)
+            fixed["lifts.profile"], REPORTED)
 
 FAMILIES = {spec.key: spec for spec in (
     # b- = 6: surgery by the n-twist knot, three blowups, and an order-7
@@ -239,7 +268,7 @@ FAMILIES = {spec.key: spec for spec in (
                         "eps5": -2, "eps6": -2, "eps7": -2, "eps8": -2, "eps9": -2,
                         "E0": -1, "E1": -1, "E2": -1},
         lift_coeffs={"T": 1, "E0": 1, "E1": 1, "E2": 1}, lift_square=3,
-        checks=_xn_checks, unique=True,
+        fixed=_xn_fixed, checks=_xn_checks, unique=True,
     ),
     # b- = 7: two blowups and an order-5 chain; u0 is the pseudo-section plus
     # one nodal fiber, doubly blown up, followed by three tree spheres.
@@ -252,7 +281,7 @@ FAMILIES = {spec.key: spec for spec in (
                         "eps5": -2, "eps6": -1, "eps7": -1, "eps8": -1, "eps9": -2,
                         "E0": -1, "E1": -1},
         lift_coeffs={"T": 1, "E0": 1, "E1": 1}, lift_square=2,
-        checks=_b7_checks,
+        fixed=_relsquare_fixed, checks=_b7_checks,
     ),
     # b- = 8: one blowup and an order-3 chain; u0 is the pseudo-section with
     # its double point blown up, followed by a single tree sphere.
@@ -263,7 +292,7 @@ FAMILIES = {spec.key: spec for spec in (
         tail=("S5",),
         chamber_coeffs={"eta": 4, "eps5": -2, "eps9": -2, "E0": -1},
         lift_coeffs={"T": 1, "E0": 1}, lift_square=1,
-        checks=_b8_checks,
+        fixed=_relsquare_fixed, checks=_b8_checks,
     ),
     # b- = 5: fibration refactorization, double knot surgery, two blowups, and
     # an order-7 chain: u0 = eps9 - 2 E0 - 2 E1 (the pseudo-section with both
@@ -278,33 +307,74 @@ FAMILIES = {spec.key: spec for spec in (
         chamber_coeffs={"eta": 11, "eps2": -2, "eps4": -2, "eps5": -5, "eps6": -4,
                         "eps7": -5, "eps8": -6, "E0": 1, "E1": -1},
         lift_coeffs={"T": 3, "E0": 1, "E1": 1}, lift_square=4,
-        checks=_qn_checks,
+        fixed=_qn_fixed, checks=_qn_checks,
     ),
 )}
 
 
+class _Ambient(tuple):
+    """A family's ambient model as its plan reads it: compared and hashed as
+    (lattice, marked classes, SW class coordinates), which the ambients of
+    every n share, and carrying the model itself as ``model``."""
+
+    def __new__(cls, model: FourManifoldModel):
+        self = super().__new__(cls, (model.lattice, model.marked,
+                                     tuple(coords for coords, _ in model.sw.entries)))
+        self.model = model
+        return self
+
+
+@lru_cache(maxsize=8)
+def _family_plan(key: str, ambient: _Ambient):
+    """The plan of family ``key``: (embedding, period class, the lift and its
+    negative as the ``*.lifts`` check expects them, values), built from the
+    first ambient seen with the key's lattice, marked classes and SW
+    classes, which are all that it reads.  The embedding reads its
+    ambient only for the lattice and the marked classes, so every n shares
+    it.  ``values`` maps a check id, less the family tag, to its computed
+    side: the shared embedding, chamber, lift search and u0 checks, and the
+    family's own from ``FamilySpec.fixed``.  A plan that raises is not kept."""
+    spec = FAMILIES[key]
+    X = ambient.model
+    emb = spec.embedding(X)
+    period = class_from_coeffs(X, spec.chamber_coeffs)
+    k_lift = spec.lift(X)
+    values = spec.fixed(X, emb, period, k_lift)
+    values.update({
+        "u0.square": square(emb.vertex_classes[0]),
+        "embedding": verify_embedding(emb, cp_chain(spec.p)).ok,
+        "chamber.orthogonal": emb.pairing_vector(period),
+        "chamber.positive": square(period) > 0,
+        "lifts": _coords(find_characteristic_lifts(emb, default_lift_candidates(X), spec.p)),
+    })
+    return emb, period, _coords([k_lift, -k_lift]), MappingProxyType(values)
+
+
 def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationReport]:
-    """Build family ``key`` at parameter n and verify every step."""
+    """Build family ``key`` at parameter n and verify every step.
+
+    Only what depends on n is done here: the knot surgery and blowups, the
+    chamber of the n-th ambient, the SW transfer of the blowdown, and the SW
+    and minimality checks.  The rest comes from the plan ``_family_plan``.
+    """
     spec = FAMILIES[key]
     if n < 1:
         raise ValueError("family parameter must be a positive integer")
     rep = VerificationReport()
     base = spec.base_model(n)
     ambient = spec.ambient(n, base)
-    emb = spec.embedding(ambient)
-    chamber = spec.chamber(ambient)
-    k_lift = spec.lift(ambient)
-    spec.checks(rep, n, base, ambient, emb, chamber, k_lift)
+    emb, period, lift_pair, fixed = _family_plan(key, _Ambient(ambient))
+    chamber = Chamber(ambient, period)
+    spec.checks(rep, n, base, ambient, fixed)
     tag, p, provenance = spec.key, spec.p, spec.provenance
     rep.add(f"{tag}.embedding", f"chain of order {p} realized exactly",
-            True, verify_embedding(emb, cp_chain(p)).ok, DERIVED)
+            True, fixed["embedding"], DERIVED)
     rep.add(f"{tag}.chamber.orthogonal", "period class orthogonal to every vertex",
-            [0] * emb.size, list(emb.pairing_vector(chamber.period)), provenance)
+            [0] * emb.size, fixed["chamber.orthogonal"], provenance)
     rep.add(f"{tag}.chamber.positive", "period class has positive square",
-            True, square(chamber.period) > 0, DERIVED)
-    lifts = find_characteristic_lifts(emb, default_lift_candidates(ambient), p)
+            True, fixed["chamber.positive"], DERIVED)
     rep.add(f"{tag}.lifts", f"restriction square -(p-1) = {-(p - 1)} picks the lift pair",
-            _coords([k_lift, -k_lift]), _coords(lifts), provenance)
+            lift_pair, fixed["lifts"], provenance)
     model = rational_blowdown(
         ambient, emb, p, chamber,
         simply_connected=True, pi1_note=PI1_NOTE_BLOWDOWN, name=spec.name.format(n=n),

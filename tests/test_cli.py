@@ -10,6 +10,7 @@ from swsurgery.cli import (
     MAX_CHAIN_VERTICES,
     MAX_KNOTS,
     MAX_INPUT_DIGITS,
+    MAX_WORD_LETTERS,
     main,
 )
 from swsurgery.manifold import FourManifoldModel
@@ -85,6 +86,7 @@ def test_golden_output_bytes(capsys, argv):
 
 
 def test_outputs_equal_with_cold_and_warm_memos(capsys):
+    from swsurgery.pipelines import _family_plan
     from swsurgery.plumbing import _chain_plan
 
     commands = [("verify-paper", "--json")] + [
@@ -94,12 +96,13 @@ def test_outputs_equal_with_cold_and_warm_memos(capsys):
     for memo in memos():
         memo.cache_clear()
     cold = [run_cli(capsys, *argv) for argv in commands]
-    before = _chain_plan.cache_info()
+    before = [plan.cache_info() for plan in (_chain_plan, _family_plan)]
     warm = [run_cli(capsys, *argv) for argv in commands]
-    after = _chain_plan.cache_info()
+    after = [plan.cache_info() for plan in (_chain_plan, _family_plan)]
     # every warm build reads the plans the cold pass made, and makes none
-    assert after.hits - before.hits >= len(commands)
-    assert after.misses == before.misses
+    for old, new in zip(before, after):
+        assert new.hits - old.hits >= len(commands)
+        assert new.misses == old.misses
     assert cold == warm
     assert all(code == 0 for code, _, _ in cold)
 
@@ -400,6 +403,64 @@ def test_model_file_gram_is_bounded_before_it_is_built(capsys, tmp_path, monkeyp
     # one digit per entry
     assert f"the model Gram entries have {n * n} digits; the limit is {MAX_INPUT_DIGITS}" in err
     assert "Traceback" not in err
+
+
+def _gram_file(path, gram):
+    n = len(gram)
+    payload = {"name": "M", "basis": [f"x{i}" for i in range(n)], "gram": gram,
+               "euler": n + 2, "sign": 0, "simply_connected": True}
+    path.write_text(json.dumps(payload))
+    return ("lattice", "pair", "--model", str(path), "--class", "x0", "--class", "x1")
+
+
+_BIG = 10 ** (MAX_INPUT_DIGITS // 2)  # two of these have MAX_INPUT_DIGITS + 2 digits
+_HEAVY_HEAD = f"--weights=-{10 ** 600}," + ",".join(["-2"] * (MAX_CHAIN_VERTICES - 1))
+
+
+# one case per budget, named by its id: (argv past the budget, argv within it,
+# the expensive call in swsurgery.cli or "from_dict", what the refusal says);
+# an argv may be a function of tmp_path
+@pytest.mark.parametrize("past, within, call, message", [
+    pytest.param(("monodromy", "check", f"a^{MAX_WORD_LETTERS + 1}"), ("monodromy", "check", "a"),
+                 "verify_factorization", f"the limit is {MAX_WORD_LETTERS}", id="word letters"),
+    pytest.param(("plumbing", "cp", "--p", str(MAX_CHAIN_VERTICES + 2)),
+                 ("plumbing", "cp", "--p", "7"),
+                 "cp_chain", f"the limit is {MAX_CHAIN_VERTICES}", id="chain vertices --p"),
+    pytest.param(("plumbing", "cp", "--weights=" + ",".join(["-2"] * (MAX_CHAIN_VERTICES + 1))),
+                 ("plumbing", "cp", "--weights=-2"),
+                 "PlumbingChain", f"the limit is {MAX_CHAIN_VERTICES}", id="chain vertices --weights"),
+    pytest.param(("sw", "e1-surgery", "--knots=" + ",".join(["1"] * (MAX_KNOTS + 1))),
+                 ("sw", "e1-surgery", "--knots=1"),
+                 "e1_knot_surgery_sw", f"the limit is {MAX_KNOTS}", id="knots"),
+    pytest.param(("plumbing", "cp", _HEAVY_HEAD, "--invert"), ("plumbing", "cp", "--p", "7", "--invert"),
+                 "intersection_matrix", f"the limit for --invert is {MAX_ADJUGATE_BITS}",
+                 id="adjugate bits"),
+    pytest.param(("plumbing", "cp", f"--weights=-{_BIG},-{_BIG}"), ("plumbing", "cp", "--weights=-2"),
+                 "PlumbingChain", f"digits; the limit is {MAX_INPUT_DIGITS}", id="weight digits"),
+    pytest.param(("sw", "e1-surgery", f"--knots={_BIG},{_BIG}"), ("sw", "e1-surgery", "--knots=1"),
+                 "e1_knot_surgery_sw", f"digits; the limit is {MAX_INPUT_DIGITS}", id="twist digits"),
+    pytest.param(lambda tmp: _gram_file(tmp / "past.json", [[_BIG, 0], [0, -_BIG]]),
+                 lambda tmp: _gram_file(tmp / "within.json", [[1, 0], [0, -1]]),
+                 "from_dict", f"digits; the limit is {MAX_INPUT_DIGITS}", id="model Gram digits"),
+])
+def test_every_budget_refuses_before_its_expensive_call(capsys, monkeypatch, tmp_path,
+                                                        past, within, call, message):
+    import swsurgery.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{call} was reached")
+
+    if call == "from_dict":
+        monkeypatch.setattr(FourManifoldModel, "from_dict", staticmethod(refuse))
+    else:
+        monkeypatch.setattr(cli, call, refuse)
+    past, within = (argv(tmp_path) if callable(argv) else argv for argv in (past, within))
+    code, out, err = run_cli(capsys, *past)
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+    # within the budget the same command does reach the call
+    with pytest.raises(AssertionError, match=f"{call} was reached"):
+        run_cli(capsys, *within)
 
 
 def test_lattice_errors(capsys):

@@ -124,28 +124,40 @@ def test_b7_b8_derivations_labeled_derived():
 
 
 def test_warm_builds_take_transfer_and_search_squares_from_memos(monkeypatch):
-    from swsurgery import plumbing
+    from swsurgery import models, pipelines, plumbing
 
     for memo in memos():
         memo.cache_clear()
     for key in FAMILIES:
         build_family(key, 1)
     calls = []
-    core = plumbing.relative_square
-
-    def counted(chain, vector):
-        calls.append(vector)
-        return core(chain, vector)
-
-    monkeypatch.setattr(plumbing, "relative_square", counted)
+    for module, name in ((plumbing, "relative_square"), (pipelines, "relative_square"),
+                         (models, "class_from_coeffs"), (pipelines, "class_from_coeffs")):
+        core = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, core=core, name=name: calls.append(name) or core(*args))
     warm = {(key, n): build_family(key, n)[1] for key in FAMILIES for n in range(2, 6)}
-    # the SW transfer and the default lift search compute none: the only
-    # squares left are the ones the *.lift.relsquare checks report
-    asked = [c for rep in warm.values() for c in rep.checks if c.id.endswith(".lift.relsquare")]
-    assert len(asked) == 12
-    assert len(calls) == len(asked)
+    # the SW transfer, the lift searches, the *.lift.relsquare checks and the
+    # vertex, chamber and lift classes all come from the memos
+    assert calls == []
+    for memo in memos():
+        memo.cache_clear()
+    build_family("qn", 2)
+    assert {"relative_square", "class_from_coeffs"} <= set(calls)  # a cold build is counted
     monkeypatch.undo()
     for (key, n), rep in warm.items():
         for memo in memos():
             memo.cache_clear()
         assert build_family(key, n)[1].to_json() == rep.to_json()
+
+
+def test_one_family_plan_per_family():
+    from swsurgery.pipelines import _family_plan
+
+    for memo in memos():
+        memo.cache_clear()
+    for key in FAMILIES:
+        for n in range(1, 21):
+            build_family(key, n)
+    info = _family_plan.cache_info()
+    assert (info.misses, info.hits) == (4, 76)
