@@ -9,24 +9,29 @@ constructions with machine-checked verification reports.
 The names below are the ones the README's library sketch imports; the rest
 of the API lives in the submodules (``swsurgery.lattice``, ``.manifold``,
 ``.knots``, ``.plumbing``, ``.monodromy``, ``.models``, ``.pipelines``).
+Each name imports its submodule on first access (PEP 562), so importing the
+package, as every CLI command does, compiles none of them.
 """
 
-from .knots import alexander_twist, e1_knot_surgery_sw, knot_surgery_manifold
-from .lattice import (
-    is_characteristic,
-    orthogonal_complement,
-    pair,
-    signature_and_betti,
-    square,
-)
-from .manifold import blowup, chamber_sw, dimension, fingerprint, minimality_check
-from .monodromy import evaluate, parse_word, verify_factorization
-from .pipelines import FAMILIES, build_family, build_Qn, build_Xn, verify_paper
-from .plumbing import (
-    boundary_lens_space,
-    cp_chain,
-    find_characteristic_lifts,
-    rational_blowdown,
-)
-
 __version__ = "0.1.0"
+
+_SUBMODULE = {name: module for module, names in {
+    "knots": ("alexander_twist", "e1_knot_surgery_sw", "knot_surgery_manifold"),
+    "lattice": ("is_characteristic", "orthogonal_complement", "pair", "signature_and_betti", "square"),
+    "manifold": ("blowup", "chamber_sw", "dimension", "fingerprint", "minimality_check"),
+    "monodromy": ("evaluate", "parse_word", "verify_factorization"),
+    "pipelines": ("FAMILIES", "build_family", "build_Qn", "build_Xn", "verify_paper"),
+    "plumbing": ("boundary_lens_space", "cp_chain", "find_characteristic_lifts", "rational_blowdown"),
+}.items() for name in names}
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+
+
+def __dir__():
+    return __all__

@@ -11,27 +11,16 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import pipelines
-from .knots import e1_knot_surgery_sw
-from .lattice import HomologyClass, is_characteristic, pair, square
-from .manifold import FourManifoldModel
-from .models import class_from_coeffs, e1, v_n, y_n
-from .monodromy import parse_word, verify_factorization
-from .plumbing import (
-    PlumbingChain,
-    _continuants,
-    boundary_lens_space,
-    cp_chain,
-    intersection_matrix,
-)
 from . import __version__
 from .report import REPORT_VERSION
 
-# the family models (xn:2, qn:1, ...) come from pipelines.FAMILIES, and so do
-# zn and wn, the ambients that the xn and qn rows blow down
-BUILTIN_MODELS = {"yn": y_n, "vn": v_n, "zn": pipelines.FAMILIES["xn"].ambient,
-                  "wn": pipelines.FAMILIES["qn"].ambient}
+# Each command imports the modules it runs when it runs: a process compiles
+# every module it imports unless bytecode is cached, and runs one command.
+if TYPE_CHECKING:
+    from .lattice import HomologyClass
+    from .manifold import FourManifoldModel
 
 # `monodromy check` prints its words letter by letter, so a word is refused
 # before anything is spelled or evaluated when it would spell more letters
@@ -64,9 +53,16 @@ def resolve_model(spec: str) -> FourManifoldModel:
 
     Builtin names come first, so a file of the same name cannot shadow them.
     """
+    from . import pipelines
+    from .manifold import FourManifoldModel
+    from .models import e1, v_n, y_n
+    # the family models (xn:2, qn:1, ...) come from pipelines.FAMILIES, and so
+    # do zn and wn, the ambients that the xn and qn rows blow down
+    builtin = {"yn": y_n, "vn": v_n, "zn": pipelines.FAMILIES["xn"].ambient,
+               "wn": pipelines.FAMILIES["qn"].ambient}
     name, _, param = spec.partition(":")
     key = name.lower()
-    if key != "e1" and key not in BUILTIN_MODELS and key not in pipelines.FAMILIES:
+    if key != "e1" and key not in builtin and key not in pipelines.FAMILIES:
         try:
             with open(spec) as fh:
                 data = json.load(fh)
@@ -86,7 +82,7 @@ def resolve_model(spec: str) -> FourManifoldModel:
         raise CliError(f"bad model parameter {param!r}") from None
     if key in pipelines.FAMILIES:
         return pipelines.build_family(key, n)[0]
-    return BUILTIN_MODELS[key](n)
+    return builtin[key](n)
 
 
 def _gram_entries(data) -> list[int]:
@@ -101,6 +97,7 @@ _CLASS_TERM = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*\*?\s*(?P<name
 
 def parse_class(model: FourManifoldModel, text: str) -> HomologyClass:
     """Parse expressions like ``T+E0+E1+E2``, ``3*T - eps1``, or ``-K0``."""
+    from .models import class_from_coeffs
     total = model.lattice.zero()
     pos = 0
     first = True
@@ -136,7 +133,8 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def cmd_verify_paper(args) -> int:
-    rep = pipelines.verify_paper(only=args.only)
+    from .pipelines import verify_paper
+    rep = verify_paper(only=args.only)
     if args.json:
         print(rep.to_json())
     else:
@@ -145,7 +143,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_family(args) -> int:
-    model, rep = pipelines.build_family(args.family, args.n)
+    from .pipelines import build_family
+    model, rep = build_family(args.family, args.n)
     if args.model_out:
         with open(args.model_out, "w") as fh:
             json.dump(model.to_dict(), fh, sort_keys=True, indent=2)
@@ -160,6 +159,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_monodromy_check(args) -> int:
+    from .monodromy import parse_word, verify_factorization
     words = [parse_word(args.word)]
     if args.equals is not None:
         words.append(parse_word(args.equals))
@@ -213,6 +213,7 @@ def _check_digits(values, what: str) -> None:
 
 
 def cmd_plumbing_cp(args) -> int:
+    from .plumbing import PlumbingChain, _continuants, boundary_lens_space, cp_chain, intersection_matrix
     if args.weights is not None:
         try:
             weights = tuple(int(x) for x in args.weights.split(","))
@@ -260,6 +261,7 @@ def cmd_plumbing_cp(args) -> int:
 
 
 def cmd_sw_e1_surgery(args) -> int:
+    from .knots import e1_knot_surgery_sw
     try:
         twists = [int(x) for x in args.knots.split(",") if x.strip() != ""]
     except ValueError:
@@ -281,6 +283,7 @@ def cmd_sw_e1_surgery(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from .lattice import is_characteristic, pair, square
     model = resolve_model(args.model)
     exprs = args.cls
     if args.lattice_op == "pair":
@@ -302,6 +305,18 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def _key_of(table: str):
+    """An argparse type for the keys of ``pipelines.<table>``, which imports
+    pipelines only when it parses one, unlike ``choices``."""
+    def key(text: str) -> str:
+        from . import pipelines
+        keys = getattr(pipelines, table)
+        if text not in keys:
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, keys))})")
+        return text
+    return key
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swsurgery",
@@ -315,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     vp = sub.add_parser("verify-paper", help="run the full golden verification suite")
-    vp.add_argument("--only", choices=pipelines.SECTIONS)
+    vp.add_argument("--only", type=_key_of("SECTIONS"), help="run one section of the suite")
     vp.add_argument("--json", action="store_true")
     vp.set_defaults(func=cmd_verify_paper)
 
     fam = sub.add_parser("family", help="build one family member and verify it")
-    fam.add_argument("family", choices=pipelines.FAMILIES)
+    fam.add_argument("family", type=_key_of("FAMILIES"), help="a key of the family table; a wrong one lists them")
     fam.add_argument("--n", type=int, required=True)
     fam.add_argument("--json", action="store_true")
     fam.add_argument("--model-out", help="also write the final model as JSON")

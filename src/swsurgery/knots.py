@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .lattice import HomologyClass, is_characteristic, square
 from .manifold import FourManifoldModel, SWTable
@@ -121,8 +122,7 @@ class LaurentPolynomial:
         return cls.from_doubled(out)
 
 
-@dataclass(frozen=True)
-class TwistKnot:
+class TwistKnot(NamedTuple):
     """Genus-one twist knot with n full twists in the clasp; n = 0 is the unknot."""
 
     n: int

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, sub
+from typing import NamedTuple
 
 from .exactmat import (
     dot,
@@ -240,8 +241,7 @@ def signature_and_betti(lattice: IntersectionLattice) -> tuple[int, int]:
     return _signature(lattice.gram)
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(NamedTuple):
     """Integral basis of a sublattice of an ambient lattice with its induced Gram."""
 
     ambient: IntersectionLattice

@@ -451,8 +451,7 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
     )
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(NamedTuple):
     status: str  # "minimal_certified" | "blowup_pair_found" | "inconclusive"
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     e_square: int | None = None

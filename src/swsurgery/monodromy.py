@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 
 class WordSyntaxError(ValueError):
@@ -119,8 +120,7 @@ class Factor:
         return _spell(self.inner, self.power)
 
 
-@dataclass(frozen=True)
-class MCGWord:
+class MCGWord(NamedTuple):
     factors: tuple[Factor, ...] = ()
 
     @property
@@ -258,8 +258,7 @@ def parabolic_width(m: IntegerMatrix2) -> int | None:
     return gcd(gcd(abs(m.a - 1), abs(m.b)), gcd(abs(m.c), abs(m.d - 1)))
 
 
-@dataclass(frozen=True)
-class FactorDiagnostic:
+class FactorDiagnostic(NamedTuple):
     text: str
     power: int
     base_trace: int
@@ -268,8 +267,7 @@ class FactorDiagnostic:
     width: int | None  # gcd invariant of (factor - id) when the factor is parabolic
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     word: MCGWord
     expected: MCGWord | None
     lhs: IntegerMatrix2

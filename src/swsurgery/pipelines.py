@@ -18,11 +18,10 @@ their places in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import models
 from .knots import alexander_twist, e1_knot_surgery_sw, poly_in_s
@@ -85,8 +84,7 @@ def _coords(classes) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(k.coords for k in classes))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One family as data: knot-surger E(1), blow up, embed the order-p chain
     u0, tail..., pick the lift, and rationally blow down.
 

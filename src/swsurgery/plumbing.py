@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import gcd
+from typing import NamedTuple
 
 from .exactmat import (
     SingularMatrixError,
@@ -126,8 +127,7 @@ def e6_tilde_tree() -> PlumbingChain:
     )
 
 
-@dataclass(frozen=True)
-class PlumbingForm:
+class PlumbingForm(NamedTuple):
     """Intersection matrix of a plumbing with its exact determinant and adjugate.
 
     ``matrix * adj == det * I`` in integers; ``adj`` is None only for a
@@ -330,8 +330,7 @@ class ConfigurationEmbedding:
         return tuple(vector)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     ok: bool
     entries: tuple[tuple[str, bool], ...]
 

@@ -235,7 +235,7 @@ def test_sw_knot_count_limit(capsys):
 
 
 def test_plumbing_inverse_size_budget(capsys, monkeypatch):
-    import swsurgery.cli as cli
+    from swsurgery import plumbing
     from swsurgery.plumbing import _continuants
 
     def refuse(*args):
@@ -251,7 +251,7 @@ def test_plumbing_inverse_size_budget(capsys, monkeypatch):
     while size((-head,) + (-2,) * (n - 1)) <= MAX_ADJUGATE_BITS:
         head *= 2
     assert size((-(head // 2),) + (-2,) * (n - 1)) <= MAX_ADJUGATE_BITS
-    monkeypatch.setattr(cli, "intersection_matrix", refuse)
+    monkeypatch.setattr(plumbing, "intersection_matrix", refuse)
     past = "--weights=" + ",".join([str(-head)] + ["-2"] * (n - 1))
     code, out, err = run_cli(capsys, "plumbing", "cp", past, "--invert")
     assert (code, out) == (2, "")
@@ -265,7 +265,7 @@ def test_plumbing_inverse_size_budget(capsys, monkeypatch):
 
 
 def test_sw_twist_digit_budget(capsys, monkeypatch):
-    import swsurgery.cli as cli
+    from swsurgery import knots
 
     def refuse(*args):
         raise AssertionError("the SW polynomial was built")
@@ -274,7 +274,7 @@ def test_sw_twist_digit_budget(capsys, monkeypatch):
     twists = ["9" * (MAX_INPUT_DIGITS // MAX_KNOTS)] * MAX_KNOTS
     code, out, _ = run_cli(capsys, "sw", "e1-surgery", "--knots=" + ",".join(twists), "--json")
     assert code == 0 and len(json.loads(out)["table"]) > 0
-    monkeypatch.setattr(cli, "e1_knot_surgery_sw", refuse)
+    monkeypatch.setattr(knots, "e1_knot_surgery_sw", refuse)
     for past in (twists[:-1] + ["-1" + twists[-1]], ["1" + "0" * MAX_INPUT_DIGITS]):
         code, out, err = run_cli(capsys, "sw", "e1-surgery", "--knots=" + ",".join(past))
         assert (code, out) == (2, "")
@@ -282,7 +282,7 @@ def test_sw_twist_digit_budget(capsys, monkeypatch):
 
 
 def test_plumbing_weight_digit_budget(capsys, monkeypatch):
-    import swsurgery.cli as cli
+    from swsurgery import plumbing
 
     def refuse(*args):
         raise AssertionError("the continuants were built")
@@ -291,7 +291,7 @@ def test_plumbing_weight_digit_budget(capsys, monkeypatch):
     weights = ["-" + "9" * (MAX_INPUT_DIGITS // 4)] * 4
     code, out, _ = run_cli(capsys, "plumbing", "cp", "--weights=" + ",".join(weights), "--json")
     assert code == 0 and len(str(json.loads(out)["determinant"])) > 3000
-    monkeypatch.setattr(cli, "_continuants", refuse)
+    monkeypatch.setattr(plumbing, "_continuants", refuse)
     past = weights[:-1] + ["-1" + weights[-1][1:]]
     code, out, err = run_cli(capsys, "plumbing", "cp", "--weights=" + ",".join(past), "--invert")
     assert (code, out) == (2, "")
@@ -418,42 +418,39 @@ _HEAVY_HEAD = f"--weights=-{10 ** 600}," + ",".join(["-2"] * (MAX_CHAIN_VERTICES
 
 
 # one case per budget, named by its id: (argv past the budget, argv within it,
-# the expensive call in swsurgery.cli or "from_dict", what the refusal says);
-# an argv may be a function of tmp_path
+# the expensive call, by its path in the swsurgery module that defines it,
+# what the refusal says); an argv may be a function of tmp_path
 @pytest.mark.parametrize("past, within, call, message", [
     pytest.param(("monodromy", "check", f"a^{MAX_WORD_LETTERS + 1}"), ("monodromy", "check", "a"),
-                 "verify_factorization", f"the limit is {MAX_WORD_LETTERS}", id="word letters"),
+                 "monodromy.verify_factorization", f"the limit is {MAX_WORD_LETTERS}", id="word letters"),
     pytest.param(("plumbing", "cp", "--p", str(MAX_CHAIN_VERTICES + 2)),
                  ("plumbing", "cp", "--p", "7"),
-                 "cp_chain", f"the limit is {MAX_CHAIN_VERTICES}", id="chain vertices --p"),
+                 "plumbing.cp_chain", f"the limit is {MAX_CHAIN_VERTICES}", id="chain vertices --p"),
     pytest.param(("plumbing", "cp", "--weights=" + ",".join(["-2"] * (MAX_CHAIN_VERTICES + 1))),
                  ("plumbing", "cp", "--weights=-2"),
-                 "PlumbingChain", f"the limit is {MAX_CHAIN_VERTICES}", id="chain vertices --weights"),
+                 "plumbing.PlumbingChain", f"the limit is {MAX_CHAIN_VERTICES}", id="chain vertices --weights"),
     pytest.param(("sw", "e1-surgery", "--knots=" + ",".join(["1"] * (MAX_KNOTS + 1))),
                  ("sw", "e1-surgery", "--knots=1"),
-                 "e1_knot_surgery_sw", f"the limit is {MAX_KNOTS}", id="knots"),
+                 "knots.e1_knot_surgery_sw", f"the limit is {MAX_KNOTS}", id="knots"),
     pytest.param(("plumbing", "cp", _HEAVY_HEAD, "--invert"), ("plumbing", "cp", "--p", "7", "--invert"),
-                 "intersection_matrix", f"the limit for --invert is {MAX_ADJUGATE_BITS}",
+                 "plumbing.intersection_matrix", f"the limit for --invert is {MAX_ADJUGATE_BITS}",
                  id="adjugate bits"),
     pytest.param(("plumbing", "cp", f"--weights=-{_BIG},-{_BIG}"), ("plumbing", "cp", "--weights=-2"),
-                 "PlumbingChain", f"digits; the limit is {MAX_INPUT_DIGITS}", id="weight digits"),
+                 "plumbing.PlumbingChain", f"digits; the limit is {MAX_INPUT_DIGITS}", id="weight digits"),
     pytest.param(("sw", "e1-surgery", f"--knots={_BIG},{_BIG}"), ("sw", "e1-surgery", "--knots=1"),
-                 "e1_knot_surgery_sw", f"digits; the limit is {MAX_INPUT_DIGITS}", id="twist digits"),
+                 "knots.e1_knot_surgery_sw", f"digits; the limit is {MAX_INPUT_DIGITS}", id="twist digits"),
     pytest.param(lambda tmp: _gram_file(tmp / "past.json", [[_BIG, 0], [0, -_BIG]]),
                  lambda tmp: _gram_file(tmp / "within.json", [[1, 0], [0, -1]]),
-                 "from_dict", f"digits; the limit is {MAX_INPUT_DIGITS}", id="model Gram digits"),
+                 "manifold.FourManifoldModel.from_dict", f"digits; the limit is {MAX_INPUT_DIGITS}",
+                 id="model Gram digits"),
 ])
 def test_every_budget_refuses_before_its_expensive_call(capsys, monkeypatch, tmp_path,
                                                         past, within, call, message):
-    import swsurgery.cli as cli
-
     def refuse(*args, **kwargs):
         raise AssertionError(f"{call} was reached")
 
-    if call == "from_dict":
-        monkeypatch.setattr(FourManifoldModel, "from_dict", staticmethod(refuse))
-    else:
-        monkeypatch.setattr(cli, call, refuse)
+    # the CLI imports each call from its module when the command runs
+    monkeypatch.setattr(f"swsurgery.{call}", refuse)
     past, within = (argv(tmp_path) if callable(argv) else argv for argv in (past, within))
     code, out, err = run_cli(capsys, *past)
     assert (code, out) == (2, "")
@@ -475,6 +472,52 @@ def test_lattice_errors(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["family", "xn"]) == 2  # missing --n
     assert main(["no-such-command"]) == 2
+
+
+def test_unknown_family_or_section_lists_the_valid_keys(capsys):
+    from swsurgery.pipelines import FAMILIES, SECTIONS
+
+    for argv, keys in ((("family", "zz", "--n", "1"), FAMILIES), (("verify-paper", "--only", "zz"), SECTIONS)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"invalid choice: 'zz' (choose from {', '.join(map(repr, keys))})" in err
+        assert "Traceback" not in err
+
+
+# Run in a fresh interpreter: the swsurgery modules a command leaves imported,
+# and how many dataclasses they declare.
+_IMPORTS = """
+import contextlib, dataclasses, io, json, sys
+from swsurgery.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+names = sorted(n for n in sys.modules if n.partition(".")[0] == "swsurgery")
+declared = [c for n in names for c in vars(sys.modules[n]).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == n]
+print(json.dumps([code, names, len(declared)]))
+"""
+_MATH = ("exactmat", "lattice", "manifold")
+# (argv, the modules it imports besides swsurgery, cli and report, dataclasses declared)
+_COMMAND_IMPORTS = [
+    (("--version",), (), 2),
+    (("monodromy", "check", "(ab)^6"), ("monodromy",), 4),
+    (("plumbing", "cp", "--p", "7", "--invert", "--boundary"), _MATH + ("plumbing",), 11),
+    (("sw", "e1-surgery", "--knots=1,3"), _MATH + ("knots",), 8),
+    (("verify-paper",), _MATH + ("knots", "models", "monodromy", "pipelines", "plumbing"), 14),
+]
+
+
+@pytest.mark.parametrize("argv, modules, dataclasses", _COMMAND_IMPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in _COMMAND_IMPORTS])
+def test_each_command_imports_only_what_it_runs(argv, modules, dataclasses):
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    code, names, declared = json.loads(proc.stdout)
+    assert code == 0
+    assert names == sorted(["swsurgery", "swsurgery.cli", "swsurgery.report"]
+                           + [f"swsurgery.{m}" for m in modules])
+    assert declared == dataclasses
 
 
 def test_module_entry_point():

@@ -1,9 +1,11 @@
 """The README's library sketch runs, and the package exports exactly its names."""
 
 import ast
-import inspect
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import swsurgery
 
@@ -23,7 +25,14 @@ def test_package_exports_exactly_the_sketch_names():
     imported = {alias.name for node in ast.walk(ast.parse(_sketch()))
                 if isinstance(node, ast.ImportFrom) and node.module == "swsurgery"
                 for alias in node.names}
-    exported = {name for name, value in vars(swsurgery).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
-    assert exported == imported
+    # the names resolve on first access (PEP 562), so they are not in vars()
+    assert set(swsurgery.__all__) == set(dir(swsurgery)) == imported
+    for name in imported:
+        module = importlib.import_module(f"swsurgery.{swsurgery._SUBMODULE[name]}")
+        assert getattr(swsurgery, name) is getattr(module, name)
+    star = {}
+    exec("from swsurgery import *", star)
+    assert set(star) - {"__builtins__"} == imported
+    with pytest.raises(AttributeError, match="no_such_name"):
+        swsurgery.no_such_name
     assert swsurgery.__version__
