@@ -20,7 +20,7 @@ _SUBMODULE = {name: module for module, names in {
     "lattice": ("is_characteristic", "orthogonal_complement", "pair", "signature_and_betti", "square"),
     "manifold": ("blowup", "chamber_sw", "dimension", "fingerprint", "minimality_check"),
     "monodromy": ("evaluate", "parse_word", "verify_factorization"),
-    "pipelines": ("FAMILIES", "build_family", "build_Qn", "build_Xn", "verify_paper"),
+    "pipelines": ("FAMILIES", "build_family", "verify_paper"),
     "plumbing": ("boundary_lens_space", "cp_chain", "find_characteristic_lifts", "rational_blowdown"),
 }.items() for name in names}
 __all__ = sorted(_SUBMODULE)

@@ -135,10 +135,7 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 def cmd_verify_paper(args) -> int:
     from .pipelines import verify_paper
     rep = verify_paper(only=args.only)
-    if args.json:
-        print(rep.to_json())
-    else:
-        print(rep.to_text())
+    _emit(rep.to_dict(), args.json, rep.to_text())
     return 0 if rep.all_pass else 1
 
 
@@ -146,15 +143,13 @@ def cmd_family(args) -> int:
     from .pipelines import build_family
     model, rep = build_family(args.family, args.n)
     if args.model_out:
-        with open(args.model_out, "w") as fh:
-            json.dump(model.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.json:
-        payload = rep.to_dict()
-        payload["model"] = model.to_dict()
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(rep.to_text())
+        try:
+            with open(args.model_out, "w") as fh:
+                json.dump(model.to_dict(), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise CliError(f"cannot write model file {args.model_out!r}: {exc}") from exc
+    _emit({**rep.to_dict(), "model": model.to_dict()}, args.json, rep.to_text())
     return 0 if rep.all_pass else 1
 
 
@@ -284,24 +279,16 @@ def cmd_sw_e1_surgery(args) -> int:
 
 def cmd_lattice(args) -> int:
     from .lattice import is_characteristic, pair, square
+    function, arity, wanted = {
+        "pair": (pair, 2, "exactly two --class arguments"),
+        "square": (square, 1, "exactly one --class argument"),
+        "characteristic": (is_characteristic, 1, "exactly one --class argument"),
+    }[args.lattice_op]
     model = resolve_model(args.model)
-    exprs = args.cls
-    if args.lattice_op == "pair":
-        if len(exprs) != 2:
-            raise CliError("pair needs exactly two --class arguments")
-        x, y = (parse_class(model, e) for e in exprs)
-        value = pair(x, y)
-        _emit({"op": "pair", "value": value}, args.json, f"pair = {value}")
-    elif args.lattice_op == "square":
-        if len(exprs) != 1:
-            raise CliError("square needs exactly one --class argument")
-        value = square(parse_class(model, exprs[0]))
-        _emit({"op": "square", "value": value}, args.json, f"square = {value}")
-    else:
-        if len(exprs) != 1:
-            raise CliError("characteristic needs exactly one --class argument")
-        value = is_characteristic(parse_class(model, exprs[0]))
-        _emit({"op": "characteristic", "value": value}, args.json, f"characteristic = {value}")
+    if len(args.cls) != arity:
+        raise CliError(f"{args.lattice_op} needs {wanted}")
+    value = function(*(parse_class(model, e) for e in args.cls))
+    _emit({"op": args.lattice_op, "value": value}, args.json, f"{args.lattice_op} = {value}")
     return 0
 
 

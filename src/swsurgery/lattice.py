@@ -10,8 +10,8 @@ and its blowups and stay exact on any other Gram.
 Validation happens once, at the boundary.  The public constructors
 ``IntersectionLattice(...)``, ``HomologyClass(...)`` and
 ``IntersectionLattice.element`` check (and coerce) outside data: unique
-labels, a square symmetric integer Gram, nondegeneracy unless relative, and
-the coordinate length.  Model JSON enters through
+labels, a square symmetric integer Gram, nondegeneracy, and the coordinate
+length.  Model JSON enters through
 ``manifold.FourManifoldModel.from_dict``, which builds its lattice with the
 public constructor.  Each type also has a private classmethod
 ``_trusted`` that sets the fields and checks nothing.  Only operations whose
@@ -54,16 +54,12 @@ class DegenerateFormError(ValueError):
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Free abelian group with an integer symmetric pairing.
-
-    ``relative=True`` permits degenerate forms (plumbing interiors); closed
-    manifolds always carry nondegenerate forms.
-    """
+    """Free abelian group with a nondegenerate integer symmetric pairing, as
+    closed manifolds carry."""
 
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)  # a label: equality is basis and Gram
-    relative: bool = False
     # rows[i] = ((j, gram[i][j]), ...) over the nonzero entries of row i
     rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -78,20 +74,17 @@ class IntersectionLattice:
             raise ValueError("gram size does not match basis")
         if not is_symmetric(self.gram):
             raise ValueError("gram matrix must be symmetric")
-        if not self.relative and _signature_cached(gram)[2]:
-            raise DegenerateFormError(
-                f"lattice {self.name or '<unnamed>'} is degenerate; "
-                "pass relative=True for plumbing interiors",
-                radical=kernel_rows(gram)[0],
-            )
+        if _signature_cached(gram)[2]:
+            raise DegenerateFormError(f"lattice {self.name or '<unnamed>'} is degenerate",
+                                      radical=kernel_rows(gram)[0])
 
     @classmethod
-    def _trusted(cls, basis, gram, name: str = "", relative: bool = False, rows=None):
+    def _trusted(cls, basis, gram, name: str = "", rows=None):
         """A lattice from a str-label basis and a symmetric int Gram, known
-        valid (and nondegenerate unless relative); nothing is checked.
+        valid and nondegenerate; nothing is checked.
         ``rows`` are the sparse rows of ``gram`` when the caller has them."""
         self = object.__new__(cls)
-        self.__dict__.update(basis=basis, gram=gram, name=name, relative=relative,
+        self.__dict__.update(basis=basis, gram=gram, name=name,
                              rows=_sparse_rows(gram) if rows is None else rows)
         return self
 

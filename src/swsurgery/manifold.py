@@ -412,7 +412,7 @@ def _blowup_lattice(lattice: IntersectionLattice, name: str, label: str) -> Inte
     n = lattice.rank
     gram = tuple(row + (0,) for row in lattice.gram) + ((0,) * n + (-1,),)
     return IntersectionLattice._trusted(
-        lattice.basis + (label,), gram, name, lattice.relative, lattice.rows + (((n, -1),),)
+        lattice.basis + (label,), gram, name, lattice.rows + (((n, -1),),)
     )
 
 

@@ -23,7 +23,6 @@ E1_GRAM = tuple(
 )
 
 PI1_NOTE_E1 = "rational elliptic surface: simply connected by construction"
-PI1_NOTE_SURGERY = "fiber and complement are simply connected, so the surgered manifold is too"
 PI1_NOTE_BLOWDOWN = (
     "a normal circle to a middle sphere generates the boundary fundamental group "
     "and bounds a disk in the complement, so the blown-down manifold is simply connected"

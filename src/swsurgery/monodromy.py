@@ -112,10 +112,6 @@ class Factor:
     length: int = field(compare=False, repr=False)
 
     @property
-    def base_letters(self) -> tuple[str, ...]:
-        return _spell(self.inner)
-
-    @property
     def letters(self) -> tuple[str, ...]:
         return _spell(self.inner, self.power)
 

@@ -259,9 +259,10 @@ class ConfigurationEmbedding:
     Verification, lift searches and blowdowns take explicit ambient classes
     for every vertex; their images G u_i under the ambient Gram are computed
     once, at construction, so that every pairing with a vertex is one dot
-    product.  An intersection profile instead (the vertex Gram plus a
-    ``{name: row}`` dict of pairings with the vertices) supports only
-    ``realized_gram``, ``profile_row`` and ``pairing_vector({name: coeff})``,
+    product, and ``pairing_vector`` takes a class.  An intersection profile
+    instead (the vertex Gram plus a ``{name: row}`` dict of pairings with
+    the vertices) supports only ``realized_gram`` and
+    ``pairing_vector({name: coeff})``, which reads the profile's rows alone,
     hence relative squares of named combinations.
     """
 
@@ -305,15 +306,6 @@ class ConfigurationEmbedding:
     def _dots(self, coords) -> tuple[int, ...]:
         return tuple(dot(coords, image) for image in self.vertex_images)
 
-    def profile_row(self, name: str) -> tuple[int, ...]:
-        if self.profile_pairings is not None:
-            for key, row in self.profile_pairings:
-                if key == name:
-                    return row
-        if self.vertex_classes is not None:
-            return self._dots(self.ambient.marked_class(name).coords)
-        raise KeyError(f"no pairing profile for class {name!r}")
-
     def pairing_vector(self, candidate) -> tuple[int, ...]:
         """Vector (candidate . u_i); candidate is a class, or {name: coeff} on a profile."""
         if isinstance(candidate, HomologyClass):
@@ -323,10 +315,12 @@ class ConfigurationEmbedding:
                 )
             require_same_lattice(candidate.lattice, self.ambient.lattice)
             return self._dots(candidate.coords)
+        rows = dict(self.profile_pairings or ())
         vector = [0] * self.size
         for name, coeff in candidate.items():
-            row = self.profile_row(name)
-            vector = [x + coeff * y for x, y in zip(vector, row)]
+            if name not in rows:
+                raise KeyError(f"no pairing profile for class {name!r}")
+            vector = [x + coeff * y for x, y in zip(vector, rows[name])]
         return tuple(vector)
 
 
@@ -401,23 +395,16 @@ def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
 
 
 def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
-    """Basic classes of X closed under sign flips of the exceptional markings."""
+    """Basic classes of X under every sign flip of the exceptional markings, in first-seen order."""
     exceptional = tuple(X.lattice.index_of(name) for name, _ in X.marked if name.startswith("E"))
-    classes = _sign_flips(tuple(basic for basic, _ in X.sw.entries), exceptional)
-    return [HomologyClass._trusted(X.lattice, coords) for coords in classes]
-
-
-@lru_cache(maxsize=64)
-def _sign_flips(classes, exceptional) -> tuple[tuple[int, ...], ...]:
-    """``classes`` under every sign flip of the ``exceptional`` coordinates, in first-seen order."""
     seen = {}
-    for basic in classes:
+    for basic, _ in X.sw.entries:
         for signs in iter_product((1, -1), repeat=len(exceptional)):
             coords = list(basic)
             for s, idx in zip(signs, exceptional):
                 coords[idx] *= s
             seen[tuple(coords)] = None
-    return tuple(seen)
+    return [HomologyClass._trusted(X.lattice, coords) for coords in seen]
 
 
 def _overlattice_basis(det_c: int, adj_c, p: int):

@@ -32,10 +32,7 @@ from swsurgery.pipelines import (
     FAMILIES,
     I6_FACTORIZATION,
     I6_FIBRATION,
-    build_b7_family,
-    build_b8_family,
-    build_Qn,
-    build_Xn,
+    build_family,
     verify_paper,
 )
 from swsurgery.plumbing import (
@@ -104,7 +101,7 @@ def test_criterion_3_xn_pipeline():
     with criterion(3, "X_n: (1,6,odd), K0^2=3, d=0, |SW|=n, minimal for n>=2, separated"):
         magnitude_sets = []
         for n in range(1, 11):
-            model, rep = build_Xn(n)
+            model, rep = build_family("xn", n)
             assert rep.all_pass, (n, [c.id for c in rep.failures()])
             assert tuple(fingerprint(model)) == (1, 6, "odd", True)
             assert model.sw.magnitudes() == (n, n)
@@ -120,7 +117,7 @@ def test_criterion_3_xn_pipeline():
 def test_criterion_4_qn_pipeline():
     with criterion(4, "Q_n: (1,5,odd), lifts exactly +-(3T+E0+E1), |SW|={n}"):
         for n in range(1, 11):
-            model, rep = build_Qn(n)
+            model, rep = build_family("qn", n)
             assert rep.all_pass, (n, [c.id for c in rep.failures()])
             assert tuple(fingerprint(model)) == (1, 5, "odd", True)
             assert model.sw.magnitudes() == (n, n)
@@ -304,14 +301,14 @@ def test_criterion_8_property_suites():
 def test_criterion_9_b7_b8_pipelines():
     with criterion(9, "b-=7/8 families: fingerprints, u0 squares, |SW|={n}, derived labels"):
         for n in range(1, 6):
-            model7, rep7 = build_b7_family(n)
+            model7, rep7 = build_family("b7", n)
             assert rep7.all_pass, (n, [c.id for c in rep7.failures()])
             assert tuple(fingerprint(model7)) == (1, 7, "odd", True)
             assert model7.sw.magnitudes() == (n, n)
             by_id7 = {c.id: c for c in rep7.checks}
             assert by_id7["b7.u0.square"].computed == -7
             assert by_id7["b7.sw"].provenance == "derived"
-            model8, rep8 = build_b8_family(n)
+            model8, rep8 = build_family("b8", n)
             assert rep8.all_pass, (n, [c.id for c in rep8.failures()])
             assert tuple(fingerprint(model8)) == (1, 8, "odd", True)
             assert model8.sw.magnitudes() == (n, n)

@@ -44,6 +44,15 @@ def test_family_text_and_model_out(capsys, tmp_path):
     assert model.sw.magnitudes() == (2, 2)
 
 
+@pytest.mark.parametrize("target", ["missing/x2.json", "."], ids=["missing directory", "directory"])
+def test_family_model_out_unwritable_exits_2(capsys, tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "family", "xn", "--n", "2", "--model-out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write model file {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
 def test_family_json(capsys):
     code, out, _ = run_cli(capsys, "family", "qn", "--n", "1", "--json")
     assert code == 0
@@ -461,10 +470,15 @@ def test_every_budget_refuses_before_its_expensive_call(capsys, monkeypatch, tmp
 
 
 def test_lattice_errors(capsys):
-    code, _, err = run_cli(capsys, "lattice", "pair", "--model", "e1", "--class", "T")
-    assert code == 2
-    code, _, err = run_cli(capsys, "lattice", "square", "--model", "nosuch:3", "--class", "T")
-    assert code == 2
+    for op, classes, wanted in (("pair", ["T"], "exactly two --class arguments"),
+                                ("square", ["T", "h"], "exactly one --class argument"),
+                                ("characteristic", ["T", "h"], "exactly one --class argument")):
+        flags = [x for c in classes for x in ("--class", c)]
+        code, out, err = run_cli(capsys, "lattice", op, "--model", "e1", *flags)
+        assert (code, out, err) == (2, "", f"error: {op} needs {wanted}\n")
+        # the model is resolved first, so a bad model is reported before the arity
+        code, _, err = run_cli(capsys, "lattice", op, "--model", "nosuch:3", *flags)
+        assert code == 2 and "no model file or builtin named 'nosuch:3'" in err
     code, _, err = run_cli(capsys, "lattice", "square", "--model", "e1", "--class", "bogus")
     assert code == 2
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swsurgery import lattice as lattice_module
+from swsurgery.exactmat import freeze
 from swsurgery.lattice import (
     DegenerateFormError,
     HomologyClass,
@@ -27,7 +28,7 @@ from .oracles import (
     naive_is_characteristic,
     naive_pair,
 )
-from .trusted import memos
+from .trusted import SHIPPED, memos
 
 
 def test_defining_squares(e1_model):
@@ -196,25 +197,23 @@ DEGENERATE_GRAMS = (
 )
 
 
-def test_degenerate_lattice_rejected():
-    for gram in DEGENERATE_GRAMS:
+def test_degenerate_lattice_rejected(e1_model):
+    # the complement of the isotropic fiber T contains T, so its form is degenerate
+    complement = orthogonal_complement(e1_model.lattice, [e1_model.marked_class("T")])
+    with pytest.raises(DegenerateFormError) as err:
+        complement.signature_and_betti()
+    radicals = [(complement.gram, err.value.radical)]
+    for gram in DEGENERATE_GRAMS + (complement.gram,):
         basis = tuple(f"x{i}" for i in range(len(gram)))
-        radicals = []
         for name in ("M", ""):
             with pytest.raises(DegenerateFormError) as err:
                 IntersectionLattice(basis, gram, name=name)
-            assert str(err.value) == (f"lattice {name or '<unnamed>'} is degenerate; "
-                                      "pass relative=True for plumbing interiors")
-            radicals.append(err.value.radical)
-        # relative lattices may be degenerate; their signature is refused
-        lat = IntersectionLattice(basis, gram, relative=True)
-        with pytest.raises(DegenerateFormError) as err:
-            signature_and_betti(lat)
-        radicals.append(err.value.radical)
-        # each raise path carries a nonzero radical vector: G r = 0
-        for radical in radicals:
-            assert len(radical) == len(gram) and any(radical)
-            assert all(sum(g * x for g, x in zip(row, radical)) == 0 for row in gram)
+            assert str(err.value) == f"lattice {name or '<unnamed>'} is degenerate"
+            radicals.append((gram, err.value.radical))
+    # each raise path carries a nonzero radical vector: G r = 0
+    for gram, radical in radicals:
+        assert len(radical) == len(gram) and any(radical)
+        assert all(sum(g * x for g, x in zip(row, radical)) == 0 for row in gram)
 
 
 def test_lattice_validation_errors():
@@ -245,10 +244,16 @@ def test_every_cache_is_bounded():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
 
 
+def _unchecked_lattice(basis, gram, rows=None):
+    """The shipped ``IntersectionLattice._trusted``, which checks nothing, also
+    under ``--validate-trusted``: it takes a degenerate Gram as well."""
+    return SHIPPED[IntersectionLattice].__func__(IntersectionLattice, basis, gram, rows=rows)
+
+
 @st.composite
 def lattices_with_vectors(draw):
     """A random symmetric Gram of rank 1-12 (about half non-diagonal, degenerate
-    ones as relative lattices) with three coordinate vectors."""
+    ones built unchecked) with three coordinate vectors."""
     n = draw(st.integers(1, 12))
     entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -5))
     gram = [[0] * n for _ in range(n)]
@@ -256,8 +261,10 @@ def lattices_with_vectors(draw):
     for i in range(n):
         for j in (i,) if diagonal else range(i, n):
             gram[i][j] = gram[j][i] = draw(entries)
-    relative = fraction_det(gram) == 0 or draw(st.booleans())
-    lattice = IntersectionLattice(tuple(f"g{i}" for i in range(n)), gram, relative=relative)
+    basis, gram = tuple(f"g{i}" for i in range(n)), freeze(gram)
+    # the pairings do not need a nondegenerate form, which only the public constructor checks
+    unchecked = fraction_det(gram) == 0 or draw(st.booleans())
+    lattice = (_unchecked_lattice if unchecked else IntersectionLattice)(basis, gram)
     vectors = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
     return lattice, draw(vectors), draw(vectors), draw(vectors)
 
@@ -274,7 +281,6 @@ def test_sparse_rows_match_dense_oracles(data):
     for v in (k, parities):
         assert is_characteristic(lattice.element(v)) == naive_is_characteristic(gram, v)
     # the sparse rows are derived data: equality, hash and repr ignore them
-    twin = IntersectionLattice(lattice.basis, gram, relative=lattice.relative)
-    object.__setattr__(twin, "rows", ())
+    twin = _unchecked_lattice(lattice.basis, gram, rows=())
     assert twin == lattice and hash(twin) == hash(lattice)
     assert "rows" not in repr(lattice)

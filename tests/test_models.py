@@ -45,7 +45,7 @@ def test_wn_profile_matches_realization(w3):
     assert emb.realized_gram() == WN_C7_PROFILE["gram"]
     assert [name for name, _ in WN_C7_PROFILE["pairings"]] == ["T", "E0", "E1"]
     for name, row in WN_C7_PROFILE["pairings"]:
-        assert emb.profile_row(name) == row
+        assert emb.pairing_vector(w3.marked_class(name)) == row
     assert verify_embedding(emb).ok
 
 

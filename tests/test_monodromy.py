@@ -195,7 +195,8 @@ def test_factor_tree_matches_letter_product(drawn):
         assert IntegerMatrix2(m.a, m.b, m.c, m.d) == m
     for d, f, power in zip(report.factors, word.factors, powers):
         assert (d.factor_trace, d.width) == (power.trace, parabolic_width(power))
-        base = naive_word_matrix(f.base_letters)
+        base = naive_word_matrix([x for item in f.inner
+                                  for x in (item if isinstance(item, str) else item.letters)])
         factor = naive_word_matrix(f.letters)
         assert (d.text, d.power) == (f.text, f.power)
         assert d.base_trace == base[0] + base[3]

@@ -1,25 +1,15 @@
 import pytest
 
 from swsurgery.manifold import dimension, fingerprint
-from swsurgery.pipelines import (
-    FAMILIES,
-    build_b7_family,
-    build_b8_family,
-    build_family,
-    build_Qn,
-    build_Xn,
-    verify_paper,
-)
+from swsurgery.pipelines import FAMILIES, build_family, verify_paper
 
 from .trusted import memos
 
 
-@pytest.mark.parametrize("builder,b_minus", [
-    (build_Xn, 6), (build_Qn, 5), (build_b7_family, 7), (build_b8_family, 8),
-])
-def test_families_pass(builder, b_minus):
+@pytest.mark.parametrize("key,b_minus", [("xn", 6), ("qn", 5), ("b7", 7), ("b8", 8)])
+def test_families_pass(key, b_minus):
     for n in (1, 2):
-        model, rep = builder(n)
+        model, rep = build_family(key, n)
         assert rep.all_pass, [c.id for c in rep.failures()]
         assert tuple(fingerprint(model)) == (1, b_minus, "odd", True)
         assert model.sw.magnitudes() == (n, n)
@@ -28,9 +18,9 @@ def test_families_pass(builder, b_minus):
 
 
 def test_family_rejects_bad_parameter():
-    for builder in (build_Xn, build_Qn, build_b7_family, build_b8_family):
+    for key in FAMILIES:
         with pytest.raises(ValueError):
-            builder(0)
+            build_family(key, 0)
 
 
 def test_build_family_dispatch():
@@ -58,21 +48,21 @@ def test_family_builds_its_base_model_once(monkeypatch):
 
 
 def test_blowdown_bookkeeping_deltas():
-    for builder, p, ambient_es in (
-        (build_Xn, 7, (15, -11)),
-        (build_Qn, 7, (14, -10)),
-        (build_b7_family, 5, (14, -10)),
-        (build_b8_family, 3, (13, -9)),
+    for key, p, ambient_es in (
+        ("xn", 7, (15, -11)),
+        ("qn", 7, (14, -10)),
+        ("b7", 5, (14, -10)),
+        ("b8", 3, (13, -9)),
     ):
-        model, _ = builder(2)
+        model, _ = build_family(key, 2)
         assert model.euler == ambient_es[0] - (p - 1)
         assert model.sign == ambient_es[1] + (p - 1)
 
 
 def test_magnitude_separation():
-    xs = {n: build_Xn(n)[0].sw.magnitudes() for n in range(1, 7)}
+    xs = {n: build_family("xn", n)[0].sw.magnitudes() for n in range(1, 7)}
     assert len(set(xs.values())) == 6
-    qs = {n: build_Qn(n)[0].sw.magnitudes() for n in range(1, 5)}
+    qs = {n: build_family("qn", n)[0].sw.magnitudes() for n in range(1, 5)}
     assert len(set(qs.values())) == 4
 
 
@@ -104,20 +94,20 @@ def test_report_shape():
 
 
 def test_family_reports_are_deterministic():
-    _, rep1 = build_Xn(2)
-    _, rep2 = build_Xn(2)
+    _, rep1 = build_family("xn", 2)
+    _, rep2 = build_family("xn", 2)
     assert rep1.to_json() == rep2.to_json()
 
 
 def test_b8_report_flags_reading():
-    _, rep = build_b8_family(1)
+    _, rep = build_family("b8", 1)
     ids = {c.id for c in rep.checks}
     assert "b8.reading" in ids
 
 
 def test_b7_b8_derivations_labeled_derived():
-    for builder, tag in ((build_b7_family, "b7"), (build_b8_family, "b8")):
-        _, rep = builder(2)
+    for tag in ("b7", "b8"):
+        _, rep = build_family(tag, 2)
         by_id = {c.id: c for c in rep.checks}
         assert by_id[f"{tag}.sw"].provenance == "derived"
         assert by_id[f"{tag}.u0.square"].provenance == "derived"
@@ -161,3 +151,18 @@ def test_one_family_plan_per_family():
             build_family(key, n)
     info = _family_plan.cache_info()
     assert (info.misses, info.hits) == (4, 76)
+
+
+def test_verify_paper_searches_lifts_once_per_family(monkeypatch):
+    from swsurgery import pipelines, plumbing
+
+    for memo in memos():
+        memo.cache_clear()
+    calls = []
+    search = plumbing.find_characteristic_lifts
+    for module in (plumbing, pipelines):
+        monkeypatch.setattr(module, "find_characteristic_lifts",
+                            lambda emb, *args: calls.append(emb.chain) or search(emb, *args))
+    assert verify_paper().all_pass
+    # the plumbing section reads the xn and qn plans that the pipelines section builds on
+    assert len(calls) == len(FAMILIES) == 4
