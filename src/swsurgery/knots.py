@@ -6,18 +6,17 @@ in Z.  The surgery rule reads SW values for multiples of the fiber off the
 exact Laurent quotient (D - D(1)) / (t^(1/2) - t^(-1/2)), where D is the
 product of the knots' Alexander polynomials.
 
-``LaurentPolynomial(terms)``, ``from_doubled`` and ``parse`` normalize and
-validate outside terms; products build their already-normalized results
-through ``LaurentPolynomial._trusted``.  Knot surgery builds its SW table
-and model trusted as well: every class in the table is an odd multiple j T
-of the fiber, characteristic when T is (checked once), the quotient is
+``LaurentPolynomial(terms)`` and ``from_doubled`` normalize and validate
+outside terms; products build their already-normalized results through
+``LaurentPolynomial._trusted``.  Knot surgery builds its SW table and model
+trusted as well: every class in the table is an odd multiple j T of the
+fiber, characteristic when T is (checked once), the quotient is
 antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
 3 sign + 2 euler = 0 are checked.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -80,46 +79,6 @@ class LaurentPolynomial:
                 text = "-"
             text += power if power and abs(c) == 1 else f"{abs(c)}{power}"
         return text or "0"
-
-    _TERM = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>\d+)\s*(?P<t1>t(?:\^(?P<exp1>-?\d+)(?P<half1>/2)?)?)?"
-        r"|(?P<t2>t(?:\^(?P<exp2>-?\d+)(?P<half2>/2)?)?)"
-        r")\s*"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPolynomial":
-        """Parse the textual syntax, e.g. ``3t^1 - 5 + 3t^-1`` or ``t^1/2``."""
-        out: dict[int, int] = {}
-        pos = 0
-        first = True
-        while pos < len(text):
-            m = cls._TERM.match(text, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
-            sign = m.group("sign")
-            if sign is None and not first:
-                raise ValueError(f"missing +/- between terms at position {pos}")
-            factor = -1 if sign == "-" else 1
-            if m.group("coeff") is not None:
-                coeff = factor * int(m.group("coeff"))
-                tpart, exp, half = m.group("t1"), m.group("exp1"), m.group("half1")
-            else:
-                coeff = factor
-                tpart, exp, half = m.group("t2"), m.group("exp2"), m.group("half2")
-            if tpart is None:
-                doubled = 0
-            elif exp is None:
-                doubled = 2
-            else:
-                doubled = int(exp) if half else 2 * int(exp)
-            out[doubled] = out.get(doubled, 0) + coeff
-            pos = m.end()
-            first = False
-        if first:
-            raise ValueError("empty polynomial text")
-        return cls.from_doubled(out)
 
 
 class TwistKnot(NamedTuple):

@@ -102,23 +102,8 @@ class SWTable:
                              _square=square)
         return self
 
-    @classmethod
-    def empty(cls, lattice: IntersectionLattice, note: str = DEFAULT_CONVENTION) -> "SWTable":
-        return cls(lattice, (), note)
-
-    @classmethod
-    def from_pairs(cls, lattice, pairs, note: str = DEFAULT_CONVENTION) -> "SWTable":
-        items = []
-        for k, v in pairs.items() if isinstance(pairs, dict) else pairs:
-            coords = k.coords if isinstance(k, HomologyClass) else tuple(k)
-            items.append((coords, int(v)))
-        return cls(lattice, tuple(items), note)
-
     def classes(self) -> tuple[HomologyClass, ...]:
         return tuple(HomologyClass._trusted(self.lattice, c) for c, _ in self.entries)
-
-    def items(self) -> tuple[tuple[HomologyClass, int], ...]:
-        return tuple((HomologyClass._trusted(self.lattice, c), v) for c, v in self.entries)
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -217,9 +202,6 @@ class FourManifoldModel:
             if label == name:
                 return HomologyClass._trusted(self.lattice, coords)
         raise KeyError(f"model {self.name!r} has no marked class {name!r}")
-
-    def b_plus_minus(self) -> tuple[int, int]:
-        return signature_and_betti(self.lattice)
 
     def renamed(self, name: str) -> "FourManifoldModel":
         return self._replaced(name=name)
@@ -334,7 +316,7 @@ class Chamber:
     @cached_property
     def _b_plus(self) -> int:
         """The model's b+, computed on first use."""
-        return self.model.b_plus_minus()[0]
+        return signature_and_betti(self.model.lattice)[0]
 
     @cached_property
     def _images(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -376,7 +358,7 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     otherwise the wall-crossing jump is added, oriented from the h-side to
     the H-side.  Only available for b+ = 1 models.
     """
-    b_plus = H._b_plus if H.model is X else X.b_plus_minus()[0]
+    b_plus = H._b_plus if H.model is X else signature_and_betti(X.lattice)[0]
     if b_plus != 1:
         raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
     if H.model is not X and H.model != X:
@@ -515,6 +497,6 @@ def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
 
 def fingerprint(X: FourManifoldModel) -> Fingerprint:
     """(b+, b-, parity, pi1 flag); parity is even iff every basis square is even."""
-    b_plus, b_minus = X.b_plus_minus()
+    b_plus, b_minus = signature_and_betti(X.lattice)
     parity = "even" if all(X.lattice.gram[i][i] % 2 == 0 for i in range(X.lattice.rank)) else "odd"
     return Fingerprint(b_plus, b_minus, parity, X.simply_connected)

@@ -59,7 +59,7 @@ def e1() -> FourManifoldModel:
         sign=-8,
         simply_connected=True,
         marked={"T": fiber, "h": h},
-        sw=SWTable.empty(lattice),
+        sw=SWTable(lattice, ()),
         pi1_note=PI1_NOTE_E1,
     )
 

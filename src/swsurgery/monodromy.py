@@ -99,8 +99,8 @@ class Factor:
 
     ``inner`` holds the letter of a single-letter factor, or the factors of
     a parenthesized group; ``base`` is their product and the factor's matrix
-    is ``base ** power``.  Letters are spelled out only on request;
-    ``length`` is how many there would be.
+    is ``base ** power``.  ``length`` is how many letters the factor spells
+    out in its word's ``letters``.
     """
 
     text: str
@@ -110,10 +110,6 @@ class Factor:
     # never recurse into deep nesting
     inner: tuple["Factor | str", ...] = field(compare=False, repr=False)
     length: int = field(compare=False, repr=False)
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return _spell(self.inner, self.power)
 
 
 class MCGWord(NamedTuple):
@@ -139,13 +135,13 @@ def _expand(letters: tuple[str, ...], power: int) -> tuple[str, ...]:
     return inv * (-power)
 
 
-def _spell(items, power: int = 1) -> tuple[str, ...]:
-    """Letters of the product of ``items`` raised to ``power``.
+def _spell(items) -> tuple[str, ...]:
+    """Letters of the product of ``items``.
 
     Nested groups are expanded from an explicit stack of (items left, power,
     letters so far) frames, so nesting depth is bounded only by the input.
     """
-    stack = [(iter(items), power, [])]
+    stack = [(iter(items), 1, [])]
     while True:
         rest, exponent, letters = stack[-1]
         item = next(rest, None)
@@ -157,7 +153,7 @@ def _spell(items, power: int = 1) -> tuple[str, ...]:
             stack[-1][2].extend(spelled)
         elif isinstance(item, str):
             letters.append(item)
-        else:
+        elif item.power:  # a zero power spells nothing, however long its base
             stack.append((iter(item.inner), item.power, []))
 
 

@@ -341,10 +341,10 @@ def _family_plan(key: str, ambient: _Ambient):
     values = spec.fixed(X, emb, period, k_lift)
     values.update({
         "u0.square": square(emb.vertex_classes[0]),
-        "embedding": verify_embedding(emb, cp_chain(spec.p)).ok,
+        "embedding": verify_embedding(emb).ok,
         "chamber.orthogonal": emb.pairing_vector(period),
         "chamber.positive": square(period) > 0,
-        "lifts": _coords(find_characteristic_lifts(emb, default_lift_candidates(X), spec.p)),
+        "lifts": _coords(find_characteristic_lifts(emb, default_lift_candidates(X))),
     })
     return emb, period, _coords([k_lift, -k_lift]), MappingProxyType(values)
 
@@ -375,7 +375,7 @@ def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationRepor
     rep.add(f"{tag}.lifts", f"restriction square -(p-1) = {-(p - 1)} picks the lift pair",
             lift_pair, fixed["lifts"], provenance)
     model = rational_blowdown(
-        ambient, emb, p, chamber,
+        ambient, emb, chamber,
         simply_connected=True, pi1_note=PI1_NOTE_BLOWDOWN, name=spec.name.format(n=n),
     )
     rep.add(f"{tag}.bookkeeping",

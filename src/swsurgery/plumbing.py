@@ -2,11 +2,11 @@
 
 The blowdown configuration of order p is a linear chain of p - 1 spheres
 with weights -(p+2), -2, ..., -2; its boundary is the lens space of order
-p^2 and it bounds a rational ball.  Blowing it down inside an ambient model
-drops b- by p - 1 and transfers SW data through characteristic lifts whose
-restriction to the configuration has relative self-intersection -(p - 1),
-the value forced by preservation of the formal dimension together with the
-(e, sign) bookkeeping.
+p^2 and it bounds a rational ball, so the chain alone fixes p.  Blowing it
+down inside an ambient model drops b- by p - 1 and transfers SW data
+through characteristic lifts whose restriction to the configuration has
+relative self-intersection -(p - 1), the value forced by preservation of
+the formal dimension together with the (e, sign) bookkeeping.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .lattice import (
     orthogonal_complement,
     require_same_lattice,
     same_lattice,
-    square,
 )
 from .manifold import Chamber, FourManifoldModel, SWTable, chamber_sw
 
@@ -332,8 +331,8 @@ class EmbeddingReport(NamedTuple):
         return tuple(desc for desc, good in self.entries if not good)
 
 
-def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = None) -> EmbeddingReport:
-    """Check a realized configuration against its chain, entry by entry.
+def verify_embedding(emb: ConfigurationEmbedding) -> EmbeddingReport:
+    """Check a realized configuration against ``emb.chain``, entry by entry.
 
     Mismatch is a report outcome, not an error.  For the seven-sphere tree the
     checks are the tree adjacency (central vertex with three length-2 legs)
@@ -341,7 +340,7 @@ def verify_embedding(emb: ConfigurationEmbedding, chain: PlumbingChain | None = 
     comes from the plan ``_chain_plan``, one per ambient lattice, vertex
     coordinates, chain and fiber.
     """
-    return _plan(emb, chain or emb.chain).report
+    return _plan(emb, emb.chain).report
 
 
 def _is_three_leg_star(chain: PlumbingChain) -> bool:
@@ -377,10 +376,11 @@ def relative_square_of_restriction(emb: ConfigurationEmbedding, k) -> Fraction:
     return relative_square(emb.chain, emb.pairing_vector(k))
 
 
-def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
+def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates):
     """The classes among ``candidates`` whose restriction has relative square -(p - 1).
 
-    That is the value preserving the formal dimension through the blowdown.
+    The chain of p - 1 vertices fixes p = ``emb.size + 1``; -(p - 1) is the
+    value preserving the formal dimension through the blowdown.
     Every candidate must be a characteristic class of the ambient lattice.
     The characteristic tests and restriction squares on ``emb.chain`` come
     from ``transfer`` of the plan ``_chain_plan``, so a repeated search
@@ -390,7 +390,7 @@ def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates, p: int):
     plan = _plan(emb, emb.chain)
     for c in candidates:
         require_same_lattice(c.lattice, emb.ambient.lattice)
-    kept = plan.transfer(tuple(c.coords for c in candidates), p, False)
+    kept = plan.transfer(tuple(c.coords for c in candidates), False)
     return [c for c, lift in zip(candidates, kept) if lift is not None]
 
 
@@ -510,23 +510,24 @@ class _ChainPlan:
         columns = matmul(matmul(transpose(adj_b), adj_c), images_c)
         return lattice_m, columns, det_b if det_c > 0 else -det_b
 
-    def transfer(self, classes, p: int, descend: bool):
+    def transfer(self, classes, descend: bool):
         """The SW-side work on ambient ``classes`` (coordinate tuples): one
         entry per class, None unless its restriction has relative square
-        -(p - 1).  A kept class maps to its image k P under ``geometry`` when
-        ``descend``, else to True; without ``descend`` every class is a lift
-        candidate and must be characteristic.  Kept per (classes, p,
-        descend): in a family only the SW values change with n, so every
-        build reads the same entries."""
-        key = (classes, p, descend)
+        -(p - 1), with p - 1 the chain's size.  A kept class maps to its
+        image k P under ``geometry`` when ``descend``, else to True; without
+        ``descend`` every class is a lift candidate and must be
+        characteristic.  Kept per (classes, descend): in a family only the SW
+        values change with n, so every build reads the same entries."""
+        key = (classes, descend)
         kept = self._transfers.get(key)
         if kept is None:
             columns = self.geometry[1] if descend else ()
+            target = -self.chain.size
             kept = []
             for coords in classes:
                 if not descend and not is_characteristic(HomologyClass._trusted(self.lattice, coords)):
                     raise ValueError(f"lift candidate {coords} is not characteristic")
-                if relative_square(self.chain, [dot(coords, image) for image in self.images]) != -(p - 1):
+                if relative_square(self.chain, [dot(coords, image) for image in self.images]) != target:
                     kept.append(None)
                 else:
                     kept.append(tuple(dot(coords, c) for c in columns) if descend else True)
@@ -541,7 +542,6 @@ _chain_plan = lru_cache(maxsize=64)(_ChainPlan)
 def rational_blowdown(
     X: FourManifoldModel,
     emb: ConfigurationEmbedding,
-    p: int,
     H: Chamber,
     *,
     simply_connected: bool,
@@ -550,13 +550,14 @@ def rational_blowdown(
 ) -> FourManifoldModel:
     """Replace an embedded order-p chain by the rational ball it bounds.
 
-    First checked: the embedding's explicit vertex classes realize
-    cp_chain(p), and the period class H is orthogonal to every vertex.  The
-    new lattice is the unimodular overlattice of the orthogonal complement
-    of the vertices; euler drops by p - 1, sign rises by p - 1, and the SW
-    table transfers through the characteristic lifts among X's basic
-    classes (relative square -(p - 1) on cp_chain(p)), evaluated in the
-    chamber of H (wall crossing included by chamber_sw).  Simple
+    The chain's p - 1 vertices fix p = ``emb.size + 1``.  First checked: the
+    embedding's explicit vertex classes realize cp_chain(p), and the period
+    class H (of positive square, as every Chamber) is orthogonal to every
+    vertex.  The new lattice is the unimodular overlattice of the orthogonal
+    complement of the vertices; euler drops by p - 1, sign rises by p - 1,
+    and the SW table transfers through the characteristic lifts among X's
+    basic classes (relative square -(p - 1) on cp_chain(p)), evaluated in
+    the chamber of H (wall crossing included by chamber_sw).  Simple
     connectivity is supplied by the caller with a justification note.
 
     The report, the geometry and the transfer (which classes survive, and
@@ -564,12 +565,11 @@ def rational_blowdown(
     cp_chain(p) (``_chain_plan``); the chamber values, the divisibility of
     each image and the new table and model are computed on every call.
     """
+    p = emb.size + 1
     plan = _plan(emb, cp_chain(p))
     if not plan.report.ok:
         raise EmbeddingError("embedding does not realize the blowdown chain: "
                              + "; ".join(plan.report.failures()))
-    if square(H.period) <= 0:
-        raise ValueError("period class must have positive square")
     if any(emb.pairing_vector(H.period)):
         raise ValueError("period class must be orthogonal to every vertex class")
     if not same_lattice(X.lattice, emb.ambient.lattice):
@@ -581,25 +581,25 @@ def rational_blowdown(
         lattice_m.basis, lattice_m.gram, new_name, rows=lattice_m.rows
     )
 
-    def push_down(coords, image) -> HomologyClass:
+    def push_down(coords, image) -> tuple[int, ...]:
         if any(x % divisor for x in image):
             raise EmbeddingError(f"class {coords} does not descend to the new lattice")
-        return HomologyClass._trusted(new_lattice, tuple(x // divisor for x in image))
+        return tuple(x // divisor for x in image)
 
     # the new table and model go through the public constructors: whether the
     # pushed-down classes are characteristic, and whether the chamber values
     # of a table that is not antisymmetric stay closed under negation, is not
     # known by construction; nor is the caller's simply_connected flag
-    transfer = plan.transfer(tuple(c for c, _ in X.sw.entries), p, True)
+    transfer = plan.transfer(tuple(c for c, _ in X.sw.entries), True)
     entries = {}
     for (coords, _), image in zip(X.sw.entries, transfer):
         if image is not None:
             value = chamber_sw(X, HomologyClass._trusted(X.lattice, coords), H)
             if value != 0:
                 entries[push_down(coords, image)] = value
-    table = SWTable.from_pairs(new_lattice, entries, X.sw.convention_note)
+    table = SWTable(new_lattice, tuple(entries.items()), X.sw.convention_note)
     h = H.period.coords
-    marked = {"h": push_down(h, tuple(dot(h, c) for c in columns))}
+    marked = (("h", push_down(h, tuple(dot(h, c) for c in columns))),)
     return FourManifoldModel(
         name=new_name,
         lattice=new_lattice,

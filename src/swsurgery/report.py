@@ -87,9 +87,6 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return self.failed == 0
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         return {
             "version": REPORT_VERSION,

@@ -19,6 +19,7 @@ from itertools import islice, permutations, product
 from math import gcd
 
 from swsurgery.exactmat import freeze
+from swsurgery.lattice import signature_and_betti
 from swsurgery.manifold import MinimalityVerdict, NonCharacteristicError, OnWallError
 
 
@@ -114,7 +115,7 @@ def naive_dimension(model, k):
 def naive_chamber_sw(model, k, chamber):
     """``chamber_sw`` with the same checks in the same order, h.k and H.k by
     the double loop and the table value by ``naive_value``."""
-    b_plus, _ = model.b_plus_minus()
+    b_plus, _ = signature_and_betti(model.lattice)
     if b_plus != 1:
         raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
     if chamber.model != model:

@@ -68,7 +68,7 @@ def test_criterion_1_verify_paper_fast_and_green():
         start = time.monotonic()
         rep = verify_paper()
         elapsed = time.monotonic() - start
-        assert rep.all_pass, [c.id for c in rep.failures()]
+        assert rep.all_pass, [c.id for c in rep.checks if not c.passed]
         assert elapsed < 5.0, f"verify-paper took {elapsed:.2f}s"
         ids = {c.id for c in rep.checks}
         for n in range(1, 11):
@@ -102,7 +102,7 @@ def test_criterion_3_xn_pipeline():
         magnitude_sets = []
         for n in range(1, 11):
             model, rep = build_family("xn", n)
-            assert rep.all_pass, (n, [c.id for c in rep.failures()])
+            assert rep.all_pass, (n, [c.id for c in rep.checks if not c.passed])
             assert tuple(fingerprint(model)) == (1, 6, "odd", True)
             assert model.sw.magnitudes() == (n, n)
             k = model.sw.classes()[0]
@@ -118,7 +118,7 @@ def test_criterion_4_qn_pipeline():
     with criterion(4, "Q_n: (1,5,odd), lifts exactly +-(3T+E0+E1), |SW|={n}"):
         for n in range(1, 11):
             model, rep = build_family("qn", n)
-            assert rep.all_pass, (n, [c.id for c in rep.failures()])
+            assert rep.all_pass, (n, [c.id for c in rep.checks if not c.passed])
             assert tuple(fingerprint(model)) == (1, 5, "odd", True)
             assert model.sw.magnitudes() == (n, n)
             by_id = {c.id: c for c in rep.checks}
@@ -201,7 +201,7 @@ def _suite_characteristic():
         lat = IntersectionLattice(tuple(f"x{i}" for i in range(rank)), gram)
         sig = sum(diag)
         model = FourManifoldModel(f"synthetic{len(pool)}", lat, 2 + rank, sig, True, {},
-                                  SWTable.empty(lat))
+                                  SWTable(lat, ()))
         (base,) = characteristic_mod2(gram)  # unique mod 2 on a unimodular lattice
         pool.append((lat, model, base, sig))
     for case in range(CASES):
@@ -239,13 +239,13 @@ def _suite_blowup():
         lat, sig, rank, candidates = bases[case % len(bases)]
         k = candidates[rng.randrange(len(candidates))]
         value = rng.choice([1, -1]) * rng.randint(1, 9)
-        table = SWTable.from_pairs(lat, {k: value, -k: -value})
+        table = SWTable(lat, ((k.coords, value), ((-k).coords, -value)))
         model = FourManifoldModel("base", lat, 2 + rank, sig, True, {}, table)
         blown = blowup(model)
         assert len(blown.sw) == 2 * len(model.sw)  # unit multiplicities survive pruning
         assert set(blown.sw.magnitudes()) == set(model.sw.magnitudes())
         assert (blown.euler, blown.sign) == (model.euler + 1, model.sign - 1)
-        for kk, vv in blown.sw.items():
+        for kk in blown.sw.classes():
             d = dimension(blown, kk)
             assert d >= 0 and d % 2 == 0
 
@@ -302,14 +302,14 @@ def test_criterion_9_b7_b8_pipelines():
     with criterion(9, "b-=7/8 families: fingerprints, u0 squares, |SW|={n}, derived labels"):
         for n in range(1, 6):
             model7, rep7 = build_family("b7", n)
-            assert rep7.all_pass, (n, [c.id for c in rep7.failures()])
+            assert rep7.all_pass, (n, [c.id for c in rep7.checks if not c.passed])
             assert tuple(fingerprint(model7)) == (1, 7, "odd", True)
             assert model7.sw.magnitudes() == (n, n)
             by_id7 = {c.id: c for c in rep7.checks}
             assert by_id7["b7.u0.square"].computed == -7
             assert by_id7["b7.sw"].provenance == "derived"
             model8, rep8 = build_family("b8", n)
-            assert rep8.all_pass, (n, [c.id for c in rep8.failures()])
+            assert rep8.all_pass, (n, [c.id for c in rep8.checks if not c.passed])
             assert tuple(fingerprint(model8)) == (1, 8, "odd", True)
             assert model8.sw.magnitudes() == (n, n)
             by_id8 = {c.id: c for c in rep8.checks}

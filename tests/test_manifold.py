@@ -41,6 +41,11 @@ from .oracles import (
 STRATA = tuple((knots, blowups) for knots in range(1, 5) for blowups in range(5))
 
 
+def _table(lattice, pairs):
+    """The table of ``{class: value}`` pairs, through the public constructor."""
+    return SWTable(lattice, tuple((k.coords, v) for k, v in pairs.items()))
+
+
 def diag_model(name, plus, minus, sw_pairs=None, note=None):
     n = plus + minus
     labels = tuple(f"x{i}" for i in range(n))
@@ -48,7 +53,7 @@ def diag_model(name, plus, minus, sw_pairs=None, note=None):
         tuple((1 if i < plus else -1) if i == j else 0 for j in range(n)) for i in range(n)
     )
     lat = IntersectionLattice(labels, gram, name=name)
-    sw = SWTable.from_pairs(lat, sw_pairs or {}) if sw_pairs else SWTable.empty(lat)
+    sw = _table(lat, sw_pairs or {})
     marked = {"h": lat.basis_class("x0")} if plus else {}
     return FourManifoldModel(name, lat, 2 + n, plus - minus, True, marked, sw)
 
@@ -182,7 +187,7 @@ def test_blowup_bookkeeping_and_table(y3):
     assert set(z3_model.sw.magnitudes()) == {3}
     assert {"E0", "E1", "E2"} <= {name for name, _ in z3_model.marked}
     # d is preserved for unit exceptional multiplicities
-    for k, _ in z3_model.sw.items():
+    for k in z3_model.sw.classes():
         assert dimension(z3_model, k) == 0
 
 
@@ -224,19 +229,19 @@ def _minimality_tables():
     lat = _diag_lattice("m", 1, 6)
     k = lat.element((3, 1, 1, 1, 1, 1, 1))  # characteristic, square 3
     assert square(k) == 3
-    model = FourManifoldModel("m", lat, 9, -5, True, {}, SWTable.from_pairs(lat, {k: 2, -k: -2}))
+    model = FourManifoldModel("m", lat, 9, -5, True, {}, _table(lat, {k: 2, -k: -2}))
 
     # blowup-shaped table: partners differ by 2E
     lat2 = _diag_lattice("m2", 1, 2)
     kp = lat2.element((3, 1, 1))
     km = lat2.element((3, 1, -1))
     assert square(kp - km) == -4
-    table = SWTable.from_pairs(lat2, {kp: 5, km: 5, -kp: -5, -km: -5})
+    table = _table(lat2, {kp: 5, km: 5, -kp: -5, -km: -5})
     model2 = FourManifoldModel("m2", lat2, 5, -1, True, {}, table)
 
     # empty and magnitude-one tables are inconclusive
-    empty = FourManifoldModel("m3", lat, 9, -5, True, {}, SWTable.empty(lat))
-    ones = FourManifoldModel("m4", lat, 9, -5, True, {}, SWTable.from_pairs(lat, {k: 1, -k: -1}))
+    empty = FourManifoldModel("m3", lat, 9, -5, True, {}, SWTable(lat, ()))
+    ones = FourManifoldModel("m4", lat, 9, -5, True, {}, _table(lat, {k: 1, -k: -1}))
     return model, model2, empty, ones
 
 
@@ -441,7 +446,7 @@ def _plus_sum(X):
     lattice = IntersectionLattice(X.lattice.basis + ("P",), gram, name=f"{X.name}#cp2")
     marked = {name: coords + (0,) for name, coords in X.marked}
     return FourManifoldModel(f"{X.name}#cp2", lattice, X.euler + 1, X.sign + 1, True, marked,
-                             SWTable.empty(lattice))
+                             SWTable(lattice, ()))
 
 
 def _carried_answers(model):
@@ -530,16 +535,16 @@ def test_sw_table_validation(z3):
     lat = z3.lattice
     lift = class_from_coeffs(z3, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
     with pytest.raises(ValueError, match="negation"):
-        SWTable.from_pairs(lat, {lift: 3})
+        _table(lat, {lift: 3})
     with pytest.raises(ValueError, match="nonzero"):
-        SWTable.from_pairs(lat, {lift: 0, -lift: 0})
+        _table(lat, {lift: 0, -lift: 0})
     with pytest.raises(ValueError, match="characteristic"):
-        SWTable.from_pairs(lat, {z3.marked_class("T"): 1, -z3.marked_class("T"): -1})
+        _table(lat, {z3.marked_class("T"): 1, -z3.marked_class("T"): -1})
 
 
 def test_model_validation_errors(e1_model):
     lat = e1_model.lattice
-    marked, empty = dict(e1_model.marked), SWTable.empty(lat)
+    marked, empty = dict(e1_model.marked), SWTable(lat, ())
     with pytest.raises(ValueError, match="sign"):
         FourManifoldModel("bad", lat, 12, 8, True, marked, empty)
     with pytest.raises(ValueError, match="euler"):
@@ -550,10 +555,10 @@ def test_marked_class_from_another_lattice_rejected():
     a = _diag_lattice("A", 1, 1)
     b = IntersectionLattice(a.basis, ((1, 2), (2, -1)), name="B")  # same rank, other Gram
     with pytest.raises(ValueError, match="marked class 'h' lives in another lattice"):
-        FourManifoldModel("m", a, 4, 0, True, {"h": b.element((1, 1))}, SWTable.empty(a))
+        FourManifoldModel("m", a, 4, 0, True, {"h": b.element((1, 1))}, SWTable(a, ()))
     # a class of an equal lattice is accepted, and its coordinates kept
     twin = _diag_lattice("A2", 1, 1)
-    model = FourManifoldModel("m", a, 4, 0, True, {"h": twin.element((1, 1))}, SWTable.empty(a))
+    model = FourManifoldModel("m", a, 4, 0, True, {"h": twin.element((1, 1))}, SWTable(a, ()))
     assert model.marked == (("h", (1, 1)),)
 
 

@@ -158,6 +158,25 @@ def test_parse_keeps_only_the_factor_tree(monkeypatch):
     assert parse_word("").letters == () and str(parse_word("")) == ""
 
 
+
+def test_zero_power_spells_nothing_of_its_base(monkeypatch):
+    import swsurgery.monodromy as monodromy
+
+    spelled = []
+    expand = monodromy._expand
+
+    def counted(letters, power):
+        out = expand(letters, power)
+        spelled.append(len(out))
+        return out
+
+    monkeypatch.setattr(monodromy, "_expand", counted)
+    word = parse_word("((a^1000)^1000)^0")
+    assert word.length == 0
+    assert str(word) == "" and word.letters == ()
+    assert sum(spelled) == 0
+    assert str(parse_word("b(a^5)^0B")) == "bB"
+
 @st.composite
 def twist_words(draw, depth=4, budget=400):
     """Text of a random word: nested groups up to ``depth`` deep, empty groups
@@ -196,8 +215,8 @@ def test_factor_tree_matches_letter_product(drawn):
     for d, f, power in zip(report.factors, word.factors, powers):
         assert (d.factor_trace, d.width) == (power.trace, parabolic_width(power))
         base = naive_word_matrix([x for item in f.inner
-                                  for x in (item if isinstance(item, str) else item.letters)])
-        factor = naive_word_matrix(f.letters)
+                                  for x in (item if isinstance(item, str) else MCGWord((item,)).letters)])
+        factor = naive_word_matrix(MCGWord((f,)).letters)
         assert (d.text, d.power) == (f.text, f.power)
         assert d.base_trace == base[0] + base[3]
         assert d.factor_trace == factor[0] + factor[3]

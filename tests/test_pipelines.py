@@ -1,19 +1,21 @@
+import sys
+
 import pytest
 
 from swsurgery.manifold import dimension, fingerprint
 from swsurgery.pipelines import FAMILIES, build_family, verify_paper
 
-from .trusted import memos
+from .trusted import SHIPPED, memos
 
 
 @pytest.mark.parametrize("key,b_minus", [("xn", 6), ("qn", 5), ("b7", 7), ("b8", 8)])
 def test_families_pass(key, b_minus):
     for n in (1, 2):
         model, rep = build_family(key, n)
-        assert rep.all_pass, [c.id for c in rep.failures()]
+        assert rep.all_pass, [c.id for c in rep.checks if not c.passed]
         assert tuple(fingerprint(model)) == (1, b_minus, "odd", True)
         assert model.sw.magnitudes() == (n, n)
-        for k, _ in model.sw.items():
+        for k in model.sw.classes():
             assert dimension(model, k) == 0
 
 
@@ -68,7 +70,7 @@ def test_magnitude_separation():
 
 def test_verify_paper_green_and_deterministic():
     rep1 = verify_paper()
-    assert rep1.all_pass, [c.id for c in rep1.failures()]
+    assert rep1.all_pass, [c.id for c in rep1.checks if not c.passed]
     rep2 = verify_paper()
     assert rep1.to_json() == rep2.to_json()
     assert rep1.to_json().encode() == rep2.to_json().encode()
@@ -166,3 +168,22 @@ def test_verify_paper_searches_lifts_once_per_family(monkeypatch):
     assert verify_paper().all_pass
     # the plumbing section reads the xn and qn plans that the pipelines section builds on
     assert len(calls) == len(FAMILIES) == 4
+
+
+@pytest.mark.parametrize("key, pairs", [("xn", 7), ("qn", 8), ("b7", 7), ("b8", 7)])
+def test_warm_build_pair_count(monkeypatch, key, pairs):
+    # every module that holds lattice.pair is patched, and square calls the
+    # one in lattice, so squares count as pairs; the blowdown trusts its
+    # Chamber for H^2 > 0 and makes no pair call of its own
+    from swsurgery import lattice
+
+    for cls, method in SHIPPED.items():  # count the shipped, unchecked constructions
+        monkeypatch.setattr(cls, "_trusted", method)
+    build_family(key, 1)
+    calls = []
+    core = lattice.pair
+    for name, module in list(sys.modules.items()):
+        if name.startswith("swsurgery") and getattr(module, "pair", None) is core:
+            monkeypatch.setattr(module, "pair", lambda x, y: calls.append(1) or core(x, y))
+    build_family(key, 5)
+    assert len(calls) == pairs

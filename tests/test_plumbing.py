@@ -274,27 +274,27 @@ def test_lift_searches(z3, w3):
     lift = class_from_coeffs(z3, {"T": 1, "E0": 1, "E1": 1, "E2": 1})
     candidates = default_lift_candidates(z3)
     assert len(candidates) == 16
-    found = find_characteristic_lifts(z_emb, candidates, 7)
+    found = find_characteristic_lifts(z_emb, candidates)
     assert sorted(k.coords for k in found) == sorted([lift.coords, (-lift).coords])
     w_emb = FAMILIES["qn"].embedding(w3)
-    w_found = find_characteristic_lifts(w_emb, default_lift_candidates(w3), 7)
+    w_found = find_characteristic_lifts(w_emb, default_lift_candidates(w3))
     w_lift = class_from_coeffs(w3, {"T": 3, "E0": 1, "E1": 1})
     assert sorted(k.coords for k in w_found) == sorted([w_lift.coords, (-w_lift).coords])
-    assert find_characteristic_lifts(z_emb, [], 7) == []
+    assert find_characteristic_lifts(z_emb, []) == []
 
 
 def test_lift_closed_under_negation(w3):
     emb = FAMILIES["qn"].embedding(w3)
     candidates = default_lift_candidates(w3)
     assert {c.coords for c in candidates} == {(-c).coords for c in candidates}
-    found = find_characteristic_lifts(emb, candidates, 7)
+    found = find_characteristic_lifts(emb, candidates)
     assert found and {k.coords for k in found} == {(-k).coords for k in found}
 
 
 def test_lift_requires_characteristic(z3):
     emb = FAMILIES["xn"].embedding(z3)
     with pytest.raises(ValueError, match="characteristic"):
-        find_characteristic_lifts(emb, [z3.marked_class("T")], 7)
+        find_characteristic_lifts(emb, [z3.marked_class("T")])
 
 
 def test_rational_blowdown_requires_classes(w3):
@@ -302,13 +302,13 @@ def test_rational_blowdown_requires_classes(w3):
     with pytest.raises(ValueError, match="profile-only"):
         emb.pairing_vector(w3.marked_class("T"))
     with pytest.raises(ValueError, match="explicit vertex classes"):
-        rational_blowdown(w3, emb, 7, FAMILIES["qn"].chamber(w3), simply_connected=True)
+        rational_blowdown(w3, emb, FAMILIES["qn"].chamber(w3), simply_connected=True)
 
 
 @pytest.mark.parametrize("step", [
     lambda emb, w: verify_embedding(emb),
-    lambda emb, w: find_characteristic_lifts(emb, default_lift_candidates(w), 7),
-    lambda emb, w: rational_blowdown(w, emb, 7, FAMILIES["qn"].chamber(w), simply_connected=True),
+    lambda emb, w: find_characteristic_lifts(emb, default_lift_candidates(w)),
+    lambda emb, w: rational_blowdown(w, emb, FAMILIES["qn"].chamber(w), simply_connected=True),
 ], ids=["verify_embedding", "find_characteristic_lifts", "rational_blowdown"])
 def test_profile_steps_need_explicit_vertex_classes(w3, step):
     with pytest.raises(ValueError, match="needs explicit vertex classes"):
@@ -319,7 +319,7 @@ def test_rational_blowdown_checks_chamber(z3):
     emb = FAMILIES["xn"].embedding(z3)
     bad_chamber = Chamber(z3, z3.marked_class("h"))  # h meets the chain
     with pytest.raises(ValueError, match="orthogonal"):
-        rational_blowdown(z3, emb, 7, bad_chamber, simply_connected=True)
+        rational_blowdown(z3, emb, bad_chamber, simply_connected=True)
 
 
 def test_rational_blowdown_checks_embedding(z3):
@@ -327,14 +327,14 @@ def test_rational_blowdown_checks_embedding(z3):
     u[2] = u[2] + z3.marked_class("E1")
     emb = ConfigurationEmbedding(ambient=z3, chain=cp_chain(7), vertex_classes=tuple(u))
     with pytest.raises(EmbeddingError):
-        rational_blowdown(z3, emb, 7, FAMILIES["xn"].chamber(z3), simply_connected=True)
+        rational_blowdown(z3, emb, FAMILIES["xn"].chamber(z3), simply_connected=True)
 
 
 def test_rational_blowdown_output(z3):
     from swsurgery.lattice import is_characteristic, signature_and_betti
 
     model = rational_blowdown(
-        z3, FAMILIES["xn"].embedding(z3), 7, FAMILIES["xn"].chamber(z3),
+        z3, FAMILIES["xn"].embedding(z3), FAMILIES["xn"].chamber(z3),
         simply_connected=True, name="X3",
     )
     assert model.lattice.rank == 7
@@ -357,7 +357,7 @@ def test_failed_blowdown_geometry_raises_on_every_call(z3):
     chamber = Chamber(z3, z3.marked_class("h"))
     for _ in range(2):
         with pytest.raises(EmbeddingError, match="not primitively embedded"):
-            rational_blowdown(z3, emb, 2, chamber, simply_connected=True)
+            rational_blowdown(z3, emb, chamber, simply_connected=True)
 
 
 def _mislabelled(z3):
@@ -369,28 +369,28 @@ def _mislabelled(z3):
 
 def test_rational_blowdown_uses_the_verified_chain(z3):
     chamber = FAMILIES["xn"].chamber(z3)
-    right = rational_blowdown(z3, FAMILIES["xn"].embedding(z3), 7, chamber,
+    right = rational_blowdown(z3, FAMILIES["xn"].embedding(z3), chamber,
                               simply_connected=True, name="X3")
-    wrong = rational_blowdown(z3, _mislabelled(z3), 7, chamber, simply_connected=True, name="X3")
+    wrong = rational_blowdown(z3, _mislabelled(z3), chamber, simply_connected=True, name="X3")
     assert wrong == right
     assert wrong.sw.magnitudes() == (3, 3)
 
 
 def test_blowdown_checks_hold_against_a_warm_plan(z3):
     chamber = FAMILIES["xn"].chamber(z3)
-    right = rational_blowdown(z3, FAMILIES["xn"].embedding(z3), 7, chamber, simply_connected=True)
+    right = rational_blowdown(z3, FAMILIES["xn"].embedding(z3), chamber, simply_connected=True)
     wrong = _mislabelled(z3)
     assert not verify_embedding(wrong).ok
-    find_characteristic_lifts(wrong, default_lift_candidates(z3), 7)
+    find_characteristic_lifts(wrong, default_lift_candidates(z3))
     # 2 E0 realizes the order-2 chain but is not primitive (see above)
     doubled = ConfigurationEmbedding(ambient=z3, chain=cp_chain(2),
                                      vertex_classes=(2 * z3.marked_class("E0"),))
     assert verify_embedding(doubled).ok
-    find_characteristic_lifts(doubled, default_lift_candidates(z3), 2)
+    find_characteristic_lifts(doubled, default_lift_candidates(z3))
     for _ in range(2):
-        assert rational_blowdown(z3, wrong, 7, chamber, simply_connected=True) == right
+        assert rational_blowdown(z3, wrong, chamber, simply_connected=True) == right
         with pytest.raises(EmbeddingError, match="not primitively embedded"):
-            rational_blowdown(z3, doubled, 2, Chamber(z3, z3.marked_class("h")),
+            rational_blowdown(z3, doubled, Chamber(z3, z3.marked_class("h")),
                               simply_connected=True)
 
 
@@ -417,13 +417,13 @@ def test_failed_lift_check_raises_on_every_call(z3):
     # T + E0 is not characteristic (it pairs evenly with E1); the search over
     # the default candidates, which are, fills the memo for the same embedding
     emb = FAMILIES["xn"].embedding(z3)
-    find_characteristic_lifts(emb, default_lift_candidates(z3), 7)
+    find_characteristic_lifts(emb, default_lift_candidates(z3))
     bad = z3.marked_class("T") + z3.marked_class("E0")
     for _ in range(2):
         with pytest.raises(ValueError, match="not characteristic"):
-            find_characteristic_lifts(emb, [bad], 7)
+            find_characteristic_lifts(emb, [bad])
         with pytest.raises(ValueError, match="not characteristic"):
-            find_characteristic_lifts(emb, [*default_lift_candidates(z3), bad], 7)
+            find_characteristic_lifts(emb, [*default_lift_candidates(z3), bad])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
