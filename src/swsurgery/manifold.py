@@ -13,19 +13,19 @@ and marked classes of the model's lattice (``marked`` is a ``{name:
 HomologyClass}`` dict or (name, coordinates) pairs).  ``SWTable._trusted`` and
 ``FourManifoldModel._trusted`` check nothing; they serve the operations that
 keep these invariants by construction: ``blowup`` (k +- E is characteristic
-with k, and d(k +- E) = d(k)), ``renamed``, and the knot surgery of
-``knots``.  ``plumbing.rational_blowdown`` builds its table and model
-through the public constructors, as the pushed-down classes are not known
-to be characteristic.  ``dimension`` runs the characteristic test only on
-classes outside the model's own table.
+with k, and d(k +- E) = d(k)), ``renamed``, the knot surgery of ``knots``,
+and ``plumbing.rational_blowdown``, whose chain plan proves the pushed-down
+classes characteristic and knows their squares, and which checks the rest.
+``dimension`` runs the characteristic test only on classes outside the
+model's own table.
 
-Two trusted constructions also carry the square k^2 that every class of
+Three trusted constructions also carry the square k^2 that every class of
 their table shares, exact by construction: knot surgery (its classes are
-j T with T^2 = 0 checked, so (j T)^2 = 0) and ``blowup`` of a table that
-carries one ((k +- E)^2 = k^2 - 1, as E^2 = -1 and k . E = 0).  ``dimension``
-reads it for a class of the table instead of squaring.  Tables from the
-public constructors, ``from_dict`` and ``plumbing.rational_blowdown`` carry
-none, and ``dimension`` squares their classes.
+j T with T^2 = 0 checked, so (j T)^2 = 0), ``blowup`` of a table that
+carries one ((k +- E)^2 = k^2 - 1, as E^2 = -1 and k . E = 0), and a
+blowdown whose classes' squares, from its plan, are all equal.
+``dimension`` reads it for a class of the table instead of squaring; tables
+from the public constructors and ``from_dict`` carry none.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ lift classes, the embedding with its vertex images, and the computed side of
 every check that depends only on the lattice, the marked classes and the SW
 classes (the qn monodromy and profile checks included).  A build does the
 knot surgery and blowups, the chamber of its ambient, the blowdown's SW
-transfer and the SW and minimality checks, and emits the plan's values in
-their places in the report.  verify_paper's lattice and plumbing sections
-report from the xn and qn plans as well.
+transfer and the SW and minimality checks, and emits the plan's values,
+already canonical, in their places.  verify_paper's lattice and plumbing
+sections report from the xn and qn plans as well.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .plumbing import (
     relative_square_of_restriction,
     verify_embedding,
 )
-from .report import DEFINITION, DERIVED, REPORTED, VerificationReport
+from .report import DEFINITION, DERIVED, REPORTED, Check, VerificationReport
 
 E6_FACTORIZATION = "(ab)^4a^2(Aba)b"
 I6_FACTORIZATION = "a^6(A^3ba^3)(baB)^2b^2(Bab)"
@@ -139,6 +139,11 @@ class FamilySpec(NamedTuple):
         return class_from_coeffs(ambient, self.lift_coeffs)
 
 
+def _add(rep: VerificationReport, *check) -> None:
+    """Append a check whose values are already canonical (immutable, sequences as tuples)."""
+    rep.checks.append(Check._trusted(*check))
+
+
 def _relsquare_fixed(ambient, emb, period, k_lift) -> dict:
     return {"lift.relsquare": str(relative_square_of_restriction(emb, k_lift))}
 
@@ -151,44 +156,44 @@ def _xn_fixed(z, emb, H, k_lift) -> dict:
 
 
 def _xn_checks(rep, n, y, z, fixed) -> None:
-    rep.add("xn.yn.sw", "fiber surgery SW magnitudes at the fiber classes",
-            sorted([n, n]), list(y.sw.magnitudes()), REPORTED)
-    rep.add("xn.zn.sw.count", "three blowups spread the table over 16 sign classes",
-            16, len(z.sw), REPORTED)
-    rep.add("xn.zn.sw", "every blown-up class keeps magnitude n",
-            sorted([n] * 16), list(z.sw.magnitudes()), REPORTED)
-    rep.add("xn.zn.bookkeeping", "(euler, sign) after three blowups",
-            [15, -11], [z.euler, z.sign], DEFINITION)
-    rep.add("xn.u0.square", "the resolved -9 sphere", -9, fixed["u0.square"], REPORTED)
-    rep.add("xn.H.h", "period class against the reference class", 7, fixed["H.h"], REPORTED)
-    rep.add("xn.H.square", "square of the period class", 5, fixed["H.square"], REPORTED)
-    rep.add("xn.H.lift", "period class against the lift", 5, fixed["H.lift"], REPORTED)
-    rep.add("xn.h.lift", "reference class against the lift", 3, fixed["h.lift"], REPORTED)
-    rep.add("xn.lift.profile", "the lift restricts as 7 gamma_0",
-            [7, 0, 0, 0, 0, 0], fixed["lift.profile"], REPORTED)
-    rep.add("xn.lift.relsquare", "relative square of the restricted lift",
-            "-6", fixed["lift.relsquare"], REPORTED)
+    _add(rep, "xn.yn.sw", "fiber surgery SW magnitudes at the fiber classes",
+         (n, n), y.sw.magnitudes(), REPORTED)
+    _add(rep, "xn.zn.sw.count", "three blowups spread the table over 16 sign classes",
+         16, len(z.sw), REPORTED)
+    _add(rep, "xn.zn.sw", "every blown-up class keeps magnitude n",
+         (n,) * 16, z.sw.magnitudes(), REPORTED)
+    _add(rep, "xn.zn.bookkeeping", "(euler, sign) after three blowups",
+         (15, -11), (z.euler, z.sign), DEFINITION)
+    _add(rep, "xn.u0.square", "the resolved -9 sphere", -9, fixed["u0.square"], REPORTED)
+    _add(rep, "xn.H.h", "period class against the reference class", 7, fixed["H.h"], REPORTED)
+    _add(rep, "xn.H.square", "square of the period class", 5, fixed["H.square"], REPORTED)
+    _add(rep, "xn.H.lift", "period class against the lift", 5, fixed["H.lift"], REPORTED)
+    _add(rep, "xn.h.lift", "reference class against the lift", 3, fixed["h.lift"], REPORTED)
+    _add(rep, "xn.lift.profile", "the lift restricts as 7 gamma_0",
+         (7, 0, 0, 0, 0, 0), fixed["lift.profile"], REPORTED)
+    _add(rep, "xn.lift.relsquare", "relative square of the restricted lift",
+         "-6", fixed["lift.relsquare"], REPORTED)
 
 
 def _b7_checks(rep, n, base, ambient, fixed) -> None:
-    rep.add("b7.ambient.sw", "two blowups give 8 classes of magnitude n",
-            sorted([n] * 8), list(ambient.sw.magnitudes()), DERIVED)
-    rep.add("b7.u0.square", "pseudo-section plus one fiber, doubly blown up",
-            -7, fixed["u0.square"], DERIVED)
-    rep.add("b7.lift.relsquare", "lift target for the order-5 chain",
-            "-4", fixed["lift.relsquare"], DERIVED)
+    _add(rep, "b7.ambient.sw", "two blowups give 8 classes of magnitude n",
+         (n,) * 8, ambient.sw.magnitudes(), DERIVED)
+    _add(rep, "b7.u0.square", "pseudo-section plus one fiber, doubly blown up",
+         -7, fixed["u0.square"], DERIVED)
+    _add(rep, "b7.lift.relsquare", "lift target for the order-5 chain",
+         "-4", fixed["lift.relsquare"], DERIVED)
 
 
 def _b8_checks(rep, n, base, ambient, fixed) -> None:
-    rep.add("b8.reading", "family parameters read as b- = 8; the printed b+ = 8 "
-            "variant is inconsistent with one blowup of a b+ = 1 manifold",
-            "b_minus=8", "b_minus=8", DERIVED)
-    rep.add("b8.ambient.sw", "one blowup gives 4 classes of magnitude n",
-            sorted([n] * 4), list(ambient.sw.magnitudes()), DERIVED)
-    rep.add("b8.u0.square", "pseudo-section with its double point blown up",
-            -5, fixed["u0.square"], DERIVED)
-    rep.add("b8.lift.relsquare", "lift target for the order-3 chain",
-            "-2", fixed["lift.relsquare"], DERIVED)
+    _add(rep, "b8.reading", "family parameters read as b- = 8; the printed b+ = 8 "
+         "variant is inconsistent with one blowup of a b+ = 1 manifold",
+         "b_minus=8", "b_minus=8", DERIVED)
+    _add(rep, "b8.ambient.sw", "one blowup gives 4 classes of magnitude n",
+         (n,) * 4, ambient.sw.magnitudes(), DERIVED)
+    _add(rep, "b8.u0.square", "pseudo-section with its double point blown up",
+         -5, fixed["u0.square"], DERIVED)
+    _add(rep, "b8.lift.relsquare", "lift target for the order-3 chain",
+         "-2", fixed["lift.relsquare"], DERIVED)
 
 
 def _profile_lifts(chain, rows) -> tuple:
@@ -223,35 +228,35 @@ def _qn_fixed(w, emb, H, k_lift) -> dict:
 
 
 def _qn_checks(rep, n, v, w, fixed) -> None:
-    rep.add("qn.monodromy.refactor", "cycle-fiber word equals the cubed word",
-            True, fixed["monodromy.refactor"], REPORTED)
-    rep.add("qn.monodromy.identity", "cycle-fiber word is a fibration word",
-            True, fixed["monodromy.identity"], REPORTED)
-    rep.add("qn.monodromy.i6", "first factor is a parabolic block of width 6",
-            6, fixed["monodromy.i6"], REPORTED)
+    _add(rep, "qn.monodromy.refactor", "cycle-fiber word equals the cubed word",
+         True, fixed["monodromy.refactor"], REPORTED)
+    _add(rep, "qn.monodromy.identity", "cycle-fiber word is a fibration word",
+         True, fixed["monodromy.identity"], REPORTED)
+    _add(rep, "qn.monodromy.i6", "first factor is a parabolic block of width 6",
+         6, fixed["monodromy.i6"], REPORTED)
     nodal = fixed["monodromy.nodal"]
-    rep.add("qn.monodromy.nodal", "remaining factors are nodal (trace 2) twists",
-            [2] * len(nodal), nodal, DERIVED)
+    _add(rep, "qn.monodromy.nodal", "remaining factors are nodal (trace 2) twists",
+         (2,) * len(nodal), nodal, DERIVED)
     t = v.marked_class("T")
-    rep.add("qn.vn.sw.3T", "magnitude n at three times the fiber",
-            n, abs(v.sw.value(3 * t)), REPORTED)
-    rep.add("qn.vn.sw.T", "magnitude 2n - 1 at the fiber",
-            2 * n - 1, abs(v.sw.value(t)), REPORTED)
-    rep.add("qn.vn.sw", "full double-surgery table magnitudes",
-            sorted([n, n, 2 * n - 1, 2 * n - 1]), list(v.sw.magnitudes()), REPORTED)
-    rep.add("qn.wn.bookkeeping", "(euler, sign) after two blowups",
-            [14, -10], [w.euler, w.sign], DEFINITION)
-    rep.add("qn.u0.square", "pseudo-section with both double points blown up",
-            -9, fixed["u0.square"], REPORTED)
-    rep.add("qn.profile.gram", "shipped profile matches the realized chain",
-            [list(r) for r in models.WN_C7_PROFILE["gram"]], fixed["profile.gram"], DERIVED)
+    _add(rep, "qn.vn.sw.3T", "magnitude n at three times the fiber",
+         n, abs(v.sw.value(3 * t)), REPORTED)
+    _add(rep, "qn.vn.sw.T", "magnitude 2n - 1 at the fiber",
+         2 * n - 1, abs(v.sw.value(t)), REPORTED)
+    _add(rep, "qn.vn.sw", "full double-surgery table magnitudes",
+         (n, n, 2 * n - 1, 2 * n - 1), v.sw.magnitudes(), REPORTED)
+    _add(rep, "qn.wn.bookkeeping", "(euler, sign) after two blowups",
+         (14, -10), (w.euler, w.sign), DEFINITION)
+    _add(rep, "qn.u0.square", "pseudo-section with both double points blown up",
+         -9, fixed["u0.square"], REPORTED)
+    _add(rep, "qn.profile.gram", "shipped profile matches the realized chain",
+         models.WN_C7_PROFILE["gram"], fixed["profile.gram"], DERIVED)
     for name, row in models.WN_C7_PROFILE["pairings"]:
-        rep.add(f"qn.profile.{name}", f"profile row of {name} matches the realization",
-                list(row), fixed[f"profile.{name}"], DERIVED)
-    expected_lifts = [{"T": 3, "E0": 1, "E1": 1}, {"T": -3, "E0": -1, "E1": -1}]
-    rep.add("qn.lifts.profile", "profile-level lift search over both sign families",
-            sorted(sorted([k, v] for k, v in d.items()) for d in expected_lifts),
-            fixed["lifts.profile"], REPORTED)
+        _add(rep, f"qn.profile.{name}", f"profile row of {name} matches the realization",
+             row, fixed[f"profile.{name}"], DERIVED)
+    # -(3T + E0 + E1) and 3T + E0 + E1, each as sorted (name, coeff) pairs
+    _add(rep, "qn.lifts.profile", "profile-level lift search over both sign families",
+         ((("E0", -1), ("E1", -1), ("T", -3)), (("E0", 1), ("E1", 1), ("T", 3))),
+         fixed["lifts.profile"], REPORTED)
 
 FAMILIES = {spec.key: spec for spec in (
     # b- = 6: surgery by the n-twist knot, three blowups, and an order-7
@@ -331,8 +336,8 @@ def _family_plan(key: str, ambient: _Ambient):
     classes, which are all that it reads.  The embedding reads its
     ambient only for the lattice and the marked classes, so every n shares
     it.  ``values`` maps a check id, less the family tag, to its computed
-    side: the shared embedding, chamber, lift search and u0 checks, and the
-    family's own from ``FamilySpec.fixed``.  A plan that raises is not kept."""
+    side, already canonical: the embedding, chamber, lift search and u0 checks,
+    and the family's own from ``FamilySpec.fixed``.  A plan that raises is not kept."""
     spec = FAMILIES[key]
     X = ambient.model
     emb = spec.embedding(X)
@@ -366,48 +371,48 @@ def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationRepor
     chamber = Chamber(ambient, period)
     spec.checks(rep, n, base, ambient, fixed)
     tag, p, provenance = spec.key, spec.p, spec.provenance
-    rep.add(f"{tag}.embedding", f"chain of order {p} realized exactly",
-            True, fixed["embedding"], DERIVED)
-    rep.add(f"{tag}.chamber.orthogonal", "period class orthogonal to every vertex",
-            [0] * emb.size, fixed["chamber.orthogonal"], provenance)
-    rep.add(f"{tag}.chamber.positive", "period class has positive square",
-            True, fixed["chamber.positive"], DERIVED)
-    rep.add(f"{tag}.lifts", f"restriction square -(p-1) = {-(p - 1)} picks the lift pair",
-            lift_pair, fixed["lifts"], provenance)
+    _add(rep, f"{tag}.embedding", f"chain of order {p} realized exactly",
+         True, fixed["embedding"], DERIVED)
+    _add(rep, f"{tag}.chamber.orthogonal", "period class orthogonal to every vertex",
+         (0,) * emb.size, fixed["chamber.orthogonal"], provenance)
+    _add(rep, f"{tag}.chamber.positive", "period class has positive square",
+         True, fixed["chamber.positive"], DERIVED)
+    _add(rep, f"{tag}.lifts", f"restriction square -(p-1) = {-(p - 1)} picks the lift pair",
+         lift_pair, fixed["lifts"], provenance)
     model = rational_blowdown(
         ambient, emb, chamber,
         simply_connected=True, pi1_note=PI1_NOTE_BLOWDOWN, name=spec.name.format(n=n),
     )
-    rep.add(f"{tag}.bookkeeping",
-            "blowdown drops (euler, sign) by (p-1, -(p-1))",
-            [ambient.euler - (p - 1), ambient.sign + (p - 1)],
-            [model.euler, model.sign], DERIVED)
-    rep.add(f"{tag}.fingerprint",
-            "fingerprint pins the homeomorphism type (projective plane blown up "
-            f"{spec.b_minus} times; classification cited, not computed)",
-            [1, spec.b_minus, "odd", True], list(fingerprint(model)), provenance)
-    rep.add(f"{tag}.convention",
-            "SW values compared by absolute value; signs follow the recorded "
-            "quotient convention",
-            "magnitudes", "magnitudes", DEFINITION)
-    rep.add(f"{tag}.sw", "SW magnitudes after the blowdown",
-            sorted([n, n]), list(model.sw.magnitudes()), provenance)
+    _add(rep, f"{tag}.bookkeeping",
+         "blowdown drops (euler, sign) by (p-1, -(p-1))",
+         (ambient.euler - (p - 1), ambient.sign + (p - 1)),
+         (model.euler, model.sign), DERIVED)
+    _add(rep, f"{tag}.fingerprint",
+         "fingerprint pins the homeomorphism type (projective plane blown up "
+         f"{spec.b_minus} times; classification cited, not computed)",
+         (1, spec.b_minus, "odd", True), tuple(fingerprint(model)), provenance)
+    _add(rep, f"{tag}.convention",
+         "SW values compared by absolute value; signs follow the recorded "
+         "quotient convention",
+         "magnitudes", "magnitudes", DEFINITION)
+    _add(rep, f"{tag}.sw", "SW magnitudes after the blowdown",
+         (n, n), model.sw.magnitudes(), provenance)
     if model.sw.entries:
         k = model.sw.classes()[0]
-        rep.add(f"{tag}.basic.square", "square of the transferred basic class",
-                spec.lift_square, square(k), provenance)
-        rep.add(f"{tag}.basic.dimension", "formal dimension of the transferred class",
-                0, dimension(model, k), provenance)
-        rep.add(f"{tag}.basic.characteristic", "transferred class is characteristic",
-                True, is_characteristic(k), DERIVED)
+        _add(rep, f"{tag}.basic.square", "square of the transferred basic class",
+             spec.lift_square, square(k), provenance)
+        _add(rep, f"{tag}.basic.dimension", "formal dimension of the transferred class",
+             0, dimension(model, k), provenance)
+        _add(rep, f"{tag}.basic.characteristic", "transferred class is characteristic",
+             True, is_characteristic(k), DERIVED)
     verdict = minimality_check(model)
     expectation = "minimal_certified" if n >= 2 else "inconclusive"
-    rep.add(f"{tag}.minimality",
-            "blowup-pairing obstruction (silent for magnitude-1 tables)",
-            expectation, verdict.status, provenance if n >= 2 else DERIVED)
+    _add(rep, f"{tag}.minimality",
+         "blowup-pairing obstruction (silent for magnitude-1 tables)",
+         expectation, verdict.status, provenance if n >= 2 else DERIVED)
     if spec.unique:
-        rep.add(f"{tag}.unique", "exactly one basic class up to sign",
-                2, len(model.sw), provenance)
+        _add(rep, f"{tag}.unique", "exactly one basic class up to sign",
+             2, len(model.sw), provenance)
     return model, rep
 
 

@@ -36,6 +36,7 @@ from .lattice import (
     orthogonal_complement,
     require_same_lattice,
     same_lattice,
+    signature_and_betti,
 )
 from .manifold import Chamber, FourManifoldModel, SWTable, chamber_sw
 
@@ -89,11 +90,11 @@ class PlumbingChain:
         return len(self.weights)
 
     def is_linear(self) -> bool:
-        n = self.size
-        if n == 1:
-            return not self.edges
-        degrees = [len(x) for x in self.adjacency()]
-        return sorted(degrees) == [1, 1] + [2] * (n - 2) and len(self.edges) == n - 1
+        return self._linear
+
+    @cached_property
+    def _linear(self) -> bool:  # connected, so a tree iff n - 1 edges; a path iff degrees <= 2
+        return len(self.edges) == self.size - 1 and max(map(len, self.adjacency())) <= 2
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         n = self.size
@@ -475,10 +476,10 @@ class _ChainPlan:
 
     @cached_property
     def geometry(self):
-        """(M, columns of P, divisor) for ``chain`` = cp_chain(p): the
-        unimodular overlattice M of the orthogonal complement C, unnamed, with
-        basis c0, c1, ...; and the integer matrix P with M-coordinates of an
-        ambient class k equal to k P / divisor."""
+        """(M, columns of P, divisor, (b+, b-) of M) for ``chain`` =
+        cp_chain(p): the unimodular overlattice M of the orthogonal complement
+        C, unnamed, with basis c0, c1, ...; and the integer matrix P with
+        M-coordinates of an ambient class k equal to k P / divisor."""
         p = self.chain.size + 1
         complement = orthogonal_complement(
             self.lattice, [HomologyClass._trusted(self.lattice, u) for u in self.vertices])
@@ -508,20 +509,21 @@ class _ChainPlan:
         det_b, adj_b = bareiss_adjugate(basis)
         images_c = [gram_image(w) for w in complement.vectors]
         columns = matmul(matmul(transpose(adj_b), adj_c), images_c)
-        return lattice_m, columns, det_b if det_c > 0 else -det_b
+        return lattice_m, columns, det_b if det_c > 0 else -det_b, signature_and_betti(lattice_m)
 
     def transfer(self, classes, descend: bool):
         """The SW-side work on ambient ``classes`` (coordinate tuples): one
         entry per class, None unless its restriction has relative square
-        -(p - 1), with p - 1 the chain's size.  A kept class maps to its
-        image k P under ``geometry`` when ``descend``, else to True; without
-        ``descend`` every class is a lift candidate and must be
-        characteristic.  Kept per (classes, descend): in a family only the SW
-        values change with n, so every build reads the same entries."""
+        -(p - 1), with p - 1 the chain's size.  Without ``descend`` every
+        class is a lift candidate, must be characteristic, and maps to True if
+        kept; with it a kept class maps to (its M-coordinates under ``geometry``
+        or None if it does not descend, whether they are characteristic, their
+        square).  Kept per (classes, descend): in a family only the SW values
+        change with n, so every build reads the same entries."""
         key = (classes, descend)
         kept = self._transfers.get(key)
         if kept is None:
-            columns = self.geometry[1] if descend else ()
+            lattice_m, columns, divisor, _ = self.geometry if descend else (None, (), 1, None)
             target = -self.chain.size
             kept = []
             for coords in classes:
@@ -529,10 +531,21 @@ class _ChainPlan:
                     raise ValueError(f"lift candidate {coords} is not characteristic")
                 if relative_square(self.chain, [dot(coords, image) for image in self.images]) != target:
                     kept.append(None)
+                elif not descend:
+                    kept.append(True)
+                elif (pushed := _push_down(coords, columns, divisor)) is None:
+                    kept.append((None, False, None))
                 else:
-                    kept.append(tuple(dot(coords, c) for c in columns) if descend else True)
+                    k = HomologyClass._trusted(lattice_m, pushed)
+                    kept.append((pushed, is_characteristic(k), dot(pushed, gram_image(k))))
             kept = self._transfers[key] = tuple(kept)
         return kept
+
+
+def _push_down(coords, columns, divisor) -> tuple[int, ...] | None:
+    """M-coordinates k P / divisor of the ambient class k, or None if k does not descend."""
+    image = [dot(coords, c) for c in columns]
+    return None if any(x % divisor for x in image) else tuple(x // divisor for x in image)
 
 
 # one plan per (ambient lattice, vertex coordinates, chain, fiber)
@@ -560,10 +573,10 @@ def rational_blowdown(
     the chamber of H (wall crossing included by chamber_sw).  Simple
     connectivity is supplied by the caller with a justification note.
 
-    The report, the geometry and the transfer (which classes survive, and
-    their push-down images) come from the plan of the vertices as
-    cp_chain(p) (``_chain_plan``); the chamber values, the divisibility of
-    each image and the new table and model are computed on every call.
+    The report, the geometry and the transfer (which classes survive, their
+    push-downs, characteristic tests and squares) come from the plan of the
+    vertices as cp_chain(p) (``_chain_plan``); the chamber values, the checks
+    that read them or the caller's data, and the new model are per call.
     """
     p = emb.size + 1
     plan = _plan(emb, cp_chain(p))
@@ -575,38 +588,40 @@ def rational_blowdown(
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    lattice_m, columns, divisor = plan.geometry
+    lattice_m, columns, divisor, (b_plus, b_minus) = plan.geometry
     new_name = name or f"{X.name}_blowdown{p}"
-    new_lattice = IntersectionLattice._trusted(
-        lattice_m.basis, lattice_m.gram, new_name, rows=lattice_m.rows
-    )
-
-    def push_down(coords, image) -> tuple[int, ...]:
-        if any(x % divisor for x in image):
-            raise EmbeddingError(f"class {coords} does not descend to the new lattice")
-        return tuple(x // divisor for x in image)
-
-    # the new table and model go through the public constructors: whether the
-    # pushed-down classes are characteristic, and whether the chamber values
-    # of a table that is not antisymmetric stay closed under negation, is not
-    # known by construction; nor is the caller's simply_connected flag
+    new_lattice = IntersectionLattice._trusted(lattice_m.basis, lattice_m.gram, new_name,
+                                               rows=lattice_m.rows)
+    euler, sign = X.euler - (p - 1), X.sign + (p - 1)
+    if sign != b_plus - b_minus:
+        raise ValueError(f"sign {sign} != b+ - b- = {b_plus - b_minus}")
+    if simply_connected and euler != 2 + new_lattice.rank:
+        raise ValueError(f"closed simply connected model needs euler = 2 + rank, got {euler}")
+    # built trusted: the plan proved which classes descend, are characteristic
+    # in M and their squares, which give d >= 0 and even; closure under
+    # negation is checked, as chamber values need not be antisymmetric
+    shift = 3 * sign + 2 * euler
     transfer = plan.transfer(tuple(c for c, _ in X.sw.entries), True)
-    entries = {}
-    for (coords, _), image in zip(X.sw.entries, transfer):
-        if image is not None:
+    entries, squares = {}, set()
+    for (coords, _), lift in zip(X.sw.entries, transfer):
+        if lift is not None:
             value = chamber_sw(X, HomologyClass._trusted(X.lattice, coords), H)
             if value != 0:
-                entries[push_down(coords, image)] = value
-    table = SWTable(new_lattice, tuple(entries.items()), X.sw.convention_note)
-    h = H.period.coords
-    marked = (("h", push_down(h, tuple(dot(h, c) for c in columns))),)
-    return FourManifoldModel(
-        name=new_name,
-        lattice=new_lattice,
-        euler=X.euler - (p - 1),
-        sign=X.sign + (p - 1),
-        simply_connected=simply_connected,
-        marked=marked,
-        sw=table,
-        pi1_note=pi1_note,
-    )
+                pushed, characteristic, k2 = lift
+                if pushed is None:
+                    raise EmbeddingError(f"class {coords} does not descend to the new lattice")
+                if not characteristic:
+                    raise ValueError(f"SW class {pushed} is not characteristic")
+                if k2 < shift or (k2 - shift) % 8:
+                    raise ValueError(f"SW class {pushed} has d = {Fraction(k2 - shift, 4)}; need d >= 0 and even")
+                entries[pushed] = value
+                squares.add(k2)
+    if any(abs(entries.get(tuple(-x for x in c), 0)) != abs(v) for c, v in entries.items()):
+        raise ValueError("SW table must be closed under negation with equal magnitude")
+    table = SWTable._trusted(new_lattice, tuple(sorted(entries.items())), X.sw.convention_note,
+                             squares.pop() if len(squares) == 1 else None)
+    h = _push_down(H.period.coords, columns, divisor)
+    if h is None:
+        raise EmbeddingError(f"class {H.period.coords} does not descend to the new lattice")
+    return FourManifoldModel._trusted(new_name, new_lattice, euler, sign, simply_connected,
+                                      (("h", h),), table, pi1_note)

@@ -2,8 +2,9 @@
 
 A report is an ordered list of checks, each comparing a computed value to an
 expected one under plain equality after canonicalization (SW data is compared
-as magnitude multisets by the callers).  Serialization is deterministic:
-repeated runs of the same pipeline produce byte-identical JSON.
+as magnitude multisets by the callers; sequences become tuples, so a value
+may be shared).  Serialization is deterministic: repeated runs of the same
+pipeline produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def canonical(value):
     if type(value) in _PLAIN:
         return value
     if isinstance(value, (list, tuple)):
-        return [v if type(v) in _PLAIN else canonical(v) for v in value]
+        return tuple(v if type(v) in _PLAIN else canonical(v) for v in value)
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, int):
@@ -49,6 +50,14 @@ class Check:
             object.__setattr__(self, "expected", canonical(self.expected))
         if type(self.computed) not in _PLAIN:
             object.__setattr__(self, "computed", canonical(self.computed))
+
+    @classmethod
+    def _trusted(cls, id, description, expected, computed, provenance=DERIVED):
+        """A check whose values are already canonical; nothing is converted."""
+        self = object.__new__(cls)
+        self.__dict__.update(id=id, description=description, expected=expected,
+                             computed=computed, provenance=provenance)
+        return self
 
     @property
     def passed(self) -> bool:
@@ -104,7 +113,8 @@ class VerificationReport:
             status = "pass" if c.passed else "FAIL"
             line = f"[{status}] {c.id:<{width}}  {c.description}"
             if not c.passed:
-                line += f"  (expected {c.expected!r}, computed {c.computed!r})"
+                shown = json.loads(json.dumps([c.expected, c.computed]))  # tuples as lists
+                line += f"  (expected {shown[0]!r}, computed {shown[1]!r})"
             lines.append(line)
         lines.append(f"summary: {self.passed} passed, {self.failed} failed")
         return "\n".join(lines)

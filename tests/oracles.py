@@ -288,9 +288,10 @@ def congruent_gram(rng, diag_entries):
 
 
 def recursive_canonical(value):
-    """A report value as JSON-ready data, one recursive call per item."""
+    """A report value as immutable JSON-ready data (sequences as tuples), one
+    recursive call per item."""
     if isinstance(value, (list, tuple)):
-        return [recursive_canonical(v) for v in value]
+        return tuple(recursive_canonical(v) for v in value)
     if isinstance(value, dict):
         return {str(k): recursive_canonical(v)
                 for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}

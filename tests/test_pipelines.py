@@ -1,4 +1,6 @@
+import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -170,20 +172,59 @@ def test_verify_paper_searches_lifts_once_per_family(monkeypatch):
     assert len(calls) == len(FAMILIES) == 4
 
 
-@pytest.mark.parametrize("key, pairs", [("xn", 7), ("qn", 8), ("b7", 7), ("b8", 7)])
-def test_warm_build_pair_count(monkeypatch, key, pairs):
-    # every module that holds lattice.pair is patched, and square calls the
-    # one in lattice, so squares count as pairs; the blowdown trusts its
-    # Chamber for H^2 > 0 and makes no pair call of its own
-    from swsurgery import lattice
+@pytest.mark.parametrize("key, pairs, characteristic",
+                         [("xn", 4, 2), ("qn", 5, 3), ("b7", 4, 2), ("b8", 4, 2)])
+def test_warm_build_pair_count(monkeypatch, key, pairs, characteristic):
+    # every module that holds lattice.pair or lattice.is_characteristic is
+    # patched, and square calls the one in lattice, so squares count as
+    # pairs; the blowdown trusts its Chamber for H^2 > 0 and its plan for the
+    # squares and characteristic tests of the pushed-down classes, and a
+    # warm build adds every check with values already canonical
+    from swsurgery import lattice, report
 
     for cls, method in SHIPPED.items():  # count the shipped, unchecked constructions
         monkeypatch.setattr(cls, "_trusted", method)
     build_family(key, 1)
-    calls = []
-    core = lattice.pair
-    for name, module in list(sys.modules.items()):
-        if name.startswith("swsurgery") and getattr(module, "pair", None) is core:
-            monkeypatch.setattr(module, "pair", lambda x, y: calls.append(1) or core(x, y))
+    calls = Counter()
+    for name in ("pair", "is_characteristic"):
+        core = getattr(lattice, name)
+        counted = lambda *args, _name=name, _core=core: calls.update([_name]) or _core(*args)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("swsurgery") and getattr(module, name, None) is core:
+                monkeypatch.setattr(module, name, counted)
+    core_canonical = report.canonical
+    monkeypatch.setattr(report, "canonical",
+                        lambda value: calls.update(["canonical"]) or core_canonical(value))
     build_family(key, 5)
-    assert len(calls) == pairs
+    assert calls == Counter(pair=pairs, is_characteristic=characteristic)
+
+
+def _mutate(value, seen) -> int:
+    """Append to every list and add a key to every dict reachable from
+    ``value`` through sequences, dicts and object attributes; the count of
+    objects walked."""
+    if id(value) in seen or isinstance(value, (str, int, type(None))):
+        return 0
+    seen.add(id(value))
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+    elif isinstance(value, dict):
+        items = list(value.values())
+    else:
+        items = list(getattr(value, "__dict__", {}).values())
+    if isinstance(value, list):
+        value.append("mutated")
+    elif isinstance(value, dict):
+        value["mutated"] = "mutated"
+    return 1 + sum(_mutate(item, seen) for item in items)
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_mutating_a_build_leaves_the_next_build_unchanged(key):
+    # a warm build shares its plan's values between reports and models
+    # (values that are canonical once), so none of them may be mutable
+    model, rep = build_family(key, 4)
+    expected = rep.to_json(), json.dumps(model.to_dict(), sort_keys=True)
+    assert _mutate([rep.checks, model], set()) > 2 * len(rep.checks)  # every check walked
+    model, rep = build_family(key, 4)
+    assert (rep.to_json(), json.dumps(model.to_dict(), sort_keys=True)) == expected

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -440,3 +441,118 @@ def test_pairing_vector_matches_pair(z3, w3, key, coords):
 def test_pairing_vector_rejects_other_lattices(z3, w3):
     with pytest.raises(LatticeMismatchError):
         FAMILIES["xn"].embedding(z3).pairing_vector(w3.marked_class("T"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, 10 ** 6), min_size=n - 1, max_size=n - 1),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))))
+def test_is_linear_matches_the_degree_sequence(graph):
+    # a random spanning tree (vertex i + 1 joins an earlier vertex) plus extra edges
+    n, parents, extra = graph
+    edges = [(i + 1, parent % (i + 1)) for i, parent in enumerate(parents)]
+    edges += [(a, b) for a, b in extra if a != b]
+    chain = PlumbingChain((-2,) * n, tuple(edges))
+    degrees = sorted(len(x) for x in chain.adjacency())
+    path = not edges if n == 1 else (
+        degrees == [1, 1] + [2] * (n - 2) and len(edges) == n - 1)
+    assert chain.is_linear() == chain.is_linear() == path
+
+
+def _with(model, **fields):
+    """A copy of ``model`` with some fields replaced, validated by nothing."""
+    other = copy.copy(model)
+    other.__dict__.update(fields)
+    return other
+
+
+def test_blowdown_checks_what_its_table_and_model_constructors_checked(z3, monkeypatch):
+    # the blown-down table and model are built trusted; each invariant that
+    # the caller's data or the chamber values can break still raises the
+    # error that the public constructors raised
+    from swsurgery import plumbing
+
+    spec = FAMILIES["xn"]
+    emb, period = spec.embedding(z3), spec.chamber(z3).period
+
+    def blowdown(X, simply_connected=True):
+        return rational_blowdown(X, emb, Chamber(X, period), simply_connected=simply_connected)
+
+    with pytest.raises(ValueError, match=r"sign -4 != b\+ - b- = -5"):
+        blowdown(_with(z3, sign=z3.sign + 1))
+    with pytest.raises(ValueError, match=r"euler = 2 \+ rank, got 10"):
+        blowdown(_with(z3, euler=z3.euler + 1))
+    with monkeypatch.context() as patch:  # chamber values that break the negation symmetry
+        patch.setattr(plumbing, "chamber_sw", lambda X, k, H: 1 + (k.coords > tuple(-x for x in k.coords)))
+        with pytest.raises(ValueError, match="closed under negation"):
+            blowdown(z3)
+    plan = plumbing._plan(emb, cp_chain(7))
+    transfer = plan.transfer
+    # the plan's record of each pushed-down class, broken in turn
+    for broken, error, match in [
+            (lambda pushed, k2: (None, False, None), EmbeddingError, "does not descend"),
+            (lambda pushed, k2: (pushed, False, k2), ValueError, "not characteristic"),
+            (lambda pushed, k2: (pushed, True, k2 - 2), ValueError, r"has d = -1/2; need d >= 0 and even")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(plan, "transfer", lambda classes, descend, broken=broken: tuple(
+                lift and broken(lift[0], lift[2]) for lift in transfer(classes, descend)))
+            with pytest.raises(error, match=match):
+                blowdown(z3)
+    assert blowdown(z3) == rational_blowdown(z3, emb, spec.chamber(z3), simply_connected=True)
+
+
+def _signature_by_descartes(gram):
+    """(b+, b-) of a nondegenerate symmetric integer matrix: its characteristic
+    polynomial has real roots only, so Descartes' rule of signs counts the
+    positive ones exactly."""
+    import sympy
+
+    coeffs = [c for c in sympy.Matrix(gram).charpoly().all_coeffs() if c]
+    positive = sum(1 for a, b in zip(coeffs, coeffs[1:]) if a * b < 0)
+    return positive, len(gram) - positive
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_blown_down_lattice_matches_sympy(key):
+    # The lattice M of each family's blowdown, checked a second way: the
+    # complement C of the chain sits in M with index p (Smith invariants
+    # 1, ..., 1, p of the inclusion), M is unimodular, odd and of signature
+    # (1, b-), and the pushed-down SW classes and h are the projections of
+    # their lifts to C (x) Q, so they pair as the lifts do less the chain part.
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    from swsurgery.lattice import orthogonal_complement
+    from swsurgery.pipelines import build_family
+    from swsurgery.plumbing import _plan
+
+    spec = FAMILIES[key]
+    p = spec.p
+    for n in range(1, 6):
+        ambient = spec.ambient(n)
+        model, _ = build_family(key, n)
+        emb, period, lift = spec.embedding(ambient), spec.chamber(ambient).period, spec.lift(ambient)
+        G, G_M = Matrix(ambient.lattice.gram), Matrix(model.lattice.gram)
+        U = Matrix([u.coords for u in emb.vertex_classes])
+        W = Matrix([w.coords for w in orthogonal_complement(ambient.lattice, emb.vertex_classes).vectors])
+        G_C = W * G * W.T
+        # the inclusion C -> M, by the blowdown's push-down matrix
+        _, columns, divisor, _ = _plan(emb, cp_chain(p)).geometry
+        A = W * Matrix(columns).T / divisor
+        assert all(x.is_integer for x in A)
+        assert A * G_M * A.T == G_C
+        assert invariant_factors(A, domain=ZZ) == (1,) * (A.rows - 1) + (p,)
+        assert abs(G_M.det()) == 1
+        assert _signature_by_descartes(model.lattice.gram) == (1, spec.b_minus)
+        assert any(G_M[i, i] % 2 for i in range(G_M.rows))
+        # an ambient class k projects to C (x) Q with C-coordinates k G W^T G_C^-1
+        classes = Matrix([lift.coords, (-lift).coords, period.coords])
+        pushed = classes * G * W.T * G_C.inv() * A
+        assert {tuple(pushed.row(i)) for i in range(2)} == {c for c, _ in model.sw.entries}
+        assert tuple(pushed.row(2)) == model.marked_class("h").coords
+        V = classes * G * U.T  # pairings with the vertices; the period's are 0
+        assert pushed * G_M * pushed.T == classes * G * classes.T - V * (U * G * U.T).inv() * V.T
+        for i in range(2):  # the pushed-down SW classes are characteristic in M
+            image = pushed.row(i) * G_M
+            assert all((image[j] - G_M[j, j]) % 2 == 0 for j in range(G_M.rows))

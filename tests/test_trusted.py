@@ -14,14 +14,14 @@ from swsurgery.manifold import FourManifoldModel, SWTable, blowup
 from swsurgery.models import e1
 from swsurgery.monodromy import TWIST_A, TWIST_B, IntegerMatrix2
 from swsurgery.pipelines import FAMILIES, build_family, verify_paper
+from swsurgery.report import Check
 
 from .trusted import SHIPPED, validating_trusted
 
 # The full validators, and how often one warm build_family(key, 5) may run
-# each: the blowdown's SW table and model go through the public constructors
-# (whether the pushed-down classes are characteristic is not known by
-# construction); every other step builds trusted.
-VALIDATOR_BOUNDS = {IntersectionLattice: 0, SWTable: 1, FourManifoldModel: 1}
+# each: every step builds trusted, the blowdown's SW table and model from
+# what its chain plan proved, and the report's checks from canonical values.
+VALIDATOR_BOUNDS = {IntersectionLattice: 0, SWTable: 0, FourManifoldModel: 0, Check: 0}
 
 
 def test_trusted_constructions_match_public_constructors():
@@ -42,6 +42,9 @@ def test_validation_covers_carried_squares_and_word_products():
         X = e1()
         X = blowup(knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(3)))
         assert X.sw._square == -1  # so dimension still reads the carried square
+        for key in FAMILIES:  # a blowdown carries its classes' common square, checked too
+            model, _ = build_family(key, 2)
+            assert model.sw._square == FAMILIES[key].lift_square
         with pytest.raises(AssertionError, match="carried square"):
             SWTable._trusted(X.lattice, X.sw.entries, X.sw.convention_note, square=0)
         assert (TWIST_A @ TWIST_B).rows() == ((0, 1), (-1, 1))

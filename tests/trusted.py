@@ -25,9 +25,10 @@ from swsurgery.knots import LaurentPolynomial
 from swsurgery.lattice import HomologyClass, IntersectionLattice, square
 from swsurgery.manifold import FourManifoldModel, SWTable
 from swsurgery.monodromy import IntegerMatrix2
+from swsurgery.report import Check
 
 TRUSTED = (HomologyClass, IntersectionLattice, SWTable, FourManifoldModel, LaurentPolynomial,
-           IntegerMatrix2)
+           IntegerMatrix2, Check)
 
 # the classmethods as the package defines them, before any patching
 SHIPPED = {cls: vars(cls)["_trusted"] for cls in TRUSTED}
