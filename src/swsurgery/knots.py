@@ -10,19 +10,20 @@ product of the knots' Alexander polynomials.
 outside terms; products build their already-normalized results through
 ``LaurentPolynomial._trusted``.  Knot surgery builds its SW table and model
 trusted as well: every class in the table is an odd multiple j T of the
-fiber, characteristic when T is (checked once), the quotient is
-antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
+fiber, characteristic when T is (checked once per class set), the quotient
+is antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
 3 sign + 2 euler = 0 are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 from .lattice import HomologyClass, is_characteristic, square
-from .manifold import FourManifoldModel, SWTable
+from .manifold import FourManifoldModel, SWTable, _Support
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,18 @@ def e1_knot_surgery_sw(knots) -> dict[int, int]:
     return dict(reversed(descending))
 
 
+@lru_cache(maxsize=64)
+def _surgery_support(lattice, fiber, js):
+    """The support of {j T: value} over the odd ``js``, and the js in its order;
+    it carries (j T)^2 = 0 if T is nonzero and characteristic, as each j T then is."""
+    T = HomologyClass._trusted(lattice, fiber)
+    if (t2 := square(T)) != 0:
+        raise ValueError(f"knot surgery needs a square-zero fiber, got square {t2}")
+    classes = sorted((tuple(j * x for x in fiber), j) for j in js)
+    carried = 0 if any(fiber) and is_characteristic(T) else None
+    return _Support(tuple(c for c, _ in classes), carried), tuple(j for _, j in classes)
+
+
 def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> FourManifoldModel:
     """Fiber surgery along a square-zero torus at the homology level.
 
@@ -180,8 +193,7 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
     models carrying the rational elliptic surface lattice.  Simple
     connectivity is carried through as an asserted input.
     """
-    if square(fiber) != 0:
-        raise ValueError(f"knot surgery needs a square-zero fiber, got square {square(fiber)}")
+    _surgery_support(fiber.lattice, fiber.coords, ())  # raises first unless T^2 = 0
     if fiber != X.marked_class("T"):
         raise ValueError("the fiber must be the marked class T")
     if X.sw.entries and not X.surgery_history:
@@ -195,13 +207,10 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
         )
     history = X.surgery_history + (_as_alexander(knot),)
     table = e1_knot_surgery_sw(history)
-    entries = tuple(sorted((tuple(j * x for x in fiber.coords), value)
-                           for j, value in table.items()))
-    if any(fiber.coords) and is_characteristic(fiber):
-        # every j is odd, so each j T is characteristic with T; the classes
-        # are distinct as T != 0, the quotient is antisymmetric in j, and
-        # d(j T) = (0 - 0) / 4 = 0 with (j T)^2 = j^2 T^2 = 0 carried
-        sw = SWTable._trusted(X.lattice, entries, X.sw.convention_note, square=0)
-    else:
-        sw = SWTable(X.lattice, entries, X.sw.convention_note)
+    support, js = _surgery_support(fiber.lattice, fiber.coords, tuple(table))
+    values = map(table.__getitem__, js)
+    if support.square is None:  # T is zero or not characteristic: the constructor judges
+        sw = SWTable(X.lattice, tuple(zip(support.coords, values)), X.sw.convention_note)
+    else:  # the quotient is antisymmetric in j, and d(j T) = (0 - 0) / 4 = 0
+        sw = SWTable._trusted(X.lattice, support, values, X.sw.convention_note)
     return X._replaced(name=f"{X.name}_K", sw=sw, surgery_history=history)

@@ -88,6 +88,10 @@ class IntersectionLattice:
                              rows=_sparse_rows(gram) if rows is None else rows)
         return self
 
+    def __hash__(self) -> int:  # hashed once: every memo is keyed on a lattice
+        cached = self.__dict__
+        return cached.get("_hash") or cached.setdefault("_hash", hash((self.basis, self.gram)))
+
     @property
     def rank(self) -> int:
         return len(self.basis)

@@ -19,13 +19,11 @@ classes characteristic and knows their squares, and which checks the rest.
 ``dimension`` runs the characteristic test only on classes outside the
 model's own table.
 
-Three trusted constructions also carry the square k^2 that every class of
-their table shares, exact by construction: knot surgery (its classes are
-j T with T^2 = 0 checked, so (j T)^2 = 0), ``blowup`` of a table that
-carries one ((k +- E)^2 = k^2 - 1, as E^2 = -1 and k . E = 0), and a
-blowdown whose classes' squares, from its plan, are all equal.
-``dimension`` reads it for a class of the table instead of squaring; tables
-from the public constructors and ``from_dict`` carry none.
+A trusted table is built on a support (``_Support``): its classes, and the
+square k^2 they share when exact by construction, made once per class set
+by knot surgery (j T with T^2 = 0), ``blowup`` ((k +- E)^2 = k^2 - 1) and the
+blowdown's chain plan; the values ride along by index.  ``dimension`` reads
+that square; a public table builds its own support, with none, on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .lattice import (
     IntersectionLattice,
     gram_image,
     is_characteristic,
-    pair,
     same_lattice,
     signature_and_betti,
     square,
@@ -59,6 +56,28 @@ class NonCharacteristicError(ValueError):
 
 class OnWallError(ValueError):
     """The period class pairs to zero with the class whose invariant was asked."""
+
+
+class _Support:
+    """A table's classes in order and their common square or None, compared by
+    identity; if ``paired``, classes 2i and 2i + 1 differ by 2E (a blowup's)."""
+
+    def __init__(self, coords, square=None, paired=False):
+        self.coords, self.square, self.paired, self.partners = coords, square, paired, {}
+
+    @cached_property
+    def blown_up(self) -> "_Support":
+        """The blowup's support: each (sorted, distinct) class c as c - E, c + E."""
+        return _Support(tuple(c + (eps,) for c in self.coords for eps in (-1, 1)),
+                        None if self.square is None else self.square - 1, True)
+
+    def partnered(self, rows, i, j) -> bool:
+        """Whether classes i and j differ by 2E with E^2 = -1, over the Gram ``rows``."""
+        if self.paired and i ^ 1 == j:
+            return True
+        if (i, j) not in self.partners:
+            self.partners[i, j] = _blowup_partners(rows, self.coords[i], self.coords[j])
+        return self.partners[i, j]
 
 
 @dataclass(frozen=True)
@@ -86,21 +105,18 @@ class SWTable:
             if not is_characteristic(HomologyClass(self.lattice, coords)):
                 raise ValueError(f"SW class {coords} is not characteristic")
 
-    # k^2 (an int) shared by every class of a table built with it known by
-    # construction, else None; unannotated, so not a field and never
-    # compared, hashed or serialized
-    _square = None
-
     @classmethod
-    def _trusted(cls, lattice: IntersectionLattice, entries,
-                 convention_note: str = DEFAULT_CONVENTION, square: int | None = None):
-        """A table whose entries are sorted (int-tuple, nonzero int) pairs
-        known to form a valid table in ``lattice``, every class of square
-        ``square`` when that is given; nothing is checked."""
+    def _trusted(cls, lattice: IntersectionLattice, support: _Support, values,
+                 convention_note: str = DEFAULT_CONVENTION):
+        """The table with ``values`` (nonzero ints, in order) at the classes of
+        ``support``, known to form a valid table in ``lattice``; nothing is checked."""
         self = object.__new__(cls)
-        self.__dict__.update(lattice=lattice, entries=entries, convention_note=convention_note,
-                             _square=square)
+        self.__dict__.update(lattice=lattice, entries=tuple(zip(support.coords, values)),
+                             convention_note=convention_note, _support=support)
         return self
+
+    # a public table's support, built on first use; not a field
+    _support = cached_property(lambda self: _Support(tuple(c for c, _ in self.entries)))
 
     def classes(self) -> tuple[HomologyClass, ...]:
         return tuple(HomologyClass._trusted(self.lattice, c) for c, _ in self.entries)
@@ -308,33 +324,31 @@ class Chamber:
     def __post_init__(self):
         if not same_lattice(self.period.lattice, self.model.lattice):
             raise ValueError("period class must live in the model lattice")
-        if square(self.period) <= 0:
+        facts = _chamber_facts(self.model.lattice, self.period.coords, self.model.marked_class("h").coords)
+        if facts[0] <= 0:
             raise ValueError("period class must have positive square")
-        if pair(self.period, self.model.marked_class("h")) <= 0:
+        if facts[1] <= 0:
             raise ValueError("period class must pair positively with the marked class h")
+        object.__setattr__(self, "_facts", facts)  # not a field: never compared or hashed
 
-    @cached_property
-    def _b_plus(self) -> int:
-        """The model's b+, computed on first use."""
-        return signature_and_betti(self.model.lattice)[0]
 
-    @cached_property
-    def _images(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(G h, G H), built on first use, so that h.k and H.k are dot
-        products with k's coordinates."""
-        return gram_image(self.model.marked_class("h")), gram_image(self.period)
+@lru_cache(maxsize=64)
+def _chamber_facts(lattice: IntersectionLattice, period, h):
+    """(H^2, H.h, G h, G H, b+) of the period H and the class h, by coordinates."""
+    image = gram_image(HomologyClass._trusted(lattice, period))
+    return (sum(map(mul, period, image)), sum(map(mul, h, image)),
+            gram_image(HomologyClass._trusted(lattice, h)), image, signature_and_betti(lattice)[0])
 
 
 def dimension(X: FourManifoldModel, k: HomologyClass) -> int:
     """Formal dimension d(k) = (k^2 - 3 sign - 2 euler) / 4 for characteristic k."""
     if not same_lattice(k.lattice, X.lattice):
         raise ValueError("class does not live in the model lattice")
-    # a class of the model's own table was checked characteristic when the
-    # table was built (or holds by construction), so only others are tested;
-    # a table built with its classes' common square carries it
+    # a class of the model's own table is characteristic (checked or by
+    # construction), so only others are tested; its support may carry k^2
     carried = None
     if k.coords in X.sw._index:
-        carried = X.sw._square
+        carried = X.sw._support.square
     elif not is_characteristic(k):
         raise NonCharacteristicError(f"{k.coords} is not characteristic in {X.name!r}")
     numerator = (square(k) if carried is None else carried) - 3 * X.sign - 2 * X.euler
@@ -358,13 +372,13 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     otherwise the wall-crossing jump is added, oriented from the h-side to
     the H-side.  Only available for b+ = 1 models.
     """
-    b_plus = H._b_plus if H.model is X else signature_and_betti(X.lattice)[0]
+    b_plus = H._facts[4] if H.model is X else signature_and_betti(X.lattice)[0]
     if b_plus != 1:
         raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
     if H.model is not X and H.model != X:
         raise ValueError("chamber belongs to a different model")
     jump = wall_crossing_delta(X, k)
-    h_image, period_image = H._images  # H.model equals X, so h is X's h
+    h_image, period_image = H._facts[2:4]  # H.model equals X, so h is X's h
     hk = sum(map(mul, h_image, k.coords))
     Hk = sum(map(mul, period_image, k.coords))
     if Hk == 0:
@@ -398,6 +412,13 @@ def _blowup_lattice(lattice: IntersectionLattice, name: str, label: str) -> Inte
     )
 
 
+@lru_cache(maxsize=64)
+def _blowup_marked(marked, label: str, rank: int):
+    """The rank-``rank`` parent's ``marked`` classes, and the new ``label``."""
+    return tuple(sorted([(name, coords + (0,)) for name, coords in marked]
+                        + [(label, (0,) * rank + (1,))]))
+
+
 def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
     """Connected sum with an orientation-reversed projective plane.
 
@@ -407,27 +428,22 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
     The output is valid by construction, so it is built trusted: k +- E is
     characteristic with k (E^2 = -1 is odd), the table stays closed under
     negation, and (k +- E)^2 = k^2 - 1 against 3 sign + 2 euler dropping by 1
-    keeps d(k) >= 0 and even, so no entry is pruned.  A carried common
-    square drops by 1 with it.
+    keeps d(k) >= 0 and even, so no entry is pruned.  The parent support's
+    ``blown_up`` child holds the classes, and the values ride along by index.
     """
     label = str(label or _next_exceptional_label(X.lattice))
     if label in X.lattice.basis:
         raise ValueError(f"label {label!r} already present")
     lattice = _blowup_lattice(X.lattice, X.lattice.name, label)
-    n = X.lattice.rank
-    marked = tuple(sorted([(name, coords + (0,)) for name, coords in X.marked]
-                          + [(label, (0,) * n + (1,))]))
-    # the parent's coordinates are sorted and distinct, so these come out sorted
-    entries = tuple((coords + (eps,), value) for coords, value in X.sw.entries for eps in (-1, 1))
     return FourManifoldModel._trusted(
         name=f"{X.name}#cp2bar",
         lattice=lattice,
         euler=X.euler + 1,
         sign=X.sign - 1,
         simply_connected=X.simply_connected,
-        marked=marked,
-        sw=SWTable._trusted(lattice, entries, X.sw.convention_note,
-                            None if X.sw._square is None else X.sw._square - 1),
+        marked=_blowup_marked(X.marked, label, X.lattice.rank),
+        sw=SWTable._trusted(lattice, X.sw._support.blown_up,
+                            (v for _, v in X.sw.entries for _ in (0, 1)), X.sw.convention_note),
         pi1_note=X.pi1_note,
         surgery_history=X.surgery_history,
     )
@@ -465,25 +481,26 @@ def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
     Partners share a magnitude, so each class looks for one only in its
     magnitude group: among the later entries first, then the earlier ones.
     A class found as the later partner of an earlier one is paired without a
-    search, and the search stops as soon as the verdict is decided.
+    search, and the search stops as soon as the verdict is decided.  The
+    table's support answers each test, a blowup's pairs without one.
     """
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for coords, v in X.sw.entries:
+    groups: dict[int, list[int]] = {}
+    for i, (_, v) in enumerate(X.sw.entries):
         if abs(v) >= 2:
-            groups.setdefault(abs(v), []).append(coords)
+            groups.setdefault(abs(v), []).append(i)
     if not groups:
         return MinimalityVerdict("inconclusive")
-    rows = X.lattice.rows
+    support, rows = X.sw._support, X.lattice.rows
     pairs, found, unpaired = [], set(), False
     for group in groups.values():
-        for i, c in enumerate(group):
-            if c in found:
+        for pos, i in enumerate(group):
+            if i in found:
                 continue
-            later = next((c2 for c2 in group[i + 1:] if _blowup_partners(rows, c, c2)), None)
+            later = next((j for j in group[pos + 1:] if support.partnered(rows, i, j)), None)
             if later is not None:
-                pairs.append((c, later))
+                pairs.append((i, later))
                 found.add(later)
-            elif not any(_blowup_partners(rows, c, c2) for c2 in group[:i]):
+            elif not any(support.partnered(rows, i, j) for j in group[:pos]):
                 unpaired = True
             if pairs and unpaired:
                 return MinimalityVerdict("inconclusive")
@@ -492,7 +509,7 @@ def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
     # every class is paired, so the table's first one (first in the first
     # group) has a later partner and gave the first pair; the pair differs
     # by 2E, so E^2 = (k1 - k2)^2 / 4 = -1
-    return MinimalityVerdict("blowup_pair_found", pairs[0], -1)
+    return MinimalityVerdict("blowup_pair_found", tuple(support.coords[i] for i in pairs[0]), -1)
 
 
 def fingerprint(X: FourManifoldModel) -> Fingerprint:

@@ -10,11 +10,11 @@ The parameter n enters only through the knot's Alexander polynomial, so each
 family has one plan per process (``_family_plan``): its vertex, chamber and
 lift classes, the embedding with its vertex images, and the computed side of
 every check that depends only on the lattice, the marked classes and the SW
-classes (the qn monodromy and profile checks included).  A build does the
-knot surgery and blowups, the chamber of its ambient, the blowdown's SW
-transfer and the SW and minimality checks, and emits the plan's values,
-already canonical, in their places.  verify_paper's lattice and plumbing
-sections report from the xn and qn plans as well.
+classes (the qn monodromy and profile checks included).  The steps map one
+SW support (a table's classes) to the next through memos, so a build at a
+new n computes the SW values, carries them by index, and emits the plan's
+values, already canonical, in their places.  verify_paper's lattice and
+plumbing sections report from the xn and qn plans as well.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .plumbing import (
     cp_chain,
     default_lift_candidates,
     find_characteristic_lifts,
+    _plan,
     intersection_matrix,
     rational_blowdown,
     relative_square,
@@ -318,12 +319,11 @@ FAMILIES = {spec.key: spec for spec in (
 
 class _Ambient(tuple):
     """A family's ambient model as its plan reads it: compared and hashed as
-    (lattice, marked classes, SW class coordinates), which the ambients of
-    every n share, and carrying the model itself as ``model``."""
+    (lattice, marked classes, SW support), which the ambients of every n
+    share, and carrying the model itself as ``model``."""
 
     def __new__(cls, model: FourManifoldModel):
-        self = super().__new__(cls, (model.lattice, model.marked,
-                                     tuple(coords for coords, _ in model.sw.entries)))
+        self = super().__new__(cls, (model.lattice, model.marked, model.sw._support))
         self.model = model
         return self
 
@@ -336,8 +336,9 @@ def _family_plan(key: str, ambient: _Ambient):
     classes, which are all that it reads.  The embedding reads its
     ambient only for the lattice and the marked classes, so every n shares
     it.  ``values`` maps a check id, less the family tag, to its computed
-    side, already canonical: the embedding, chamber, lift search and u0 checks,
-    and the family's own from ``FamilySpec.fixed``.  A plan that raises is not kept."""
+    side, already canonical: the embedding, chamber, lift search, u0 and (from
+    the chain plan) basic characteristic checks, and the family's own from
+    ``FamilySpec.fixed``.  A plan that raises is not kept."""
     spec = FAMILIES[key]
     X = ambient.model
     emb = spec.embedding(X)
@@ -350,6 +351,7 @@ def _family_plan(key: str, ambient: _Ambient):
         "chamber.orthogonal": emb.pairing_vector(period),
         "chamber.positive": square(period) > 0,
         "lifts": _coords(find_characteristic_lifts(emb, default_lift_candidates(X))),
+        "basic.characteristic": all(r[1] for r in _plan(emb, emb.chain).transfer(X.sw._support, True) if r),
     })
     return emb, period, _coords([k_lift, -k_lift]), MappingProxyType(values)
 
@@ -357,9 +359,9 @@ def _family_plan(key: str, ambient: _Ambient):
 def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationReport]:
     """Build family ``key`` at parameter n and verify every step.
 
-    Only what depends on n is done here: the knot surgery and blowups, the
-    chamber of the n-th ambient, the SW transfer of the blowdown, and the SW
-    and minimality checks.  The rest comes from the plan ``_family_plan``.
+    Only what depends on n is done here: the SW values, carried through each
+    step, the chamber values, and the SW and minimality checks.  The rest
+    comes from the plan ``_family_plan`` and the memos of each step.
     """
     spec = FAMILIES[key]
     if n < 1:
@@ -400,11 +402,11 @@ def build_family(key: str, n: int) -> tuple[FourManifoldModel, VerificationRepor
     if model.sw.entries:
         k = model.sw.classes()[0]
         _add(rep, f"{tag}.basic.square", "square of the transferred basic class",
-             spec.lift_square, square(k), provenance)
+             spec.lift_square, model.sw._support.square, provenance)
         _add(rep, f"{tag}.basic.dimension", "formal dimension of the transferred class",
              0, dimension(model, k), provenance)
         _add(rep, f"{tag}.basic.characteristic", "transferred class is characteristic",
-             True, is_characteristic(k), DERIVED)
+             True, fixed["basic.characteristic"], DERIVED)
     verdict = minimality_check(model)
     expectation = "minimal_certified" if n >= 2 else "inconclusive"
     _add(rep, f"{tag}.minimality",

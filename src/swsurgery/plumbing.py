@@ -38,7 +38,7 @@ from .lattice import (
     same_lattice,
     signature_and_betti,
 )
-from .manifold import Chamber, FourManifoldModel, SWTable, chamber_sw
+from .manifold import Chamber, FourManifoldModel, SWTable, _Support, chamber_sw
 
 
 class EmbeddingError(ValueError):
@@ -442,9 +442,9 @@ class _ChainPlan:
     """What the vertex classes (coordinates ``vertices``) of ``chain`` in
     ``lattice`` determine, with ``fiber`` the fiber T for a tree, else None.
 
-    The ``report`` of ``verify_embedding`` is built with the plan, the
-    blowdown ``geometry`` of a verified chain and each ``transfer`` on first
-    use.  A failed check raises on every call and is not kept."""
+    The ``report`` of ``verify_embedding`` is built with the plan, the rest
+    (blowdown ``geometry``, each ``transfer``, period entry and blown-down
+    support) on first use.  A failed check raises on every call, unkept."""
 
     lattice: IntersectionLattice
     vertices: tuple[tuple[int, ...], ...]
@@ -472,7 +472,7 @@ class _ChainPlan:
             for i, image in enumerate(self.images):
                 entries.append((f"vertex {i} orthogonal to the fiber", dot(self.fiber, image) == 0))
         self.report = EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
-        self._transfers = {}
+        self._transfers, self.periods, self.supports = {}, {}, {}
 
     @cached_property
     def geometry(self):
@@ -512,21 +512,21 @@ class _ChainPlan:
         return lattice_m, columns, det_b if det_c > 0 else -det_b, signature_and_betti(lattice_m)
 
     def transfer(self, classes, descend: bool):
-        """The SW-side work on ambient ``classes`` (coordinate tuples): one
-        entry per class, None unless its restriction has relative square
-        -(p - 1), with p - 1 the chain's size.  Without ``descend`` every
-        class is a lift candidate, must be characteristic, and maps to True if
-        kept; with it a kept class maps to (its M-coordinates under ``geometry``
-        or None if it does not descend, whether they are characteristic, their
-        square).  Kept per (classes, descend): in a family only the SW values
-        change with n, so every build reads the same entries."""
+        """The SW-side work on ambient ``classes``: one entry per class, None
+        unless its restriction has relative square -(p - 1), with p - 1 the
+        chain's size.  Without ``descend`` ``classes`` are coordinate tuples
+        of lift candidates, each must be characteristic, and a kept one maps
+        to True; with it ``classes`` is the support of an SW table, and a kept
+        class maps to (its M-coordinates under ``geometry`` or None if it does
+        not descend, whether they are characteristic, their square).  Kept per
+        (classes, descend): in a family every n shares one support."""
         key = (classes, descend)
         kept = self._transfers.get(key)
         if kept is None:
             lattice_m, columns, divisor, _ = self.geometry if descend else (None, (), 1, None)
             target = -self.chain.size
             kept = []
-            for coords in classes:
+            for coords in classes.coords if descend else classes:
                 if not descend and not is_characteristic(HomologyClass._trusted(self.lattice, coords)):
                     raise ValueError(f"lift candidate {coords} is not characteristic")
                 if relative_square(self.chain, [dot(coords, image) for image in self.images]) != target:
@@ -573,22 +573,28 @@ def rational_blowdown(
     the chamber of H (wall crossing included by chamber_sw).  Simple
     connectivity is supplied by the caller with a justification note.
 
-    The report, the geometry and the transfer (which classes survive, their
-    push-downs, characteristic tests and squares) come from the plan of the
-    vertices as cp_chain(p) (``_chain_plan``); the chamber values, the checks
-    that read them or the caller's data, and the new model are per call.
+    The report, the geometry, the transfer of X's support (which classes
+    survive, their push-downs, characteristic tests and squares), the period
+    and the new support come from the plan of the vertices as cp_chain(p)
+    (``_chain_plan``); the chamber values, the checks, and the model are per call.
     """
     p = emb.size + 1
     plan = _plan(emb, cp_chain(p))
     if not plan.report.ok:
         raise EmbeddingError("embedding does not realize the blowdown chain: "
                              + "; ".join(plan.report.failures()))
-    if any(emb.pairing_vector(H.period)):
+    require_same_lattice(H.period.lattice, emb.ambient.lattice)
+    period = H.period.coords
+    orthogonal, h = plan.periods.get(period) or (not any(dot(period, image) for image in plan.images), None)
+    if not orthogonal:
         raise ValueError("period class must be orthogonal to every vertex class")
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
     lattice_m, columns, divisor, (b_plus, b_minus) = plan.geometry
+    if period not in plan.periods:  # (orthogonal, push-down), kept once the geometry stands
+        h = _push_down(period, columns, divisor)
+        plan.periods[period] = True, h
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(lattice_m.basis, lattice_m.gram, new_name,
                                                rows=lattice_m.rows)
@@ -601,7 +607,7 @@ def rational_blowdown(
     # in M and their squares, which give d >= 0 and even; closure under
     # negation is checked, as chamber values need not be antisymmetric
     shift = 3 * sign + 2 * euler
-    transfer = plan.transfer(tuple(c for c, _ in X.sw.entries), True)
+    transfer = plan.transfer(X.sw._support, True)
     entries, squares = {}, set()
     for (coords, _), lift in zip(X.sw.entries, transfer):
         if lift is not None:
@@ -618,9 +624,11 @@ def rational_blowdown(
                 squares.add(k2)
     if any(abs(entries.get(tuple(-x for x in c), 0)) != abs(v) for c, v in entries.items()):
         raise ValueError("SW table must be closed under negation with equal magnitude")
-    table = SWTable._trusted(new_lattice, tuple(sorted(entries.items())), X.sw.convention_note,
-                             squares.pop() if len(squares) == 1 else None)
-    h = _push_down(H.period.coords, columns, divisor)
+    coords = tuple(sorted(entries))
+    support = plan.supports.get(coords) or plan.supports.setdefault(
+        coords, _Support(coords, squares.pop() if len(squares) == 1 else None))
+    table = SWTable._trusted(new_lattice, support, map(entries.__getitem__, coords),
+                             X.sw.convention_note)
     if h is None:
         raise EmbeddingError(f"class {H.period.coords} does not descend to the new lattice")
     return FourManifoldModel._trusted(new_name, new_lattice, euler, sign, simply_connected,

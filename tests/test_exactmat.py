@@ -135,6 +135,30 @@ def test_hnf_row_basis_is_reduced_above_pivots():
             assert all(0 <= basis[above][c] < basis[idx][c] for above in range(idx))
 
 
+def test_hnf_row_basis_matches_sympy_smith_invariants():
+    # an independent oracle: the basis is as many independent rows as the
+    # rank of the generators, and it spans their lattice, since it has their
+    # nonzero Smith invariants and adding it to them adds none
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    def invariants(rows):
+        return tuple(x for x in invariant_factors(Matrix(rows), domain=ZZ) if x)
+
+    rng = random.Random(37)
+    for _ in range(150):
+        k, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, k, n)
+        if rng.random() < 0.3:  # rank deficient, with a common factor
+            rows.append([2 * sum(x) for x in zip(*rows)])
+        basis = hnf_row_basis(rows)
+        rank = Matrix(rows).rank()
+        assert len(basis) == rank
+        if rank:
+            assert Matrix(basis).rank() == rank
+            assert invariants(basis) == invariants(rows) == invariants(rows + [list(b) for b in basis])
+
+
 def test_symmetric_diagonalize_congruence():
     rng = random.Random(13)
     for _ in range(100):

@@ -14,7 +14,7 @@ from swsurgery.knots import (
     poly_in_s,
 )
 from swsurgery.lattice import pair, square
-from swsurgery.manifold import blowup
+from swsurgery.manifold import FourManifoldModel, SWTable, blowup
 
 from .oracles import s_series_product, surgery_table_by_division
 
@@ -178,6 +178,24 @@ def test_knot_surgery_errors(e1_model, y3):
     blown = blowup(y3)
     with pytest.raises(ValueError, match="3 sign \\+ 2 euler"):
         knot_surgery_manifold(blown, blown.marked_class("T"), TwistKnot(1))
+
+
+def test_knot_surgery_of_a_flipped_fiber_and_fault_order(e1_model):
+    # with -T marked as the fiber the classes j (-T) sort in decreasing j;
+    # the trusted table is the sorted one, its values those of j T negated
+    T = e1_model.marked_class("T")
+    flipped = FourManifoldModel("E1", e1_model.lattice, 12, -8, True,
+                                {"T": -T, "h": e1_model.marked_class("h")}, e1_model.sw)
+    y, flipped_y = (knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(2))
+                    for X in (e1_model, flipped))
+    assert flipped_y.sw == SWTable(flipped.lattice, flipped_y.sw.entries)
+    assert dict(flipped_y.sw.entries) == {c: -v for c, v in y.sw.entries}
+    # a bad knot is reported after a fault of the fiber, as the checks run in order
+    for fiber, message in ((e1_model.marked_class("h"), "square-zero"), (2 * T, "marked class T")):
+        with pytest.raises(ValueError, match=message):
+            knot_surgery_manifold(e1_model, fiber, "not a knot")
+    with pytest.raises(TypeError, match="expected TwistKnot"):
+        knot_surgery_manifold(e1_model, T, "not a knot")
 
 
 def test_resurgery_needs_history(y3):

@@ -239,9 +239,19 @@ def test_element_coerces_outside_data(e1_model):
 
 def test_every_cache_is_bounded():
     cached = memos()
-    assert cached
+    # the support, chamber and blowup memos among them
+    assert {"_surgery_support", "_chamber_facts", "_blowup_marked"} <= {fn.__name__ for fn in cached}
     for fn in cached:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
+
+
+def test_equal_lattices_share_a_cached_hash():
+    named = IntersectionLattice(("a", "b"), ((1, 2), (2, -1)), name="first")
+    trusted = IntersectionLattice._trusted(("a", "b"), ((1, 2), (2, -1)), "second")
+    assert named == trusted and hash(named) == hash(trusted) == hash((named.basis, named.gram))
+    assert vars(named)["_hash"] == hash(named)  # computed once, then read
+    other = IntersectionLattice(("a", "b"), ((1, 2), (2, -3)), name="first")
+    assert named != other
 
 
 def _unchecked_lattice(basis, gram, rows=None):

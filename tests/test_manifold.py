@@ -36,6 +36,7 @@ from .oracles import (
     random_unimodular,
     transformed_gram,
 )
+from .trusted import memos
 
 # the (knot count, blowup count) strata of the calculus benchmark workload
 STRATA = tuple((knots, blowups) for knots in range(1, 5) for blowups in range(5))
@@ -408,12 +409,15 @@ def test_sw_queries_match_naive_oracles_on_surgered_models():
 
 
 def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
+    for memo in memos():  # a fresh support, whose partner tests no earlier query made
+        memo.cache_clear()
     X = _surgered((9, -14, 17, -8), 4)
     classes = X.sw.classes()
     assert len(classes) == 128
     chamber = Chamber(X, X.marked_class("h"))
     calls = Counter()
-    for name in ("is_characteristic", "pair", "square", "signature_and_betti", "gram_image",
+    # manifold holds no pair: the chamber's pairings come from _chamber_facts
+    for name in ("is_characteristic", "square", "signature_and_betti", "gram_image",
                  "_blowup_partners"):
         def counted(*args, _name=name, _fn=getattr(manifold, name)):
             calls[_name] += 1
@@ -428,15 +432,15 @@ def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
     dimension(X, off_table)
     assert calls == Counter(is_characteristic=1, square=1)
     calls.clear()
-    # b+ once and G h, G H once per chamber, then one dot product each per class
+    # b+, G h and G H are the chamber's facts, found when it was built, so
+    # each class takes one dot product each
     assert [chamber_sw(X, k, chamber) for k in classes] == [v for _, v in X.sw.entries]
-    assert calls == Counter(signature_and_betti=1, gram_image=2)
-    calls.clear()
-    # partners are sought within a magnitude group, and a class found as a
-    # later partner is not searched from: one test per pair here, against
-    # the 8,128 entry pairs of a pairwise scan
+    assert calls == Counter()
+    # a blowup's support pairs each class with the next, k - E with k + E,
+    # so the verdict and its witness need no partner test, against the
+    # 8,128 entry pairs of a pairwise scan
     assert minimality_check(X).status == "blowup_pair_found"
-    assert calls == Counter(_blowup_partners=len(classes) // 2)
+    assert calls == Counter()
 
 
 def _plus_sum(X):
@@ -489,8 +493,8 @@ def _carried_answers(model):
 def test_carried_square_matches_oracles(twists, blowups):
     X = _surgered(twists, blowups)
     # (j T)^2 = 0 after surgery, and each blowup takes 1 off
-    assert X.sw._square == -blowups
-    assert all(square(k) == X.sw._square for k in X.sw.classes())
+    assert X.sw._support.square == -blowups
+    assert all(square(k) == X.sw._support.square for k in X.sw.classes())
     answers = _carried_answers(X)
     # every invalid input was met, a wall once k^2 < 0
     raised = {a[0] for a in answers if isinstance(a, tuple)}
@@ -498,7 +502,7 @@ def test_carried_square_matches_oracles(twists, blowups):
     assert raised == (expected if len(X.sw) else set())
     # a model loaded from JSON squares its classes, before and after a blowup
     loaded = FourManifoldModel.from_dict(X.to_dict())
-    assert loaded.sw._square is None and blowup(loaded).sw._square is None
+    assert loaded.sw._support.square is None and blowup(loaded).sw._support.square is None
     assert _carried_answers(loaded) == answers
     assert _carried_answers(blowup(loaded)) == _carried_answers(blowup(X))
 
@@ -510,7 +514,7 @@ def test_cached_indexes_stay_invisible(z3):
     chamber = Chamber(queried, queried.marked_class("h"))
     assert queried.sw.value(k) == chamber_sw(queried, k, chamber)
     assert dimension(queried, k) == 0
-    assert "_index" in vars(queried.sw) and "_images" in vars(chamber)
+    assert "_index" in vars(queried.sw) and "_facts" in vars(chamber)
     assert queried == fresh and hash(queried) == hash(fresh)
     assert queried.sw == fresh.sw and hash(queried.sw) == hash(fresh.sw)
     untouched = Chamber(fresh, fresh.marked_class("h"))

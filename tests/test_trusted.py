@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from swsurgery.knots import LaurentPolynomial, TwistKnot, alexander_twist, knot_surgery_manifold
 from swsurgery.lattice import IntersectionLattice
-from swsurgery.manifold import FourManifoldModel, SWTable, blowup
-from swsurgery.models import e1
+from swsurgery.manifold import FourManifoldModel, SWTable, _Support, blowup
+from swsurgery.models import PI1_NOTE_BLOWDOWN, e1
 from swsurgery.monodromy import TWIST_A, TWIST_B, IntegerMatrix2
 from swsurgery.pipelines import FAMILIES, build_family, verify_paper
+from swsurgery.plumbing import rational_blowdown
 from swsurgery.report import Check
 
 from .trusted import SHIPPED, validating_trusted
@@ -39,17 +40,42 @@ def test_trusted_constructions_match_public_constructors():
 
 def test_validation_covers_carried_squares_and_word_products():
     with validating_trusted():
-        X = e1()
-        X = blowup(knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(3)))
-        assert X.sw._square == -1  # so dimension still reads the carried square
+        Y = knot_surgery_manifold(e1(), e1().marked_class("T"), TwistKnot(3))
+        X = blowup(Y)
+        assert X.sw._support.square == -1  # so dimension still reads the carried square
         for key in FAMILIES:  # a blowdown carries its classes' common square, checked too
             model, _ = build_family(key, 2)
-            assert model.sw._square == FAMILIES[key].lift_square
+            assert model.sw._support.square == FAMILIES[key].lift_square
+        values = [v for _, v in X.sw.entries]
         with pytest.raises(AssertionError, match="carried square"):
-            SWTable._trusted(X.lattice, X.sw.entries, X.sw.convention_note, square=0)
+            SWTable._trusted(X.lattice, _Support(X.sw._support.coords, 0), values)
+        with pytest.raises(AssertionError, match="in order"):
+            SWTable._trusted(X.lattice, _Support(X.sw._support.coords[::-1]), values[::-1])
+        with pytest.raises(AssertionError, match="blowup pair"):  # -3 T and 3 T are no pair
+            SWTable._trusted(Y.lattice, _Support(Y.sw._support.coords, 0, True),
+                             [v for _, v in Y.sw.entries])
         assert (TWIST_A @ TWIST_B).rows() == ((0, 1), (-1, 1))
         with pytest.raises(ValueError, match="determinant"):
             IntegerMatrix2._trusted(2, 0, 0, 1)
+
+
+def test_step_by_step_builds_match_build_family():
+    # every family member rebuilt through the public steps, each trusted
+    # construction validated, is the model build_family makes, and its
+    # validated report is the plain one: no step keys anything on n
+    plain = {(key, n): build_family(key, n) for key in FAMILIES for n in range(1, 21)}
+    with validating_trusted():
+        for (key, n), (model, rep) in plain.items():
+            spec = FAMILIES[key]
+            X = e1()
+            for twist in (1, n) if spec.base == "v_n" else (n,):
+                X = knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(twist))
+            for _ in range(spec.blowups):
+                X = blowup(X)
+            rebuilt = rational_blowdown(X, spec.embedding(X), spec.chamber(X), simply_connected=True,
+                                        pi1_note=PI1_NOTE_BLOWDOWN, name=spec.name.format(n=n))
+            assert rebuilt.to_dict() == model.to_dict()
+            assert build_family(key, n)[1].to_json() == rep.to_json()
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))

@@ -5,11 +5,14 @@ with a private ``_trusted`` classmethod that checks nothing.
 ``validating_trusted()`` replaces each such classmethod by one that builds
 the object both ways, asserts that every field agrees (fields left out of
 equality, such as a lattice's name and sparse rows, included), and returns
-the validated object.  A table built with a carried square (the k^2 every
-class shares) must have that square on every class, and the validated
-table carries it too, so ``dimension`` takes the same branch.  Memos are
-cleared on entry and exit so that no object built one way is served under
-the other.
+the validated object.  A table is built trusted on a support: the
+support's classes must be the validated table's classes in order, a
+carried square (the k^2 every class shares) must be the square of every
+class, and a blowup's pairing must hold (classes 2i and 2i + 1 share a
+value and differ by a class of square -4).  The validated table takes the
+support too, so ``dimension``, ``minimality_check`` and the blowdown take
+the same branches.  Memos are cleared on entry and exit so that no object
+built one way is served under the other.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import importlib
 import inspect
 import pkgutil
 from contextlib import contextmanager
+from operator import sub
 
 import swsurgery
 from swsurgery.knots import LaurentPolynomial
@@ -55,18 +59,31 @@ def _validating(cls, trusted):
     def build(klass, *args, **kwargs):
         fast = trusted(klass, *args, **kwargs)
         bound = signature.bind(klass, *args, **kwargs).arguments
-        slow = cls(**{k: v for k, v in bound.items() if k in init_names})
+        # a field the trusted form derives (a table's entries) is taken from it
+        slow = cls(**{k: bound[k] if k in bound else getattr(fast, k) for k in init_names})
+        if cls is SWTable:
+            _check_support(slow, fast._support)
+            slow.__dict__["_support"] = fast._support
         for f in fields:
             assert getattr(fast, f.name) == getattr(slow, f.name), (
                 f"trusted {cls.__name__}.{f.name} differs from the validated one")
-        if cls is SWTable and fast._square is not None:
-            for coords, _ in slow.entries:
-                assert square(HomologyClass(slow.lattice, coords)) == fast._square, (
-                    f"SW class {coords} does not have the carried square {fast._square}")
-            slow.__dict__["_square"] = fast._square
         return slow
 
     return classmethod(build)
+
+
+def _check_support(table, support) -> None:
+    assert support.coords == tuple(c for c, _ in table.entries), (
+        "the support's classes are not the table's classes in order")
+    if support.square is not None:
+        for coords in support.coords:
+            assert square(HomologyClass(table.lattice, coords)) == support.square, (
+                f"SW class {coords} does not have the carried square {support.square}")
+    if support.paired:
+        for (k1, v1), (k2, v2) in zip(table.entries[::2], table.entries[1::2]):
+            difference = HomologyClass(table.lattice, tuple(map(sub, k1, k2)))
+            assert v1 == v2 and square(difference) == -4, (
+                f"SW classes {k1} and {k2} are not a blowup pair")
 
 
 @contextmanager
