@@ -13,6 +13,11 @@ trusted as well: every class in the table is an odd multiple j T of the
 fiber, characteristic when T is (checked once per class set), the quotient
 is antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
 3 sign + 2 euler = 0 are checked.
+
+Each surgery multiplies one polynomial: its model keeps D, the product of
+its history, and the next surgery takes D times the new knot's polynomial.
+A model without D (E(1), a loaded or renamed one) rebuilds it.  Each
+polynomial is checked once, where it enters; a twist knot needs no check.
 """
 
 from __future__ import annotations
@@ -145,6 +150,15 @@ def _as_alexander(knot) -> LaurentPolynomial:
     raise TypeError(f"expected TwistKnot, int, or LaurentPolynomial, got {type(knot)!r}")
 
 
+def _product(polys) -> LaurentPolynomial:
+    """The product of the Alexander polynomials ``polys``, each checked first."""
+    product = LaurentPolynomial._trusted(((0, 1),))
+    for p in polys:
+        _check_alexander(p)
+        product = product * p
+    return product
+
+
 def e1_knot_surgery_sw(knots) -> dict[int, int]:
     """SW data of iterated fiber surgeries on the rational elliptic surface.
 
@@ -156,10 +170,11 @@ def e1_knot_surgery_sw(knots) -> dict[int, int]:
 
     Returns {j: value} over the nonzero values, in increasing j.
     """
-    product = LaurentPolynomial._trusted(((0, 1),))
-    for p in [_as_alexander(k) for k in knots]:
-        _check_alexander(p)
-        product = product * p
+    return _quotient(_product([_as_alexander(k) for k in knots]))
+
+
+def _quotient(product: LaurentPolynomial) -> dict[int, int]:
+    """{j: value} of ``e1_knot_surgery_sw`` for the product D of the knots."""
     numerator = dict(product.terms)
     numerator[0] = numerator.get(0, 0) - product.at_one()
     top = product.terms[-1][0]  # the product is symmetric, so -top is its bottom
@@ -188,10 +203,11 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
     """Fiber surgery along a square-zero torus at the homology level.
 
     The lattice, euler characteristic, and signature are unchanged (both glued
-    pieces have e = 0 and sign = 0).  The SW table is recomputed from the full
-    sequence of surgered knots via the Laurent-quotient rule, which applies to
-    models carrying the rational elliptic surface lattice.  Simple
-    connectivity is carried through as an asserted input.
+    pieces have e = 0 and sign = 0).  The SW table is recomputed from the
+    product of every surgered knot's Alexander polynomial (X's product times
+    the new one) via the Laurent-quotient rule, which applies to models
+    carrying the rational elliptic surface lattice.  Simple connectivity is
+    carried through as an asserted input.
     """
     _surgery_support(fiber.lattice, fiber.coords, ())  # raises first unless T^2 = 0
     if fiber != X.marked_class("T"):
@@ -205,12 +221,17 @@ def knot_surgery_manifold(X: FourManifoldModel, fiber: HomologyClass, knot) -> F
             "the Laurent-quotient SW rule applies to rational-elliptic-surface models "
             f"(needs 3 sign + 2 euler = 0, got {3 * X.sign + 2 * X.euler})"
         )
-    history = X.surgery_history + (_as_alexander(knot),)
-    table = e1_knot_surgery_sw(history)
+    polynomial = _as_alexander(knot)
+    product = vars(X).get("_alexander") or _product([_as_alexander(k) for k in X.surgery_history])
+    if not isinstance(getattr(knot, "n", knot), int):  # not a twist knot
+        _check_alexander(polynomial)
+    product = product * polynomial
+    table = _quotient(product)
     support, js = _surgery_support(fiber.lattice, fiber.coords, tuple(table))
     values = map(table.__getitem__, js)
     if support.square is None:  # T is zero or not characteristic: the constructor judges
         sw = SWTable(X.lattice, tuple(zip(support.coords, values)), X.sw.convention_note)
     else:  # the quotient is antisymmetric in j, and d(j T) = (0 - 0) / 4 = 0
         sw = SWTable._trusted(X.lattice, support, values, X.sw.convention_note)
-    return X._replaced(name=f"{X.name}_K", sw=sw, surgery_history=history)
+    return X._replaced(name=f"{X.name}_K", sw=sw,
+                       surgery_history=X.surgery_history + (polynomial,), _alexander=product)

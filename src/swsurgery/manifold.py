@@ -24,6 +24,8 @@ square k^2 they share when exact by construction, made once per class set
 by knot surgery (j T with T^2 = 0), ``blowup`` ((k +- E)^2 = k^2 - 1) and the
 blowdown's chain plan; the values ride along by index.  ``dimension`` reads
 that square; a public table builds its own support, with none, on first use.
+Per-class queries find a class by the support's index, and ``chamber_sw``
+reads a table class's sides (h.k, H.k), taken in one pass per chamber.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ class _Support:
 
     def __init__(self, coords, square=None, paired=False):
         self.coords, self.square, self.paired, self.partners = coords, square, paired, {}
+        self._sides = None, ()  # (chamber facts, their sides) for the last facts asked
+
+    index = cached_property(lambda self: {c: i for i, c in enumerate(self.coords)})  # c -> position
+
+    def sides(self, facts) -> list[tuple[int, int]]:
+        """(h.k, H.k) of every class for the ``_chamber_facts`` tuple ``facts``."""
+        if self._sides[0] is not facts:
+            self._sides = facts, [tuple(sum(map(mul, image, c)) for image in facts[2:4])
+                                  for c in self.coords]
+        return self._sides[1]
 
     @cached_property
     def blown_up(self) -> "_Support":
@@ -121,16 +133,11 @@ class SWTable:
     def classes(self) -> tuple[HomologyClass, ...]:
         return tuple(HomologyClass._trusted(self.lattice, c) for c, _ in self.entries)
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        """Coordinates -> value, built on first use; not a field, so never
-        compared, hashed or serialized."""
-        return dict(self.entries)
-
     def value(self, k: HomologyClass) -> int:
         if not same_lattice(k.lattice, self.lattice):
             raise ValueError("class does not live in the table's lattice")
-        return self._index.get(k.coords, 0)
+        i = self._support.index.get(k.coords)
+        return 0 if i is None else self.entries[i][1]
 
     def magnitudes(self) -> tuple[int, ...]:
         return tuple(sorted(abs(v) for _, v in self.entries))
@@ -198,20 +205,25 @@ class FourManifoldModel:
 
     @classmethod
     def _trusted(cls, name, lattice, euler, sign, simply_connected, marked, sw,
-                 pi1_note: str = "", surgery_history: tuple = ()) -> "FourManifoldModel":
+                 pi1_note: str = "", surgery_history: tuple = (),
+                 _alexander=None) -> "FourManifoldModel":
         """A model known to be valid, with ``marked`` a sorted tuple of
-        (label, coordinate tuple) pairs; nothing is checked."""
+        (label, coordinate tuple) pairs; nothing is checked.  Knot surgery
+        passes the product of ``surgery_history``, kept but not a field."""
         self = object.__new__(cls)
         self.__dict__.update(
             name=name, lattice=lattice, euler=euler, sign=sign,
             simply_connected=simply_connected, marked=marked, sw=sw,
             pi1_note=pi1_note, surgery_history=surgery_history,
         )
+        if _alexander is not None:
+            self.__dict__["_alexander"] = _alexander
         return self
 
     def _replaced(self, **changes) -> "FourManifoldModel":
-        """This model with some fields changed by a caller that keeps it valid."""
-        return FourManifoldModel._trusted(**{**self.__dict__, **changes})
+        """This model with some fields changed by a caller that keeps it valid,
+        without the Alexander product unless ``changes`` gives one."""
+        return FourManifoldModel._trusted(**{**self.__dict__, "_alexander": None, **changes})
 
     def marked_class(self, name: str) -> HomologyClass:
         for label, coords in self.marked:
@@ -347,7 +359,7 @@ def dimension(X: FourManifoldModel, k: HomologyClass) -> int:
     # a class of the model's own table is characteristic (checked or by
     # construction), so only others are tested; its support may carry k^2
     carried = None
-    if k.coords in X.sw._index:
+    if k.coords in X.sw._support.index:
         carried = X.sw._support.square
     elif not is_characteristic(k):
         raise NonCharacteristicError(f"{k.coords} is not characteristic in {X.name!r}")
@@ -378,14 +390,17 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     if H.model is not X and H.model != X:
         raise ValueError("chamber belongs to a different model")
     jump = wall_crossing_delta(X, k)
-    h_image, period_image = H._facts[2:4]  # H.model equals X, so h is X's h
-    hk = sum(map(mul, h_image, k.coords))
-    Hk = sum(map(mul, period_image, k.coords))
+    i = X.sw._support.index.get(k.coords)  # H.model equals X, so h is X's h
+    if i is None:
+        hk, Hk = (sum(map(mul, image, k.coords)) for image in H._facts[2:4])
+        base = 0
+    else:
+        hk, Hk = X.sw._support.sides(H._facts)[i]
+        base = X.sw.entries[i][1]
     if Hk == 0:
         raise OnWallError(f"period class lies on the wall of {k.coords}")
     if hk == 0:
         raise OnWallError("the reference class h lies on the wall of this class")
-    base = X.sw.value(k)
     if (Hk > 0) == (hk > 0):
         return base
     return base + (jump if Hk > 0 else -jump)

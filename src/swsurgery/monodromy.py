@@ -4,8 +4,8 @@ Words in the two Dehn twist generators are evaluated through the symplectic
 representation a -> [[1,1],[0,1]], b -> [[1,0],[-1,1]] (uppercase letters are
 inverses).  With this convention ab has trace 1 and order 6.  A parsed word
 is evaluated over its factor tree: every power, of a letter or of a
-parenthesized group, is taken by repeated squaring, so its cost grows with
-the logarithm of the exponent.
+parenthesized group, is one matrix from the trace recurrence (det 1 gives
+M^n = u_n M - u_(n-1) I), whose u_n cost the logarithm of the exponent.
 
 Only the boundary validates: the public ``IntegerMatrix2(...)`` checks
 det = 1, while products, inverses and the identity are built unchecked
@@ -59,16 +59,15 @@ class IntegerMatrix2:
         )
 
     def __pow__(self, n: int) -> "IntegerMatrix2":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = IntegerMatrix2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
+        """M^n = u_n M - u_(n-1) I, as M^2 = t M - I for the trace t (det 1);
+        u_k = t u_(k-1) - u_(k-2) from u_0 = 0, u_1 = 1, taken by doubling."""
+        m = self if n >= 0 else self.inverse()
+        t, u, v = m.a + m.d, 0, -1  # (u_k, u_(k-1)) at k = 0
+        for bit in bin(abs(n))[2:]:
+            u, v = u * (t * u - 2 * v), u * u - v * v  # k -> 2k
+            if bit == "1":
+                u, v = t * u - v, u  # k -> k + 1
+        return IntegerMatrix2._trusted(u * m.a - v, u * m.b, u * m.c, u * m.d - v)
 
     def inverse(self) -> "IntegerMatrix2":
         return IntegerMatrix2._trusted(self.d, -self.b, -self.c, self.a)
@@ -232,8 +231,8 @@ def parse_word(text: str) -> MCGWord:
 
 
 def evaluate(word: MCGWord | str) -> IntegerMatrix2:
-    """Product of the factors' ``base ** power``, each by repeated squaring;
-    the empty word is the identity."""
+    """Product of the factors' ``base ** power``, each by the trace
+    recurrence; the empty word is the identity."""
     if isinstance(word, str):
         word = parse_word(word)
     return _product(f.base ** f.power for f in word.factors)

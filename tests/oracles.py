@@ -54,6 +54,24 @@ def naive_word_matrix(letters):
     return a, b, c, d
 
 
+def squaring_power(m, n):
+    """m^n for the entries (a, b, c, d) of a det-1 matrix, by repeated
+    squaring; a negative n powers the inverse."""
+    a, b, c, d = m if n >= 0 else (m[3], -m[1], -m[2], m[0])
+    result, base, n = (1, 0, 0, 1), (a, b, c, d), abs(n)
+
+    def times(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+    while n:
+        if n & 1:
+            result = times(result, base)
+        base = times(base, base)
+        n >>= 1
+    return result
+
+
 def naive_parabolic_width(m):
     """gcd of the entries of m - id for trace-2 non-identity m, else None."""
     a, b, c, d = m

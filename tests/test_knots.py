@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swsurgery import knots
 from swsurgery.knots import (
     LaurentPolynomial,
     TwistKnot,
@@ -15,6 +17,7 @@ from swsurgery.knots import (
 )
 from swsurgery.lattice import pair, square
 from swsurgery.manifold import FourManifoldModel, SWTable, blowup
+from swsurgery.models import e1
 
 from .oracles import s_series_product, surgery_table_by_division
 
@@ -224,3 +227,79 @@ def test_general_symmetric_alexander_accepted(e1_model):
     poly = LaurentPolynomial.from_doubled({2: 1, 0: -1, -2: 1})
     model = knot_surgery_manifold(e1_model, fiber, poly)
     assert model.sw.magnitudes() == (1, 1)
+
+
+def _surger(X, *knots_in_turn):
+    for knot in knots_in_turn:
+        X = knot_surgery_manifold(X, X.marked_class("T"), knot)
+    return X
+
+
+def test_surgery_multiplies_one_polynomial_and_checks_each_once(monkeypatch):
+    calls = Counter()
+    multiply, check = LaurentPolynomial.__mul__, knots._check_alexander
+
+    def counted_multiply(p, q):
+        calls["multiply"] += 1
+        return multiply(p, q)
+
+    def counted_check(p):
+        calls["check"] += 1
+        return check(p)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted_multiply)
+    monkeypatch.setattr(knots, "_check_alexander", counted_check)
+    # each surgery multiplies its parent's product by the one new polynomial,
+    # and a twist knot is an Alexander polynomial by construction: the whole
+    # history multiplied and checked again took 10 and 10
+    X = _surger(e1(), TwistKnot(2), -5, TwistKnot(7), 3)
+    assert calls == Counter(multiply=4)
+    calls.clear()
+    # a polynomial knot is checked once, where it enters
+    poly = LaurentPolynomial.from_doubled({4: 1, 2: -2, 0: 3, -2: -2, -4: 1})
+    Y = _surger(X, poly)
+    assert calls == Counter(multiply=1, check=1)
+    calls.clear()
+    # a model without the product (loaded, or renamed) rebuilds it from its
+    # history, each polynomial checked once, in order
+    for parent in (FourManifoldModel.from_dict(Y.to_dict()), Y.renamed("Y")):
+        again = _surger(parent, 1)
+        assert calls == Counter(multiply=6, check=5)
+        assert again == _surger(Y, 1).renamed(again.name)
+        calls.clear()
+    monkeypatch.undo()
+    assert Y.sw == SWTable(Y.lattice, tuple(
+        (tuple(j * x for x in Y.marked_class("T").coords), v)
+        for j, v in e1_knot_surgery_sw([2, -5, 7, 3, poly]).items()))
+
+
+def test_loaded_history_is_checked_on_first_surgery(y3):
+    data = y3.to_dict()
+    data["surgery_history"] = [[[2, 1], [0, -1], [-2, 1]], [[2, 2], [0, -1]]]  # the second is not symmetric
+    loaded = FourManifoldModel.from_dict(data)
+    unnormalized = LaurentPolynomial.from_doubled({2: 1, 0: 1, -2: 1})
+    # the knot's type is checked first, then the history, then the knot
+    for knot, error, match in ((TwistKnot(2), ValueError, "not symmetric under t -> 1/t"),
+                               ("not a knot", TypeError, "expected TwistKnot"),
+                               (unnormalized, ValueError, "not symmetric under t -> 1/t")):
+        for _ in range(2):  # a product whose build raised was not kept
+            with pytest.raises(error, match=match):
+                knot_surgery_manifold(loaded, loaded.marked_class("T"), knot)
+    data["surgery_history"][1] = [[2, 2], [0, -3], [-2, 2]]
+    with pytest.raises(ValueError, match="normalization requires"):
+        _surger(FourManifoldModel.from_dict(data), unnormalized)
+
+
+@pytest.mark.parametrize("fiber, message", [
+    ((0,) * 10, r"duplicate SW entry"),
+    ((1, -1) + (0,) * 8, r"SW class \(.*\) is not characteristic"),
+], ids=["zero", "not characteristic"])
+def test_surgery_on_a_fiber_the_rule_cannot_trust(e1_model, fiber, message):
+    # a marked T of square 0 that is zero, or not characteristic, gives j T
+    # that the public table constructor refuses, after a nonempty history
+    lattice = e1_model.lattice
+    X = FourManifoldModel("F", lattice, 12, -8, True, {"T": fiber, "h": e1_model.marked_class("h")},
+                          SWTable(lattice, ()), surgery_history=(alexander_twist(2),))
+    assert square(X.marked_class("T")) == 0
+    with pytest.raises(ValueError, match=message):
+        knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(3))

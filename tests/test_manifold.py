@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swsurgery import manifold
-from swsurgery.knots import TwistKnot, knot_surgery_manifold
+from swsurgery.knots import TwistKnot, alexander_twist, knot_surgery_manifold
 from swsurgery.lattice import IntersectionLattice, pair, square
 from swsurgery.manifold import (
     Chamber,
@@ -443,6 +443,45 @@ def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
     assert calls == Counter()
 
 
+def test_chamber_sides_are_taken_once_per_support_and_chamber(monkeypatch):
+    for memo in memos():  # a fresh support, with no sides taken yet
+        memo.cache_clear()
+    X, twin = _surgered((4, -7), 2), _surgered((5, -9), 2)
+    support = X.sw._support
+    assert twin.sw._support is support and len(support.coords) == 16
+    taken, sides = [], manifold._Support.sides
+
+    def spied(self, facts):
+        out = sides(self, facts)
+        taken.append((self, out))  # keeps every list alive, so ids stay distinct
+        return out
+
+    monkeypatch.setattr(manifold._Support, "sides", spied)
+    # a period crossing the walls of some k - E_i, besides h
+    coeffs = {"eta": 7, "eps3": -3, **{f"eps{i}": -2 for i in (1, 2, 4, 5, 6, 7, 8, 9)}, "E0": -1}
+    models = (X, twin, X.renamed("R"), twin.renamed("S"))
+    chambers = [[Chamber(m, m.marked_class("h")), Chamber(m, class_from_coeffs(m, coeffs))]
+                for m in models]
+    # the table's classes and, off the table, characteristic and
+    # non-characteristic classes, each checked against the oracle
+    h, table = X.marked_class("h"), X.sw.classes()
+    queries = [q.coords for k in table for q in (k, k + 2 * h, k + h)]
+    for index in (0, 1):  # every model in one chamber: the sides are taken once
+        taken.clear()
+        for model, own in zip(models, chambers):
+            for k in map(model.lattice.element, queries):
+                assert _outcome(chamber_sw, model, k, own[index]) == \
+                    _outcome(naive_chamber_sw, model, k, own[index])
+        assert len({id(out) for _, out in taken}) == 1
+        assert {self for self, _ in taken} == {support}
+    # two chambers alternated on one support: one slot, taken again at each switch
+    taken.clear()
+    for k in table:
+        for chamber in chambers[0]:
+            assert chamber_sw(X, k, chamber) == naive_chamber_sw(X, k, chamber)
+    assert len({id(out) for _, out in taken}) == len(taken) == 2 * len(X.sw)
+
+
 def _plus_sum(X):
     """X # CP^2 with an empty table: b+ = 2, so it has no chamber invariants."""
     n = X.lattice.rank
@@ -514,7 +553,7 @@ def test_cached_indexes_stay_invisible(z3):
     chamber = Chamber(queried, queried.marked_class("h"))
     assert queried.sw.value(k) == chamber_sw(queried, k, chamber)
     assert dimension(queried, k) == 0
-    assert "_index" in vars(queried.sw) and "_facts" in vars(chamber)
+    assert "index" in vars(queried.sw._support) and "_facts" in vars(chamber)
     assert queried == fresh and hash(queried) == hash(fresh)
     assert queried.sw == fresh.sw and hash(queried.sw) == hash(fresh.sw)
     untouched = Chamber(fresh, fresh.marked_class("h"))
@@ -529,6 +568,16 @@ def test_cached_indexes_stay_invisible(z3):
     assert set(vars(renamed)) == model_fields
     assert renamed == fresh.renamed("queried") and renamed.name == "queried"
     assert chamber_sw(renamed, k, Chamber(renamed, renamed.marked_class("h"))) == queried.sw.value(k)
+    # knot surgery keeps the Alexander product of the history on its model,
+    # outside the fields; renamed and blown-up models drop it
+    surgered = knot_surgery_manifold(e1(), e1().marked_class("T"), TwistKnot(3))
+    loaded = FourManifoldModel.from_dict(surgered.to_dict())
+    assert set(vars(surgered)) == model_fields | {"_alexander"} and set(vars(loaded)) == model_fields
+    assert vars(surgered)["_alexander"] == alexander_twist(3)
+    assert surgered == loaded and hash(surgered) == hash(loaded)
+    assert json.dumps(surgered.to_dict()) == json.dumps(loaded.to_dict())
+    for passed_on in (surgered.renamed("Y3"), blowup(surgered)):
+        assert set(vars(passed_on)) == model_fields
 
 
 def test_fingerprint(e1_model):

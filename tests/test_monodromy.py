@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swsurgery.monodromy import (
@@ -15,7 +15,7 @@ from swsurgery.monodromy import (
     verify_factorization,
 )
 
-from .oracles import naive_parabolic_width, naive_word_matrix
+from .oracles import naive_parabolic_width, naive_word_matrix, squaring_power
 
 E6_WORD = "(ab)^4a^2(Aba)b"
 I6_WORD = "a^6(A^3ba^3)(baB)^2b^2(Bab)"
@@ -128,6 +128,48 @@ def test_matrix_type():
 def test_powers_by_repeated_squaring():
     assert evaluate("a^1000000") == IntegerMatrix2(1, 1000000, 0, 1)
     assert evaluate("(Ab^3)^0") == IntegerMatrix2.identity()
+
+
+# +-I and matrices of trace +-2, 0 and +-3, as entries (a, b, c, d)
+SPECIAL_MATRICES = ((1, 0, 0, 1), (-1, 0, 0, -1), (1, 5, 0, 1), (-1, 0, 3, -1),
+                    (0, -1, 1, 0), (2, 1, 1, 1), (-2, -1, -1, -1), (1, 2, 1, 3))
+
+
+def _repeated_product(m, n):
+    result = IntegerMatrix2.identity()
+    for _ in range(abs(n)):
+        result = result @ (m if n > 0 else m.inverse())
+    return result
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text("abAB", max_size=8).map(lambda w: evaluate(w)),
+                 st.sampled_from(SPECIAL_MATRICES).map(lambda e: IntegerMatrix2(*e))),
+       st.integers(-300, 300))
+@example(IntegerMatrix2(-1, 0, 0, -1), 300)
+@example(IntegerMatrix2(-1, 1, 0, -1), -299)
+@example(IntegerMatrix2(0, -1, 1, 0), 7)
+@example(IntegerMatrix2(2, 1, 1, 1), -300)
+@example(IntegerMatrix2(-2, -1, -1, -1), 0)
+def test_powers_match_repeated_multiplication(m, n):
+    assert m ** n == _repeated_product(m, n)
+
+
+def test_powers_match_repeated_squaring_and_make_no_product(monkeypatch):
+    rng = random.Random(11)
+    matrices = [evaluate(w) for w in ("", "a", "B", "ab", "aB", "abAB", "aabAbbb", "BBaBa")]
+    matrices += [IntegerMatrix2(*e) for e in SPECIAL_MATRICES]
+    exponents = [0, 1, -1, 2, 10 ** 4, -10 ** 4, 2 ** 13, 2 ** 13 - 1, -(2 ** 13 + 1)]
+    exponents += [rng.randint(-10 ** 4, 10 ** 4) for _ in range(40)]
+    products = []
+    monkeypatch.setattr(IntegerMatrix2, "__matmul__", lambda *args: products.append(args))
+    for m in matrices:
+        for n in exponents:
+            power = m ** n
+            assert (power.a, power.b, power.c, power.d) == squaring_power((m.a, m.b, m.c, m.d), n)
+    # each power is one matrix from the trace recurrence: repeated squaring
+    # took 19 products for n = 10^4
+    assert products == []
 
 
 def test_deep_nesting_parses():

@@ -502,6 +502,27 @@ def test_blowdown_checks_what_its_table_and_model_constructors_checked(z3, monke
     assert blowdown(z3) == rational_blowdown(z3, emb, spec.chamber(z3), simply_connected=True)
 
 
+def test_blowdown_refuses_a_class_that_pushes_down_to_a_non_characteristic_one(z3):
+    # A characteristic class of relative square -6 on cp_chain(7) pushes down
+    # to a characteristic class, so only a table built unchecked reaches the
+    # plan's characteristic test: k is not characteristic in z3 (its eps8
+    # coefficient is even), has relative square -6, descends, and d(k) = 0
+    from swsurgery.manifold import FourManifoldModel, SWTable, _Support
+
+    from .trusted import SHIPPED
+
+    spec = FAMILIES["xn"]
+    k = (3, -1, -1, -1, -1, -1, -1, -1, 2, -1, 0, 0, 0)
+    coords = tuple(sorted([k, tuple(-x for x in k)]))
+    table = SHIPPED[SWTable].__func__(SWTable, z3.lattice, _Support(coords), (1, -1))
+    X = FourManifoldModel(z3.name, z3.lattice, z3.euler, z3.sign, True, dict(z3.marked), table)
+    assert relative_square_of_restriction(spec.embedding(z3), X.sw.classes()[0]) == -6
+    for _ in range(2):  # the plan keeps the transfer, and its verdict
+        with pytest.raises(ValueError, match=r"SW class \(-9, 8, 1, -6, 3, 3, 3\) is not characteristic"):
+            rational_blowdown(X, spec.embedding(z3), Chamber(X, spec.chamber(z3).period),
+                              simply_connected=True)
+
+
 def _signature_by_descartes(gram):
     """(b+, b-) of a nondegenerate symmetric integer matrix: its characteristic
     polynomial has real roots only, so Descartes' rule of signs counts the

@@ -11,8 +11,12 @@ carried square (the k^2 every class shares) must be the square of every
 class, and a blowup's pairing must hold (classes 2i and 2i + 1 share a
 value and differ by a class of square -4).  The validated table takes the
 support too, so ``dimension``, ``minimality_check`` and the blowdown take
-the same branches.  Memos are cleared on entry and exit so that no object
-built one way is served under the other.
+the same branches.  A model built with an Alexander product (knot surgery's)
+must hold the product of its surgery history, and the product must be new:
+one that an earlier model holds was passed on (by ``renamed`` or ``blowup``,
+say), which a model with another history could then read.  The validated
+model takes the product too.  Memos are cleared on entry and exit so that
+no object built one way is served under the other.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pkgutil
+import weakref
 from contextlib import contextmanager
 from operator import sub
 
 import swsurgery
-from swsurgery.knots import LaurentPolynomial
+from swsurgery.knots import LaurentPolynomial, _as_alexander
 from swsurgery.lattice import HomologyClass, IntersectionLattice, square
 from swsurgery.manifold import FourManifoldModel, SWTable
 from swsurgery.monodromy import IntegerMatrix2
@@ -64,6 +70,9 @@ def _validating(cls, trusted):
         if cls is SWTable:
             _check_support(slow, fast._support)
             slow.__dict__["_support"] = fast._support
+        if "_alexander" in vars(fast):
+            _check_product(slow, fast._alexander)
+            slow.__dict__["_alexander"] = fast._alexander
         for f in fields:
             assert getattr(fast, f.name) == getattr(slow, f.name), (
                 f"trusted {cls.__name__}.{f.name} differs from the validated one")
@@ -84,6 +93,27 @@ def _check_support(table, support) -> None:
             difference = HomologyClass(table.lattice, tuple(map(sub, k1, k2)))
             assert v1 == v2 and square(difference) == -4, (
                 f"SW classes {k1} and {k2} are not a blowup pair")
+
+
+# every Alexander product a model was built with, by id; a weak reference,
+# so an id in it is that of a live product
+_STORED_PRODUCTS = weakref.WeakValueDictionary()
+
+
+def _check_product(model, product) -> None:
+    """Assert that ``product`` is the product of ``model``'s surgery history,
+    multiplied out term by term (not by ``LaurentPolynomial.__mul__``, whose
+    calls tests count), and that no earlier model holds it."""
+    expected = {0: 1}
+    for polynomial in map(_as_alexander, model.surgery_history):
+        terms = {}
+        for (e1, c1), (e2, c2) in itertools.product(expected.items(), polynomial.terms):
+            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+        expected = {e: c for e, c in terms.items() if c}
+    assert dict(product.terms) == expected, "the stored Alexander product is not the surgery history's"
+    assert _STORED_PRODUCTS.get(id(product)) is not product, (
+        "an Alexander product stored on one model was passed on to another")
+    _STORED_PRODUCTS[id(product)] = product
 
 
 @contextmanager
