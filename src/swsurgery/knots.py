@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import index
 from typing import NamedTuple
 
 from .lattice import HomologyClass, is_characteristic, square
@@ -38,7 +39,8 @@ class LaurentPolynomial:
     terms: tuple[tuple[int, int], ...]  # (2 * exponent, coefficient), sorted
 
     def __post_init__(self):
-        cleaned = tuple(sorted((int(e), int(c)) for e, c in self.terms if c != 0))
+        # operator.index refuses a float, str or Fraction instead of truncating it
+        cleaned = tuple(sorted((e, c) for e, c in ((index(e), index(c)) for e, c in self.terms) if c))
         if len({e for e, _ in cleaned}) != len(cleaned):
             raise ValueError("duplicate exponents")
         object.__setattr__(self, "terms", cleaned)

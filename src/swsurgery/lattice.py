@@ -177,13 +177,7 @@ def require_same_lattice(a: IntersectionLattice, b: IntersectionLattice):
 def pair(x: HomologyClass, y: HomologyClass) -> int:
     """Intersection pairing x . y = x^T G y; symmetric and bilinear."""
     require_same_lattice(x.lattice, y.lattice)
-    yc = y.coords
-    total = 0
-    for xi, row in zip(x.coords, x.lattice.rows):
-        if xi:
-            for j, g in row:
-                total += xi * g * yc[j]
-    return total
+    return dot(gram_image(x), y.coords)
 
 
 def square(x: HomologyClass) -> int:
@@ -204,15 +198,8 @@ def gram_image(x: HomologyClass) -> tuple[int, ...]:
 
 def is_characteristic(k: HomologyClass) -> bool:
     """True iff k . x == x . x mod 2 for every x (checked on the basis)."""
-    c = k.coords
     gram = k.lattice.gram
-    for i, row in enumerate(k.lattice.rows):
-        kx = 0
-        for j, g in row:
-            kx += g * c[j]
-        if (kx - gram[i][i]) % 2:
-            return False
-    return True
+    return not any((kx - gram[i][i]) % 2 for i, kx in enumerate(gram_image(k)))
 
 
 @lru_cache(maxsize=256)

@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul, sub
+from operator import sub
 from typing import NamedTuple
 
+from .exactmat import dot
 from .lattice import (
     HomologyClass,
     IntersectionLattice,
@@ -73,7 +74,7 @@ class _Support:
     def sides(self, facts) -> list[tuple[int, int]]:
         """(h.k, H.k) of every class for the ``_chamber_facts`` tuple ``facts``."""
         if self._sides[0] is not facts:
-            self._sides = facts, [tuple(sum(map(mul, image, c)) for image in facts[2:4])
+            self._sides = facts, [tuple(dot(image, c) for image in facts[2:4])
                                   for c in self.coords]
         return self._sides[1]
 
@@ -83,12 +84,12 @@ class _Support:
         return _Support(tuple(c + (eps,) for c in self.coords for eps in (-1, 1)),
                         None if self.square is None else self.square - 1, True)
 
-    def partnered(self, rows, i, j) -> bool:
-        """Whether classes i and j differ by 2E with E^2 = -1, over the Gram ``rows``."""
+    def partnered(self, lattice, i, j) -> bool:
+        """Whether classes i and j differ by 2E with E^2 = -1 in ``lattice``."""
         if self.paired and i ^ 1 == j:
             return True
         if (i, j) not in self.partners:
-            self.partners[i, j] = _blowup_partners(rows, self.coords[i], self.coords[j])
+            self.partners[i, j] = _blowup_partners(lattice, self.coords[i], self.coords[j])
         return self.partners[i, j]
 
 
@@ -348,7 +349,7 @@ class Chamber:
 def _chamber_facts(lattice: IntersectionLattice, period, h):
     """(H^2, H.h, G h, G H, b+) of the period H and the class h, by coordinates."""
     image = gram_image(HomologyClass._trusted(lattice, period))
-    return (sum(map(mul, period, image)), sum(map(mul, h, image)),
+    return (dot(period, image), dot(h, image),
             gram_image(HomologyClass._trusted(lattice, h)), image, signature_and_betti(lattice)[0])
 
 
@@ -392,7 +393,7 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     jump = wall_crossing_delta(X, k)
     i = X.sw._support.index.get(k.coords)  # H.model equals X, so h is X's h
     if i is None:
-        hk, Hk = (sum(map(mul, image, k.coords)) for image in H._facts[2:4])
+        hk, Hk = (dot(image, k.coords) for image in H._facts[2:4])
         base = 0
     else:
         hk, Hk = X.sw._support.sides(H._facts)[i]
@@ -470,16 +471,11 @@ class MinimalityVerdict(NamedTuple):
     e_square: int | None = None
 
 
-def _blowup_partners(rows, c1, c2) -> bool:
-    """Whether the classes with coordinates c1, c2 differ by 2E with E^2 = -1,
-    that is (k1 - k2)^2 = -4, squared over the sparse Gram ``rows``."""
+def _blowup_partners(lattice, c1, c2) -> bool:
+    """Whether the classes with coordinates c1, c2 of ``lattice`` differ by
+    2E with E^2 = -1, that is (k1 - k2)^2 = -4."""
     d = tuple(map(sub, c1, c2))
-    total = 0
-    for di, row in zip(d, rows):
-        if di:
-            for j, g in row:
-                total += di * g * d[j]
-    return total == -4
+    return dot(d, gram_image(HomologyClass._trusted(lattice, d))) == -4
 
 
 def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
@@ -505,17 +501,17 @@ def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
             groups.setdefault(abs(v), []).append(i)
     if not groups:
         return MinimalityVerdict("inconclusive")
-    support, rows = X.sw._support, X.lattice.rows
+    support, lattice = X.sw._support, X.lattice
     pairs, found, unpaired = [], set(), False
     for group in groups.values():
         for pos, i in enumerate(group):
             if i in found:
                 continue
-            later = next((j for j in group[pos + 1:] if support.partnered(rows, i, j)), None)
+            later = next((j for j in group[pos + 1:] if support.partnered(lattice, i, j)), None)
             if later is not None:
                 pairs.append((i, later))
                 found.add(later)
-            elif not any(support.partnered(rows, i, j) for j in group[:pos]):
+            elif not any(support.partnered(lattice, i, j) for j in group[:pos]):
                 unpaired = True
             if pairs and unpaired:
                 return MinimalityVerdict("inconclusive")

@@ -64,6 +64,7 @@ from .plumbing import (
     default_lift_candidates,
     find_characteristic_lifts,
     _plan,
+    _transfer,
     intersection_matrix,
     rational_blowdown,
     relative_square,
@@ -351,7 +352,7 @@ def _family_plan(key: str, ambient: _Ambient):
         "chamber.orthogonal": emb.pairing_vector(period),
         "chamber.positive": square(period) > 0,
         "lifts": _coords(find_characteristic_lifts(emb, default_lift_candidates(X))),
-        "basic.characteristic": all(r[1] for r in _plan(emb, emb.chain).transfer(X.sw._support, True) if r),
+        "basic.characteristic": all(r[1] for r in _transfer(_plan(emb, emb.chain), X.sw._support) if r),
     })
     return emb, period, _coords([k_lift, -k_lift]), MappingProxyType(values)
 

@@ -7,6 +7,9 @@ down inside an ambient model drops b- by p - 1 and transfers SW data
 through characteristic lifts whose restriction to the configuration has
 relative self-intersection -(p - 1), the value forced by preservation of
 the formal dimension together with the (e, sign) bookkeeping.
+
+What an embedded chain determines is built once, in ``_chain_plan``; what
+a caller's input adds is kept in bounded memos keyed on that plan.
 """
 
 from __future__ import annotations
@@ -382,17 +385,20 @@ def find_characteristic_lifts(emb: ConfigurationEmbedding, candidates):
 
     The chain of p - 1 vertices fixes p = ``emb.size + 1``; -(p - 1) is the
     value preserving the formal dimension through the blowdown.
-    Every candidate must be a characteristic class of the ambient lattice.
-    The characteristic tests and restriction squares on ``emb.chain`` come
-    from ``transfer`` of the plan ``_chain_plan``, so a repeated search
-    costs one lookup.
+    Every candidate must be a characteristic class of the ambient lattice;
+    nothing is kept, and the family plans keep the answer.
     The output is closed under negation whenever the input is.
     """
     plan = _plan(emb, emb.chain)
     for c in candidates:
         require_same_lattice(c.lattice, emb.ambient.lattice)
-    kept = plan.transfer(tuple(c.coords for c in candidates), False)
-    return [c for c, lift in zip(candidates, kept) if lift is not None]
+    kept = []
+    for c in candidates:
+        if not is_characteristic(c):
+            raise ValueError(f"lift candidate {c.coords} is not characteristic")
+        if relative_square(emb.chain, [dot(c.coords, image) for image in plan.images]) == -emb.size:
+            kept.append(c)
+    return kept
 
 
 def default_lift_candidates(X: FourManifoldModel) -> list[HomologyClass]:
@@ -442,9 +448,9 @@ class _ChainPlan:
     """What the vertex classes (coordinates ``vertices``) of ``chain`` in
     ``lattice`` determine, with ``fiber`` the fiber T for a tree, else None.
 
-    The ``report`` of ``verify_embedding`` is built with the plan, the rest
-    (blowdown ``geometry``, each ``transfer``, period entry and blown-down
-    support) on first use.  A failed check raises on every call, unkept."""
+    The ``report`` of ``verify_embedding`` and the vertex ``images`` are
+    built with the plan, the blowdown ``geometry`` on first use, and nothing
+    else is kept.  A failed check raises on every call, unkept."""
 
     lattice: IntersectionLattice
     vertices: tuple[tuple[int, ...], ...]
@@ -472,7 +478,6 @@ class _ChainPlan:
             for i, image in enumerate(self.images):
                 entries.append((f"vertex {i} orthogonal to the fiber", dot(self.fiber, image) == 0))
         self.report = EmbeddingReport(all(ok for _, ok in entries), tuple(entries))
-        self._transfers, self.periods, self.supports = {}, {}, {}
 
     @cached_property
     def geometry(self):
@@ -511,36 +516,6 @@ class _ChainPlan:
         columns = matmul(matmul(transpose(adj_b), adj_c), images_c)
         return lattice_m, columns, det_b if det_c > 0 else -det_b, signature_and_betti(lattice_m)
 
-    def transfer(self, classes, descend: bool):
-        """The SW-side work on ambient ``classes``: one entry per class, None
-        unless its restriction has relative square -(p - 1), with p - 1 the
-        chain's size.  Without ``descend`` ``classes`` are coordinate tuples
-        of lift candidates, each must be characteristic, and a kept one maps
-        to True; with it ``classes`` is the support of an SW table, and a kept
-        class maps to (its M-coordinates under ``geometry`` or None if it does
-        not descend, whether they are characteristic, their square).  Kept per
-        (classes, descend): in a family every n shares one support."""
-        key = (classes, descend)
-        kept = self._transfers.get(key)
-        if kept is None:
-            lattice_m, columns, divisor, _ = self.geometry if descend else (None, (), 1, None)
-            target = -self.chain.size
-            kept = []
-            for coords in classes.coords if descend else classes:
-                if not descend and not is_characteristic(HomologyClass._trusted(self.lattice, coords)):
-                    raise ValueError(f"lift candidate {coords} is not characteristic")
-                if relative_square(self.chain, [dot(coords, image) for image in self.images]) != target:
-                    kept.append(None)
-                elif not descend:
-                    kept.append(True)
-                elif (pushed := _push_down(coords, columns, divisor)) is None:
-                    kept.append((None, False, None))
-                else:
-                    k = HomologyClass._trusted(lattice_m, pushed)
-                    kept.append((pushed, is_characteristic(k), dot(pushed, gram_image(k))))
-            kept = self._transfers[key] = tuple(kept)
-        return kept
-
 
 def _push_down(coords, columns, divisor) -> tuple[int, ...] | None:
     """M-coordinates k P / divisor of the ambient class k, or None if k does not descend."""
@@ -550,6 +525,46 @@ def _push_down(coords, columns, divisor) -> tuple[int, ...] | None:
 
 # one plan per (ambient lattice, vertex coordinates, chain, fiber)
 _chain_plan = lru_cache(maxsize=64)(_ChainPlan)
+
+
+@lru_cache(maxsize=64)
+def _transfer(plan: _ChainPlan, support: _Support):
+    """The blowdown's work per class of ``support`` (an identity key): None
+    unless its restriction has relative square -(p - 1), with p - 1 the
+    chain's size, else (its M-coordinates under ``plan.geometry`` or None if
+    it does not descend, whether they are characteristic, their square)."""
+    lattice_m, columns, divisor, _ = plan.geometry
+    target = -plan.chain.size
+    kept = []
+    for coords in support.coords:
+        if relative_square(plan.chain, [dot(coords, image) for image in plan.images]) != target:
+            kept.append(None)
+        elif (pushed := _push_down(coords, columns, divisor)) is None:
+            kept.append((None, False, None))
+        else:
+            k = HomologyClass._trusted(lattice_m, pushed)
+            kept.append((pushed, is_characteristic(k), dot(pushed, gram_image(k))))
+    return tuple(kept)
+
+
+@lru_cache(maxsize=64)
+def _orthogonal(plan: _ChainPlan, period) -> bool:
+    """Whether the class with coordinates ``period`` pairs to 0 with every vertex."""
+    return not any(dot(period, image) for image in plan.images)
+
+
+@lru_cache(maxsize=64)
+def _pushed_period(plan: _ChainPlan, period) -> tuple[int, ...] | None:
+    """The blown-down h: ``period`` under ``plan.geometry``, or None if it does not descend."""
+    _, columns, divisor, _ = plan.geometry
+    return _push_down(period, columns, divisor)
+
+
+@lru_cache(maxsize=64)
+def _blown_down_support(plan: _ChainPlan, coords, square) -> _Support:
+    """The one support of the blown-down classes ``coords``, with the ``square``
+    they share or None; per plan, as partner tests read the plan's lattice."""
+    return _Support(coords, square)
 
 
 def rational_blowdown(
@@ -573,10 +588,10 @@ def rational_blowdown(
     the chamber of H (wall crossing included by chamber_sw).  Simple
     connectivity is supplied by the caller with a justification note.
 
-    The report, the geometry, the transfer of X's support (which classes
-    survive, their push-downs, characteristic tests and squares), the period
-    and the new support come from the plan of the vertices as cp_chain(p)
-    (``_chain_plan``); the chamber values, the checks, and the model are per call.
+    The report and geometry come from the plan of the vertices as cp_chain(p)
+    (``_chain_plan``); the transfer of X's support, the period's orthogonality
+    and push-down, and the new support from memos keyed on it; the chamber
+    values, the checks, and the model are per call.
     """
     p = emb.size + 1
     plan = _plan(emb, cp_chain(p))
@@ -584,17 +599,12 @@ def rational_blowdown(
         raise EmbeddingError("embedding does not realize the blowdown chain: "
                              + "; ".join(plan.report.failures()))
     require_same_lattice(H.period.lattice, emb.ambient.lattice)
-    period = H.period.coords
-    orthogonal, h = plan.periods.get(period) or (not any(dot(period, image) for image in plan.images), None)
-    if not orthogonal:
+    if not _orthogonal(plan, H.period.coords):
         raise ValueError("period class must be orthogonal to every vertex class")
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    lattice_m, columns, divisor, (b_plus, b_minus) = plan.geometry
-    if period not in plan.periods:  # (orthogonal, push-down), kept once the geometry stands
-        h = _push_down(period, columns, divisor)
-        plan.periods[period] = True, h
+    lattice_m, _, _, (b_plus, b_minus) = plan.geometry
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(lattice_m.basis, lattice_m.gram, new_name,
                                                rows=lattice_m.rows)
@@ -607,7 +617,7 @@ def rational_blowdown(
     # in M and their squares, which give d >= 0 and even; closure under
     # negation is checked, as chamber values need not be antisymmetric
     shift = 3 * sign + 2 * euler
-    transfer = plan.transfer(X.sw._support, True)
+    transfer = _transfer(plan, X.sw._support)
     entries, squares = {}, set()
     for (coords, _), lift in zip(X.sw.entries, transfer):
         if lift is not None:
@@ -625,10 +635,10 @@ def rational_blowdown(
     if any(abs(entries.get(tuple(-x for x in c), 0)) != abs(v) for c, v in entries.items()):
         raise ValueError("SW table must be closed under negation with equal magnitude")
     coords = tuple(sorted(entries))
-    support = plan.supports.get(coords) or plan.supports.setdefault(
-        coords, _Support(coords, squares.pop() if len(squares) == 1 else None))
+    support = _blown_down_support(plan, coords, squares.pop() if len(squares) == 1 else None)
     table = SWTable._trusted(new_lattice, support, map(entries.__getitem__, coords),
                              X.sw.convention_note)
+    h = _pushed_period(plan, H.period.coords)
     if h is None:
         raise EmbeddingError(f"class {H.period.coords} does not descend to the new lattice")
     return FourManifoldModel._trusted(new_name, new_lattice, euler, sign, simply_connected,

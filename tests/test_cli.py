@@ -102,7 +102,7 @@ def test_outputs_equal_with_cold_and_warm_memos(capsys):
         ("family", key, "--n", str(n), "--json")
         for key in ("xn", "qn", "b7", "b8") for n in range(1, 6)
     ]
-    for memo in memos():
+    for memo in memos().values():
         memo.cache_clear()
     cold = [run_cli(capsys, *argv) for argv in commands]
     before = [plan.cache_info() for plan in (_chain_plan, _family_plan)]

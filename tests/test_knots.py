@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -52,6 +53,16 @@ def test_alexander_normalization_and_symmetry():
 def test_polynomial_printing(doubled, text):
     # keys are doubled exponents: 1 is t^(1/2), -3 is t^(-3/2)
     assert str(LaurentPolynomial.from_doubled(doubled)) == text
+
+
+def test_non_integer_terms_are_refused_not_truncated(e1_model):
+    # truncated, ((2, 1.5), (0.9, 3)) would read as t + 3, and TwistKnot(1.5)
+    # as the polynomial of TwistKnot(1)
+    for terms in (((2, 1.5), (0.9, 3)), ((0, "1"),), ((2, Fraction(3, 2)),), ((0, 0.0),)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            LaurentPolynomial(terms)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        knot_surgery_manifold(e1_model, e1_model.marked_class("T"), TwistKnot(1.5))
 
 
 def test_poly_in_s_twist():

@@ -239,10 +239,12 @@ def test_element_coerces_outside_data(e1_model):
 
 def test_every_cache_is_bounded():
     cached = memos()
-    # the support, chamber and blowup memos among them
-    assert {"_surgery_support", "_chamber_facts", "_blowup_marked"} <= {fn.__name__ for fn in cached}
-    for fn in cached:
-        assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
+    # the support, chamber, blowup and blowdown memos among them
+    assert {"knots._surgery_support", "manifold._chamber_facts", "manifold._blowup_marked",
+            "plumbing._chain_plan", "plumbing._transfer", "plumbing._orthogonal",
+            "plumbing._pushed_period", "plumbing._blown_down_support"} <= set(cached)
+    for name, fn in cached.items():
+        assert fn.cache_parameters()["maxsize"] is not None, name
 
 
 def test_equal_lattices_share_a_cached_hash():

@@ -409,7 +409,7 @@ def test_sw_queries_match_naive_oracles_on_surgered_models():
 
 
 def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
-    for memo in memos():  # a fresh support, whose partner tests no earlier query made
+    for memo in memos().values():  # a fresh support, whose partner tests no earlier query made
         memo.cache_clear()
     X = _surgered((9, -14, 17, -8), 4)
     classes = X.sw.classes()
@@ -444,7 +444,7 @@ def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
 
 
 def test_chamber_sides_are_taken_once_per_support_and_chamber(monkeypatch):
-    for memo in memos():  # a fresh support, with no sides taken yet
+    for memo in memos().values():  # a fresh support, with no sides taken yet
         memo.cache_clear()
     X, twin = _surgered((4, -7), 2), _surgered((5, -9), 2)
     support = X.sw._support

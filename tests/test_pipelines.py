@@ -120,7 +120,7 @@ def test_b7_b8_derivations_labeled_derived():
 def test_warm_builds_take_transfer_and_search_squares_from_memos(monkeypatch):
     from swsurgery import models, pipelines, plumbing
 
-    for memo in memos():
+    for memo in memos().values():
         memo.cache_clear()
     for key in FAMILIES:
         build_family(key, 1)
@@ -134,13 +134,13 @@ def test_warm_builds_take_transfer_and_search_squares_from_memos(monkeypatch):
     # the SW transfer, the lift searches, the *.lift.relsquare checks and the
     # vertex, chamber and lift classes all come from the memos
     assert calls == []
-    for memo in memos():
+    for memo in memos().values():
         memo.cache_clear()
     build_family("qn", 2)
     assert {"relative_square", "class_from_coeffs"} <= set(calls)  # a cold build is counted
     monkeypatch.undo()
     for (key, n), rep in warm.items():
-        for memo in memos():
+        for memo in memos().values():
             memo.cache_clear()
         assert build_family(key, n)[1].to_json() == rep.to_json()
 
@@ -148,7 +148,7 @@ def test_warm_builds_take_transfer_and_search_squares_from_memos(monkeypatch):
 def test_one_family_plan_per_family():
     from swsurgery.pipelines import _family_plan
 
-    for memo in memos():
+    for memo in memos().values():
         memo.cache_clear()
     for key in FAMILIES:
         for n in range(1, 21):
@@ -160,7 +160,7 @@ def test_one_family_plan_per_family():
 def test_verify_paper_searches_lifts_once_per_family(monkeypatch):
     from swsurgery import pipelines, plumbing
 
-    for memo in memos():
+    for memo in memos().values():
         memo.cache_clear()
     calls = []
     search = plumbing.find_characteristic_lifts
@@ -180,7 +180,8 @@ def test_warm_build_pair_count(monkeypatch, key):
     # squares, images or tests no class (every module that holds lattice.pair,
     # is_characteristic or gram_image is patched, and square calls the one in
     # lattice, so squares count as pairs), runs no partner test, and adds
-    # every check with values already canonical
+    # every check with values already canonical; no memo misses, the chain
+    # plan's transfer, period and blown-down support memos among them
     from swsurgery import lattice, manifold, report
 
     for cls, method in SHIPPED.items():  # count the shipped, unchecked constructions
@@ -200,9 +201,11 @@ def test_warm_build_pair_count(monkeypatch, key):
     count(report, "canonical")
     count(manifold, "_blowup_partners")
     count(manifold._Support, "__init__")
+    misses = {name: memo.cache_info().misses for name, memo in memos().items()}
     _, rep = build_family(key, 10 ** 6)
     assert rep.all_pass
     assert calls == Counter()
+    assert {name: memo.cache_info().misses for name, memo in memos().items()} == misses
 
 
 def _mutate(value, seen) -> int:

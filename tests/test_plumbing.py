@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -487,16 +488,15 @@ def test_blowdown_checks_what_its_table_and_model_constructors_checked(z3, monke
         patch.setattr(plumbing, "chamber_sw", lambda X, k, H: 1 + (k.coords > tuple(-x for x in k.coords)))
         with pytest.raises(ValueError, match="closed under negation"):
             blowdown(z3)
-    plan = plumbing._plan(emb, cp_chain(7))
-    transfer = plan.transfer
-    # the plan's record of each pushed-down class, broken in turn
+    transfer = plumbing._transfer
+    # the transfer's record of each pushed-down class, broken in turn
     for broken, error, match in [
             (lambda pushed, k2: (None, False, None), EmbeddingError, "does not descend"),
             (lambda pushed, k2: (pushed, False, k2), ValueError, "not characteristic"),
             (lambda pushed, k2: (pushed, True, k2 - 2), ValueError, r"has d = -1/2; need d >= 0 and even")]:
         with monkeypatch.context() as patch:
-            patch.setattr(plan, "transfer", lambda classes, descend, broken=broken: tuple(
-                lift and broken(lift[0], lift[2]) for lift in transfer(classes, descend)))
+            patch.setattr(plumbing, "_transfer", lambda plan, support, broken=broken: tuple(
+                lift and broken(lift[0], lift[2]) for lift in transfer(plan, support)))
             with pytest.raises(error, match=match):
                 blowdown(z3)
     assert blowdown(z3) == rational_blowdown(z3, emb, spec.chamber(z3), simply_connected=True)
@@ -521,6 +521,40 @@ def test_blowdown_refuses_a_class_that_pushes_down_to_a_non_characteristic_one(z
         with pytest.raises(ValueError, match=r"SW class \(-9, 8, 1, -6, 3, 3, 3\) is not characteristic"):
             rational_blowdown(X, spec.embedding(z3), Chamber(X, spec.chamber(z3).period),
                               simply_connected=True)
+
+
+def test_blowdowns_of_equal_public_tables_keep_memory_flat(z3):
+    # a table from the public constructor has a support of its own, so each
+    # of these blowdowns takes a transfer of its own; the bounded memos keep
+    # memory flat.  The table is the pair of z3's classes that survive the
+    # blowdown, so each call runs the whole transfer at an eighth of the cost
+    from swsurgery.manifold import SWTable
+
+    from .trusted import memos
+
+    spec = FAMILIES["xn"]
+    emb, period = spec.embedding(z3), spec.chamber(z3).period
+    entries = (z3.sw.entries[0], z3.sw.entries[-1])
+
+    def blowdown():
+        X = _with(z3, sw=SWTable(z3.lattice, entries))
+        return rational_blowdown(X, emb, Chamber(X, period), simply_connected=True)
+
+    expected = blowdown()
+    for _ in range(1999):
+        blowdown()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(8000):
+            blowdown()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 2 ** 19, f"{grown} bytes kept by calls 2000 to 10^4"
+    assert blowdown() == expected
+    for name, memo in memos().items():
+        assert memo.cache_info().currsize <= memo.cache_parameters()["maxsize"], name
 
 
 def _signature_by_descartes(gram):

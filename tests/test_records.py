@@ -94,7 +94,7 @@ def test_no_record_reaches_a_report_or_json(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(report, "canonical", guarded("canonical", report.canonical))
     for name in ("dumps", "dump"):
         monkeypatch.setattr(json, name, guarded(name, getattr(json, name)))
-    for memo in memos():  # cold, so that every plan value is built and serialized here
+    for memo in memos().values():  # cold, so that every plan value is built and serialized here
         memo.cache_clear()
     commands = [("verify-paper", "--json"), ("verify-paper",),
                 ("monodromy", "check", "a^6(A^3ba^3)(baB)^2b^2(Bab)", "--equals=(a^3b)^3", "--json"),

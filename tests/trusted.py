@@ -44,16 +44,21 @@ TRUSTED = (HomologyClass, IntersectionLattice, SWTable, FourManifoldModel, Laure
 SHIPPED = {cls: vars(cls)["_trusted"] for cls in TRUSTED}
 
 
-def memos():
-    """Every functools cache in the package, module-level or on a class."""
-    found = []
+def memos() -> dict:
+    """Every functools cache in the package, module-level or on a class, once,
+    by the name its defining module binds it to (``plumbing._chain_plan``,
+    or ``module.Class.name`` on a class); names other modules import are
+    left out."""
+    found = {}
     for info in pkgutil.iter_modules(swsurgery.__path__):
         if info.name == "__main__":  # importing it runs the CLI
             continue
         module = importlib.import_module(f"swsurgery.{info.name}")
-        values = list(vars(module).values())
-        values += [v for c in values if inspect.isclass(c) for v in vars(c).values()]
-        found += [v for v in values if hasattr(v, "cache_clear")]
+        scopes = [(info.name, vars(module))]
+        scopes += [(f"{info.name}.{name}", vars(c)) for name, c in vars(module).items()
+                   if inspect.isclass(c) and c.__module__ == module.__name__]
+        found.update((f"{prefix}.{name}", v) for prefix, scope in scopes for name, v in scope.items()
+                     if hasattr(v, "cache_clear") and v.__module__ == module.__name__)
     return found
 
 
@@ -123,7 +128,7 @@ def validating_trusted():
     Blocks nest: each wraps the shipped classmethods and restores what it found.
     """
     saved = {cls: vars(cls)["_trusted"] for cls in TRUSTED}
-    for memo in memos():
+    for memo in memos().values():
         memo.cache_clear()
     for cls in TRUSTED:
         setattr(cls, "_trusted", _validating(cls, SHIPPED[cls].__func__))
@@ -132,5 +137,5 @@ def validating_trusted():
     finally:
         for cls, method in saved.items():
             setattr(cls, "_trusted", method)
-        for memo in memos():
+        for memo in memos().values():
             memo.cache_clear()
