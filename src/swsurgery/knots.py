@@ -17,7 +17,9 @@ is antisymmetric under j -> -j, and d(j T) = 0 since T^2 = 0 and
 Each surgery multiplies one polynomial: its model keeps D, the product of
 its history, and the next surgery takes D times the new knot's polynomial.
 A model without D (E(1), a loaded or renamed one) rebuilds it.  Each
-polynomial is checked once, where it enters; a twist knot needs no check.
+polynomial is checked once, where it enters; a twist knot needs no check,
+and its polynomial is built trusted, as its terms are sorted, integer and
+nonzero by construction.
 """
 
 from __future__ import annotations
@@ -103,8 +105,10 @@ class TwistKnot(NamedTuple):
 
 
 def alexander_twist(n: int) -> LaurentPolynomial:
-    """Alexander polynomial n t - (2n - 1) + n t^(-1) of the n-twist knot."""
-    return LaurentPolynomial.from_doubled({2: n, 0: -(2 * n - 1), -2: n})
+    """Alexander polynomial n t - (2n - 1) + n t^(-1) of the n-twist knot,
+    built trusted: its terms are sorted, integer and nonzero by construction."""
+    n = index(n)
+    return LaurentPolynomial._trusted(((-2, n), (0, 1 - 2 * n), (2, n)) if n else ((0, 1),))
 
 
 def _check_alexander(p: LaurentPolynomial) -> None:
@@ -176,17 +180,21 @@ def e1_knot_surgery_sw(knots) -> dict[int, int]:
 
 
 def _quotient(product: LaurentPolynomial) -> dict[int, int]:
-    """{j: value} of ``e1_knot_surgery_sw`` for the product D of the knots."""
-    numerator = dict(product.terms)
-    numerator[0] = numerator.get(0, 0) - product.at_one()
-    top = product.terms[-1][0]  # the product is symmetric, so -top is its bottom
-    descending = []
+    """{j: value} of ``e1_knot_surgery_sw`` for the product D of the knots.
+
+    D is symmetric, so the quotient is antisymmetric: the sums above each
+    j > 0 (where D(1) at the constant term plays no part) give every value.
+    """
+    coefficient = dict(product.terms).get
+    negative, positive = {}, []
     running = 0
-    for j in range(top - 1, -top, -2):
-        running += numerator.get(j + 1, 0)
+    for j in range(product.terms[-1][0] - 1, 0, -2):
+        running += coefficient(j + 1, 0)
         if running:
-            descending.append((j, running))
-    return dict(reversed(descending))
+            negative[-j] = -running
+            positive.append((j, running))
+    negative.update(reversed(positive))
+    return negative
 
 
 @lru_cache(maxsize=64)

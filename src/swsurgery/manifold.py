@@ -25,7 +25,9 @@ by knot surgery (j T with T^2 = 0), ``blowup`` ((k +- E)^2 = k^2 - 1) and the
 blowdown's chain plan; the values ride along by index.  ``dimension`` reads
 that square; a public table builds its own support, with none, on first use.
 Per-class queries find a class by the support's index, and ``chamber_sw``
-reads a table class's sides (h.k, H.k), taken in one pass per chamber.
+reads a table class's sides (h.k, H.k), taken in one pass per chamber, and
+its jump only across a wall.  ``minimality_check`` reads a blowup's verdict
+off its support's pairing.
 """
 
 from __future__ import annotations
@@ -72,11 +74,13 @@ class _Support:
     index = cached_property(lambda self: {c: i for i, c in enumerate(self.coords)})  # c -> position
 
     def sides(self, facts) -> list[tuple[int, int]]:
-        """(h.k, H.k) of every class for the ``_chamber_facts`` tuple ``facts``."""
-        if self._sides[0] is not facts:
-            self._sides = facts, [tuple(dot(image, c) for image in facts[2:4])
-                                  for c in self.coords]
-        return self._sides[1]
+        """(h.k, H.k) of every class for the ``_chamber_facts`` tuple ``facts``;
+        the slot is read once, so another chamber's write cannot slip in."""
+        slot = self._sides
+        if slot[0] is not facts:
+            slot = self._sides = facts, [tuple(dot(image, c) for image in facts[2:4])
+                                         for c in self.coords]
+        return slot[1]
 
     @cached_property
     def blown_up(self) -> "_Support":
@@ -86,8 +90,6 @@ class _Support:
 
     def partnered(self, lattice, i, j) -> bool:
         """Whether classes i and j differ by 2E with E^2 = -1 in ``lattice``."""
-        if self.paired and i ^ 1 == j:
-            return True
         if (i, j) not in self.partners:
             self.partners[i, j] = _blowup_partners(lattice, self.coords[i], self.coords[j])
         return self.partners[i, j]
@@ -132,7 +134,8 @@ class SWTable:
     _support = cached_property(lambda self: _Support(tuple(c for c, _ in self.entries)))
 
     def classes(self) -> tuple[HomologyClass, ...]:
-        return tuple(HomologyClass._trusted(self.lattice, c) for c, _ in self.entries)
+        trusted, lattice = HomologyClass._trusted, self.lattice
+        return tuple([trusted(lattice, c) for c, _ in self.entries])
 
     def value(self, k: HomologyClass) -> int:
         if not same_lattice(k.lattice, self.lattice):
@@ -355,13 +358,13 @@ def _chamber_facts(lattice: IntersectionLattice, period, h):
 
 def dimension(X: FourManifoldModel, k: HomologyClass) -> int:
     """Formal dimension d(k) = (k^2 - 3 sign - 2 euler) / 4 for characteristic k."""
-    if not same_lattice(k.lattice, X.lattice):
+    if k.lattice is not X.lattice and not same_lattice(k.lattice, X.lattice):
         raise ValueError("class does not live in the model lattice")
     # a class of the model's own table is characteristic (checked or by
     # construction), so only others are tested; its support may carry k^2
-    carried = None
-    if k.coords in X.sw._support.index:
-        carried = X.sw._support.square
+    support, carried = X.sw._support, None
+    if k.coords in support.index:
+        carried = support.square
     elif not is_characteristic(k):
         raise NonCharacteristicError(f"{k.coords} is not characteristic in {X.name!r}")
     numerator = (square(k) if carried is None else carried) - 3 * X.sign - 2 * X.euler
@@ -384,19 +387,29 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
     When sign(H . k) = sign(h . k) this is the table value (0 if absent);
     otherwise the wall-crossing jump is added, oriented from the h-side to
     the H-side.  Only available for b+ = 1 models.
+
+    A table class is found by one lookup in the support's index, and its
+    jump is taken only across a wall: it is characteristic with d(k) >= 0
+    and even, so the jump rule cannot refuse it.  Any other class runs the
+    rule first, so its characteristic and dimension errors come before a
+    wall's.
     """
-    b_plus = H._facts[4] if H.model is X else signature_and_betti(X.lattice)[0]
+    facts = H._facts
+    b_plus = facts[4] if H.model is X else signature_and_betti(X.lattice)[0]
     if b_plus != 1:
         raise ValueError(f"chamber invariants require b+ = 1, got b+ = {b_plus}")
     if H.model is not X and H.model != X:
         raise ValueError("chamber belongs to a different model")
-    jump = wall_crossing_delta(X, k)
-    i = X.sw._support.index.get(k.coords)  # H.model equals X, so h is X's h
+    if k.lattice is not X.lattice and not same_lattice(k.lattice, X.lattice):
+        raise ValueError("class does not live in the model lattice")
+    support = X.sw._support
+    i = support.index.get(k.coords)  # H.model equals X, so h is X's h
     if i is None:
-        hk, Hk = (dot(image, k.coords) for image in H._facts[2:4])
+        jump = wall_crossing_delta(X, k)
+        hk, Hk = (dot(image, k.coords) for image in facts[2:4])
         base = 0
     else:
-        hk, Hk = X.sw._support.sides(H._facts)[i]
+        hk, Hk = support.sides(facts)[i]
         base = X.sw.entries[i][1]
     if Hk == 0:
         raise OnWallError(f"period class lies on the wall of {k.coords}")
@@ -404,6 +417,8 @@ def chamber_sw(X: FourManifoldModel, k: HomologyClass, H: Chamber) -> int:
         raise OnWallError("the reference class h lies on the wall of this class")
     if (Hk > 0) == (hk > 0):
         return base
+    if i is not None:
+        jump = wall_crossing_delta(X, k)
     return base + (jump if Hk > 0 else -jump)
 
 
@@ -459,7 +474,7 @@ def blowup(X: FourManifoldModel, label: str | None = None) -> FourManifoldModel:
         simply_connected=X.simply_connected,
         marked=_blowup_marked(X.marked, label, X.lattice.rank),
         sw=SWTable._trusted(lattice, X.sw._support.blown_up,
-                            (v for _, v in X.sw.entries for _ in (0, 1)), X.sw.convention_note),
+                            [v for _, v in X.sw.entries for _ in (0, 1)], X.sw.convention_note),
         pi1_note=X.pi1_note,
         surgery_history=X.surgery_history,
     )
@@ -489,19 +504,30 @@ def minimality_check(X: FourManifoldModel) -> MinimalityVerdict:
     first later partner), and ``inconclusive`` when some do and some do not.
     With no magnitude >= 2 class the test is silent (``inconclusive``).
 
-    Partners share a magnitude, so each class looks for one only in its
-    magnitude group: among the later entries first, then the earlier ones.
-    A class found as the later partner of an earlier one is paired without a
-    search, and the search stops as soon as the verdict is decided.  The
-    table's support answers each test, a blowup's pairs without one.
+    A blowup's table is paired by its support: class 2i + 1 is class 2i
+    plus 2E, with the same value, so every class has a partner and the
+    verdict is ``blowup_pair_found`` with the first class of magnitude >= 2
+    (an even position) and the next, with no partner test.
+
+    On any other support, partners share a magnitude, so each class looks
+    for one only in its magnitude group: among the later entries first, then
+    the earlier ones.  A class found as the later partner of an earlier one
+    is paired without a search, and the search stops as soon as the verdict
+    is decided.  The support keeps each partner test it answers.
     """
+    support = X.sw._support
+    if support.paired:
+        i = next((i for i, (_, v) in enumerate(X.sw.entries) if abs(v) >= 2), None)
+        if i is None:
+            return MinimalityVerdict("inconclusive")
+        return MinimalityVerdict("blowup_pair_found", (support.coords[i], support.coords[i ^ 1]), -1)
     groups: dict[int, list[int]] = {}
     for i, (_, v) in enumerate(X.sw.entries):
         if abs(v) >= 2:
             groups.setdefault(abs(v), []).append(i)
     if not groups:
         return MinimalityVerdict("inconclusive")
-    support, lattice = X.sw._support, X.lattice
+    lattice = X.lattice
     pairs, found, unpaired = [], set(), False
     for group in groups.values():
         for pos, i in enumerate(group):

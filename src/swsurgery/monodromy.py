@@ -5,7 +5,8 @@ representation a -> [[1,1],[0,1]], b -> [[1,0],[-1,1]] (uppercase letters are
 inverses).  With this convention ab has trace 1 and order 6.  A parsed word
 is evaluated over its factor tree: every power, of a letter or of a
 parenthesized group, is one matrix from the trace recurrence (det 1 gives
-M^n = u_n M - u_(n-1) I), whose u_n cost the logarithm of the exponent.
+M^n = u_n M - u_(n-1) I), whose u_n cost the logarithm of the exponent,
+or nothing at trace 2, where u_n = n.
 
 Only the boundary validates: the public ``IntegerMatrix2(...)`` checks
 det = 1, while products, inverses and the identity are built unchecked
@@ -60,13 +61,20 @@ class IntegerMatrix2:
 
     def __pow__(self, n: int) -> "IntegerMatrix2":
         """M^n = u_n M - u_(n-1) I, as M^2 = t M - I for the trace t (det 1);
-        u_k = t u_(k-1) - u_(k-2) from u_0 = 0, u_1 = 1, taken by doubling."""
+        u_k = t u_(k-1) - u_(k-2) from u_0 = 0, u_1 = 1, taken by doubling,
+        or u_k = k at t = 2 (every Dehn twist).  M^1 is M itself, which is
+        safe as matrices are immutable."""
+        if n == 1:
+            return self
         m = self if n >= 0 else self.inverse()
         t, u, v = m.a + m.d, 0, -1  # (u_k, u_(k-1)) at k = 0
-        for bit in bin(abs(n))[2:]:
-            u, v = u * (t * u - 2 * v), u * u - v * v  # k -> 2k
-            if bit == "1":
-                u, v = t * u - v, u  # k -> k + 1
+        if t == 2:
+            u, v = abs(n), abs(n) - 1
+        else:
+            for bit in bin(abs(n))[2:]:
+                u, v = u * (t * u - 2 * v), u * u - v * v  # k -> 2k
+                if bit == "1":
+                    u, v = t * u - v, u  # k -> k + 1
         return IntegerMatrix2._trusted(u * m.a - v, u * m.b, u * m.c, u * m.d - v)
 
     def inverse(self) -> "IntegerMatrix2":
@@ -157,7 +165,11 @@ def _spell(items) -> tuple[str, ...]:
 
 
 def _product(matrices) -> IntegerMatrix2:
-    m = IntegerMatrix2.identity()
+    """The product of ``matrices`` from the first; the identity when empty."""
+    matrices = iter(matrices)
+    m = next(matrices, None)
+    if m is None:
+        return IntegerMatrix2.identity()
     for x in matrices:
         m = m @ x
     return m
@@ -190,7 +202,7 @@ def parse_word(text: str) -> MCGWord:
             if pos < n and text[pos] in "+-":
                 pos += 1
             digits = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():  # exactly the digits int() reads
                 pos += 1
             if pos == digits:
                 raise WordSyntaxError("expected integer exponent after '^'", start)
@@ -282,16 +294,9 @@ def verify_factorization(word: MCGWord | str, expected: MCGWord | str | None = N
     powers = [f.base ** f.power for f in word.factors]
     lhs = _product(powers)
     rhs = evaluate(target) if target is not None else IntegerMatrix2.identity()
-    diags = []
-    for f, factor_matrix in zip(word.factors, powers):
-        diags.append(
-            FactorDiagnostic(
-                text=f.text,
-                power=f.power,
-                base_trace=f.base.trace,
-                factor_trace=factor_matrix.trace,
-                parabolic=f.base.trace == 2 and not f.base.is_identity(),
-                width=parabolic_width(factor_matrix),
-            )
-        )
-    return FactorizationReport(word, target, lhs, rhs, lhs == rhs, tuple(diags))
+    diags = tuple(
+        FactorDiagnostic(f.text, f.power, f.base.trace, m.trace,
+                         f.base.trace == 2 and not f.base.is_identity(), parabolic_width(m))
+        for f, m in zip(word.factors, powers)
+    )
+    return FactorizationReport(word, target, lhs, rhs, lhs == rhs, diags)

@@ -128,6 +128,12 @@ def test_monodromy_check(capsys):
     assert code == 0
 
 
+def test_monodromy_check_refuses_a_superscript_exponent(capsys):
+    code, out, err = run_cli(capsys, "monodromy", "check", "a^\u00b2")
+    assert (code, out) == (2, "")
+    assert "expected integer exponent after '^' (at position 2)" in err and "Traceback" not in err
+
+
 def test_monodromy_check_deep_nesting(capsys):
     nested = "(" * 3000 + "a" + ")" * 3000
     code, out, _ = run_cli(capsys, "monodromy", "check", nested, "--equals", "a")

@@ -16,11 +16,12 @@ from swsurgery.knots import (
     knot_surgery_manifold,
     poly_in_s,
 )
-from swsurgery.lattice import pair, square
+from swsurgery.lattice import IntersectionLattice, pair, square
 from swsurgery.manifold import FourManifoldModel, SWTable, blowup
 from swsurgery.models import e1
 
 from .oracles import s_series_product, surgery_table_by_division
+from .trusted import SHIPPED, counting
 
 S_LAURENT = LaurentPolynomial.from_doubled({1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
 
@@ -63,6 +64,21 @@ def test_non_integer_terms_are_refused_not_truncated(e1_model):
             LaurentPolynomial(terms)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         knot_surgery_manifold(e1_model, e1_model.marked_class("T"), TwistKnot(1.5))
+
+
+def test_twist_polynomials_are_built_trusted_with_the_checked_terms(monkeypatch):
+    for n in range(-30, 31):
+        checked = LaurentPolynomial.from_doubled({2: n, 0: 1 - 2 * n, -2: n})
+        assert alexander_twist(n).terms == checked.terms
+    assert alexander_twist(True).terms == ((-2, 1), (0, -1), (2, 1))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        alexander_twist(1.5)
+    # a twist chain runs no polynomial through the validator (counted with
+    # the shipped, unchecked constructions)
+    monkeypatch.setattr(LaurentPolynomial, "_trusted", SHIPPED[LaurentPolynomial])
+    calls = counting(monkeypatch, ("knots.LaurentPolynomial.__post_init__",))
+    _surger(e1(), TwistKnot(9), -14, TwistKnot(17), -8)
+    assert calls == Counter()
 
 
 def test_poly_in_s_twist():
@@ -313,4 +329,18 @@ def test_surgery_on_a_fiber_the_rule_cannot_trust(e1_model, fiber, message):
                           SWTable(lattice, ()), surgery_history=(alexander_twist(2),))
     assert square(X.marked_class("T")) == 0
     with pytest.raises(ValueError, match=message):
+        knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(3))
+
+
+def test_surgery_on_a_zero_fiber_of_an_even_lattice():
+    # in the even lattice E8(-1) + H the zero class is characteristic, so
+    # only the fiber's nonzero test keeps j T = 0 (j = +-1) from a trusted
+    # table: rank 10, sign -8 and euler 12 satisfy 3 sign + 2 euler = 0
+    chain = {(i, i + 1) for i in range(6)} | {(4, 7)}  # the E8 Dynkin diagram
+    gram = [[-2 if i == j else int((i, j) in chain or (j, i) in chain) for j in range(8)] + [0, 0]
+            for i in range(8)]
+    gram += [[0] * 8 + [0, 1], [0] * 8 + [1, 0]]
+    lattice = IntersectionLattice(tuple(f"x{i}" for i in range(10)), gram, name="E8+H")
+    X = FourManifoldModel("E8+H", lattice, 12, -8, True, {"T": (0,) * 10}, SWTable(lattice, ()))
+    with pytest.raises(ValueError, match=r"duplicate SW entry for \(0, 0, 0, 0, 0, 0, 0, 0, 0, 0\)"):
         knot_surgery_manifold(X, X.marked_class("T"), TwistKnot(3))

@@ -36,7 +36,7 @@ from .oracles import (
     random_unimodular,
     transformed_gram,
 )
-from .trusted import memos
+from .trusted import counting, memos
 
 # the (knot count, blowup count) strata of the calculus benchmark workload
 STRATA = tuple((knots, blowups) for knots in range(1, 5) for blowups in range(5))
@@ -297,7 +297,8 @@ def _surgered(twists, blowups):
 
 def test_minimality_matches_pairwise_oracle_on_surgered_models():
     rng = random.Random(17)
-    models = list(_minimality_tables())
+    # blowups of tables with no magnitude >= 2 (values +-1, and none)
+    models = list(_minimality_tables()) + [_surgered([1], 1), _surgered([0], 2)]
     for knots, blowups in STRATA:
         for _ in range(2):
             models.append(_surgered([rng.randint(-30, 30) for _ in range(knots)], blowups))
@@ -415,30 +416,31 @@ def test_calculus_queries_do_each_piece_of_work_once(monkeypatch):
     classes = X.sw.classes()
     assert len(classes) == 128
     chamber = Chamber(X, X.marked_class("h"))
-    calls = Counter()
-    # manifold holds no pair: the chamber's pairings come from _chamber_facts
-    for name in ("is_characteristic", "square", "signature_and_betti", "gram_image",
-                 "_blowup_partners"):
-        def counted(*args, _name=name, _fn=getattr(manifold, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(manifold, name, counted)
+    # the class work, the jump rule and the partner tests, through every
+    # module that binds them
+    calls = counting(monkeypatch, (
+        "lattice.is_characteristic", "lattice.square", "lattice.signature_and_betti",
+        "lattice.gram_image", "manifold._blowup_partners", "manifold._Support.partnered",
+        "manifold.dimension", "manifold.wall_crossing_delta"))
     # the table's classes were validated when it was built, and their
     # common square k^2 = -4 was carried through surgery and blowups
     assert [dimension(X, k) for k in classes] == [0] * 128
     assert calls == Counter()
     off_table = classes[0] + 2 * X.marked_class("h")
     assert X.sw.value(off_table) == 0
-    dimension(X, off_table)
-    assert calls == Counter(is_characteristic=1, square=1)
+    dimension(X, off_table)  # the test and the square each take one image
+    assert calls == Counter({"lattice.is_characteristic": 1, "lattice.square": 1,
+                             "lattice.gram_image": 2})
     calls.clear()
     # b+, G h and G H are the chamber's facts, found when it was built, so
-    # each class takes one dot product each
+    # each class takes one dot product each; at the chamber of h no class
+    # crosses a wall, so no jump (nor its dimension) is taken
     assert [chamber_sw(X, k, chamber) for k in classes] == [v for _, v in X.sw.entries]
     assert calls == Counter()
     # a blowup's support pairs each class with the next, k - E with k + E,
     # so the verdict and its witness need no partner test, against the
     # 8,128 entry pairs of a pairwise scan
+    assert minimality_check(X) == pairwise_minimality(X)
     assert minimality_check(X).status == "blowup_pair_found"
     assert calls == Counter()
 
@@ -480,6 +482,35 @@ def test_chamber_sides_are_taken_once_per_support_and_chamber(monkeypatch):
         for chamber in chambers[0]:
             assert chamber_sw(X, k, chamber) == naive_chamber_sw(X, k, chamber)
     assert len({id(out) for _, out in taken}) == len(taken) == 2 * len(X.sw)
+
+
+def test_chamber_sides_read_their_slot_once():
+    # a support whose one-slot cache hands out another chamber's sides on
+    # every second read, as if another thread wrote it between two reads
+    X = _surgered((4, -7), 2)
+    # a period across the walls of two table classes
+    coeffs = {"eta": 7, **{f"eps{i}": -2 for i in range(1, 10)}, "E0": -3, "E1": -1}
+    crossing = Chamber(X, class_from_coeffs(X, coeffs))
+    assert sum(chamber_sw(X, k, crossing) != v for k, (_, v) in zip(X.sw.classes(), X.sw.entries)) == 2
+    stale = crossing._facts, manifold._Support(X.sw._support.coords).sides(crossing._facts)
+
+    class Contended(manifold._Support):
+        reads = 0
+
+        @property
+        def _sides(self):
+            self.reads += 1
+            return stale if self.reads % 2 == 0 else self.__dict__["slot"]
+
+        @_sides.setter
+        def _sides(self, slot):
+            self.__dict__["slot"] = slot
+
+    support = Contended(X.sw._support.coords, X.sw._support.square, X.sw._support.paired)
+    Y = X._replaced(sw=SWTable._trusted(X.lattice, support, [v for _, v in X.sw.entries]))
+    chamber = Chamber(Y, Y.marked_class("h"))
+    for _ in range(3):
+        assert [chamber_sw(Y, k, chamber) for k in Y.sw.classes()] == [v for _, v in Y.sw.entries]
 
 
 def _plus_sum(X):

@@ -76,6 +76,16 @@ def test_parse_errors_with_position():
         assert err.value.position == pos
 
 
+def test_exponents_are_the_decimal_digits_int_reads():
+    # a superscript two is a digit to str.isdigit but not to int()
+    with pytest.raises(WordSyntaxError, match=r"^expected integer exponent after '\^' \(at position 2\)$"):
+        parse_word("a^\u00b2")
+    # an Arabic-Indic three is a decimal digit, read as 3
+    word = parse_word("a^\u0663")
+    assert word.factors[0].power == 3 and word.letters == ("a",) * 3
+    assert evaluate(word) == evaluate("a^3")
+
+
 def test_empty_word_is_identity():
     assert evaluate("").is_identity()
     assert evaluate(MCGWord(())).is_identity()

@@ -1,6 +1,7 @@
 import copy
+import gc
 import random
-import tracemalloc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -540,18 +541,22 @@ def test_blowdowns_of_equal_public_tables_keep_memory_flat(z3):
         X = _with(z3, sw=SWTable(z3.lattice, entries))
         return rational_blowdown(X, emb, Chamber(X, period), simply_connected=True)
 
+    def blocks():
+        gc.collect()
+        return sys.getallocatedblocks()
+
     expected = blowdown()
-    for _ in range(1999):
+    for _ in range(199):  # more calls than any memo holds entries
         blowdown()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        for _ in range(8000):
+    # every object kept holds a block, so under 100 blocks per 1000 calls
+    # keeps under a tenth of an object a call; memos that kept each call's
+    # support and transfer grew by about 23,000 blocks a window
+    for window in range(3):
+        start = blocks()
+        for _ in range(1000):
             blowdown()
-        grown = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
-    assert grown < 2 ** 19, f"{grown} bytes kept by calls 2000 to 10^4"
+        grown = blocks() - start
+        assert grown < 100, f"{grown} blocks kept by 1000 calls (window {window})"
     assert blowdown() == expected
     for name, memo in memos().items():
         assert memo.cache_info().currsize <= memo.cache_parameters()["maxsize"], name

@@ -26,7 +26,9 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import sys
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from operator import sub
 
@@ -60,6 +62,40 @@ def memos() -> dict:
         found.update((f"{prefix}.{name}", v) for prefix, scope in scopes for name, v in scope.items()
                      if hasattr(v, "cache_clear") and v.__module__ == module.__name__)
     return found
+
+
+def counting(monkeypatch, names) -> Counter:
+    """Count the calls of each named function or method, keyed by its name.
+
+    A name is ``module.function`` or ``module.Class.method`` of the package
+    (``"manifold.dimension"``, ``"manifold._Support.partnered"``).  A function
+    is counted through every ``swsurgery.*`` module that binds it, under any
+    name, so a call through another module's import is counted too; a method
+    is counted on its class.  The wrappers only count, and ``monkeypatch``
+    removes them.
+    """
+    calls = Counter()
+    for name in names:
+        module, *owners, attr = name.split(".")
+        owner = importlib.import_module(f"swsurgery.{module}")
+        for part in owners:
+            owner = getattr(owner, part)
+        target = vars(owner)[attr]
+        assert inspect.isfunction(target), f"{name} is not a function or method"
+
+        def counted(*args, _name=name, _target=target, **kwargs):
+            calls[_name] += 1
+            return _target(*args, **kwargs)
+
+        if owners:
+            monkeypatch.setattr(owner, attr, counted)
+            continue
+        for module_name, scope in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "swsurgery":
+                for bound, value in list(vars(scope).items()):
+                    if value is target:
+                        monkeypatch.setattr(scope, bound, counted)
+    return calls
 
 
 def _validating(cls, trusted):
