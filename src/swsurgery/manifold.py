@@ -65,11 +65,14 @@ class OnWallError(ValueError):
 
 class _Support:
     """A table's classes in order and their common square or None, compared by
-    identity; if ``paired``, classes 2i and 2i + 1 differ by 2E (a blowup's)."""
+    identity; if ``paired``, classes 2i and 2i + 1 differ by 2E (a blowup's).
+    ``blowdown`` holds what the last ``plumbing.rational_blowdown`` proved."""
 
     def __init__(self, coords, square=None, paired=False):
         self.coords, self.square, self.paired, self.partners = coords, square, paired, {}
         self._sides = None, ()  # (chamber facts, their sides) for the last facts asked
+
+    blowdown = (None,) * 5  # until a blowdown writes (plan, records, period, h, new support)
 
     index = cached_property(lambda self: {c: i for i, c in enumerate(self.coords)})  # c -> position
 

@@ -67,7 +67,6 @@ from .plumbing import (
     _transfer,
     intersection_matrix,
     rational_blowdown,
-    relative_square,
     relative_square_of_restriction,
     verify_embedding,
 )
@@ -198,17 +197,17 @@ def _b8_checks(rep, n, base, ambient, fixed) -> None:
          "-2", fixed["lift.relsquare"], DERIVED)
 
 
-def _profile_lifts(chain, rows) -> tuple:
+def _profile_lifts(w, chain, rows) -> tuple:
     """The qn profile-level lift search over both sign families, from the
-    shipped (name, row) pairings only: the combinations sum coeff * row whose
-    relative square is -(p - 1) on ``chain`` = cp_chain(p), which has p - 1
-    vertices, each as sorted (name, coeff) pairs."""
-    named = dict(rows)
+    shipped (name, row) pairings only: the combinations of the profile of
+    ``chain`` = cp_chain(p) in ``w`` whose restriction has relative square
+    -(p - 1), with p - 1 the chain's size, each as sorted (name, coeff) pairs."""
+    profile = ConfigurationEmbedding(ambient=w, chain=chain, profile_gram=chain.matrix(),
+                                     profile_pairings=dict(rows))
     lifts = []
     for mult, st, s0, s1 in product((3, 1), (1, -1), (1, -1), (1, -1)):
         coeffs = (("E0", s0), ("E1", s1), ("T", st * mult))
-        vector = [sum(c * named[name][i] for name, c in coeffs) for i in range(chain.size)]
-        if relative_square(chain, vector) == -chain.size:
+        if relative_square_of_restriction(profile, dict(coeffs)) == -chain.size:
             lifts.append(coeffs)
     return tuple(sorted(lifts))
 
@@ -225,7 +224,7 @@ def _qn_fixed(w, emb, H, k_lift) -> dict:
         "monodromy.nodal": tuple(d.base_trace for d in fact.factors[1:]),
         "profile.gram": emb.realized_gram(),
         **{f"profile.{name}": emb.pairing_vector(w.marked_class(name)) for name, _ in rows},
-        "lifts.profile": _profile_lifts(cp_chain(7), rows),
+        "lifts.profile": _profile_lifts(w, cp_chain(7), rows),
     }
 
 

@@ -9,7 +9,7 @@ relative self-intersection -(p - 1), the value forced by preservation of
 the formal dimension together with the (e, sign) bookkeeping.
 
 What an embedded chain determines is built once, in ``_chain_plan``; what
-a caller's input adds is kept in bounded memos keyed on that plan.
+a blowdown proved is kept on the ambient's SW support, in one slot.
 """
 
 from __future__ import annotations
@@ -527,12 +527,12 @@ def _push_down(coords, columns, divisor) -> tuple[int, ...] | None:
 _chain_plan = lru_cache(maxsize=64)(_ChainPlan)
 
 
-@lru_cache(maxsize=64)
 def _transfer(plan: _ChainPlan, support: _Support):
-    """The blowdown's work per class of ``support`` (an identity key): None
-    unless its restriction has relative square -(p - 1), with p - 1 the
-    chain's size, else (its M-coordinates under ``plan.geometry`` or None if
-    it does not descend, whether they are characteristic, their square)."""
+    """The blowdown's record of each class of ``support``: None unless its
+    restriction has relative square -(p - 1), with p - 1 the chain's size,
+    else (its M-coordinates under ``plan.geometry`` or None if it does not
+    descend, whether they are characteristic, their square), kept in the
+    support's ``blowdown`` slot with ``plan`` and no period."""
     lattice_m, columns, divisor, _ = plan.geometry
     target = -plan.chain.size
     kept = []
@@ -544,27 +544,9 @@ def _transfer(plan: _ChainPlan, support: _Support):
         else:
             k = HomologyClass._trusted(lattice_m, pushed)
             kept.append((pushed, is_characteristic(k), dot(pushed, gram_image(k))))
-    return tuple(kept)
-
-
-@lru_cache(maxsize=64)
-def _orthogonal(plan: _ChainPlan, period) -> bool:
-    """Whether the class with coordinates ``period`` pairs to 0 with every vertex."""
-    return not any(dot(period, image) for image in plan.images)
-
-
-@lru_cache(maxsize=64)
-def _pushed_period(plan: _ChainPlan, period) -> tuple[int, ...] | None:
-    """The blown-down h: ``period`` under ``plan.geometry``, or None if it does not descend."""
-    _, columns, divisor, _ = plan.geometry
-    return _push_down(period, columns, divisor)
-
-
-@lru_cache(maxsize=64)
-def _blown_down_support(plan: _ChainPlan, coords, square) -> _Support:
-    """The one support of the blown-down classes ``coords``, with the ``square``
-    they share or None; per plan, as partner tests read the plan's lattice."""
-    return _Support(coords, square)
+    records = tuple(kept)
+    support.blowdown = plan, records, None, None, None
+    return records
 
 
 def rational_blowdown(
@@ -589,9 +571,12 @@ def rational_blowdown(
     connectivity is supplied by the caller with a justification note.
 
     The report and geometry come from the plan of the vertices as cp_chain(p)
-    (``_chain_plan``); the transfer of X's support, the period's orthogonality
-    and push-down, and the new support from memos keyed on it; the chamber
-    values, the checks, and the model are per call.
+    (``_chain_plan``).  X's support keeps, in one slot read once and written
+    whole after every check passed, what its last blowdown proved: per plan,
+    the transfer records (``_transfer``) and the new support, taken again
+    for the same classes and square; per plan and period, the period's
+    orthogonality and push-down h.  The chamber values, the checks and the
+    model are per call.
     """
     p = emb.size + 1
     plan = _plan(emb, cp_chain(p))
@@ -599,12 +584,16 @@ def rational_blowdown(
         raise EmbeddingError("embedding does not realize the blowdown chain: "
                              + "; ".join(plan.report.failures()))
     require_same_lattice(H.period.lattice, emb.ambient.lattice)
-    if not _orthogonal(plan, H.period.coords):
+    support, period = X.sw._support, H.period.coords
+    slot = support.blowdown  # read once, so another call's write cannot slip in
+    same_plan = slot[0] is plan
+    same_period = same_plan and slot[2] == period
+    if not same_period and any(dot(period, image) for image in plan.images):
         raise ValueError("period class must be orthogonal to every vertex class")
     if not same_lattice(X.lattice, emb.ambient.lattice):
         raise LatticeMismatchError("the vertex classes must live in the model's lattice")
 
-    lattice_m, _, _, (b_plus, b_minus) = plan.geometry
+    lattice_m, columns, divisor, (b_plus, b_minus) = plan.geometry
     new_name = name or f"{X.name}_blowdown{p}"
     new_lattice = IntersectionLattice._trusted(lattice_m.basis, lattice_m.gram, new_name,
                                                rows=lattice_m.rows)
@@ -617,9 +606,9 @@ def rational_blowdown(
     # in M and their squares, which give d >= 0 and even; closure under
     # negation is checked, as chamber values need not be antisymmetric
     shift = 3 * sign + 2 * euler
-    transfer = _transfer(plan, X.sw._support)
+    records = slot[1] if same_plan else _transfer(plan, support)
     entries, squares = {}, set()
-    for (coords, _), lift in zip(X.sw.entries, transfer):
+    for (coords, _), lift in zip(X.sw.entries, records):
         if lift is not None:
             value = chamber_sw(X, HomologyClass._trusted(X.lattice, coords), H)
             if value != 0:
@@ -628,6 +617,7 @@ def rational_blowdown(
                     raise EmbeddingError(f"class {coords} does not descend to the new lattice")
                 if not characteristic:
                     raise ValueError(f"SW class {pushed} is not characteristic")
+                # k2 - shift is the ambient's k^2 - shift: only unchecked input fails here
                 if k2 < shift or (k2 - shift) % 8:
                     raise ValueError(f"SW class {pushed} has d = {Fraction(k2 - shift, 4)}; need d >= 0 and even")
                 entries[pushed] = value
@@ -635,11 +625,15 @@ def rational_blowdown(
     if any(abs(entries.get(tuple(-x for x in c), 0)) != abs(v) for c, v in entries.items()):
         raise ValueError("SW table must be closed under negation with equal magnitude")
     coords = tuple(sorted(entries))
-    support = _blown_down_support(plan, coords, squares.pop() if len(squares) == 1 else None)
-    table = SWTable._trusted(new_lattice, support, map(entries.__getitem__, coords),
+    common = squares.pop() if len(squares) == 1 else None
+    child = slot[4] if same_plan else None
+    if child is None or child.coords != coords or child.square != common:
+        child = _Support(coords, common)
+    table = SWTable._trusted(new_lattice, child, map(entries.__getitem__, coords),
                              X.sw.convention_note)
-    h = _pushed_period(plan, H.period.coords)
+    h = slot[3] if same_period else _push_down(period, columns, divisor)
     if h is None:
-        raise EmbeddingError(f"class {H.period.coords} does not descend to the new lattice")
+        raise EmbeddingError(f"class {period} does not descend to the new lattice")
+    support.blowdown = plan, records, period, h, child
     return FourManifoldModel._trusted(new_name, new_lattice, euler, sign, simply_connected,
                                       (("h", h),), table, pi1_note)

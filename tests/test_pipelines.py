@@ -1,5 +1,4 @@
 import json
-import sys
 from collections import Counter
 
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from swsurgery.manifold import dimension, fingerprint
 from swsurgery.pipelines import FAMILIES, build_family, verify_paper
 
-from .trusted import SHIPPED, memos
+from .trusted import SHIPPED, counting, memos
 
 
 @pytest.mark.parametrize("key,b_minus", [("xn", 6), ("qn", 5), ("b7", 7), ("b8", 8)])
@@ -39,16 +38,10 @@ def test_build_family_dispatch():
 
 
 def test_family_builds_its_base_model_once(monkeypatch):
-    import swsurgery.models as models
-
-    calls = []
-    for name in ("y_n", "v_n"):
-        builder = getattr(models, name)
-        monkeypatch.setattr(models, name,
-                            lambda n, b=builder, name=name: calls.append(name) or b(n))
+    calls = counting(monkeypatch, ("models.y_n", "models.v_n"))
     for key in FAMILIES:
         build_family(key, 2)
-    assert sorted(calls) == ["v_n", "y_n", "y_n", "y_n"]
+    assert calls == Counter({"models.y_n": 3, "models.v_n": 1})
 
 
 def test_blowdown_bookkeeping_deltas():
@@ -118,26 +111,21 @@ def test_b7_b8_derivations_labeled_derived():
 
 
 def test_warm_builds_take_transfer_and_search_squares_from_memos(monkeypatch):
-    from swsurgery import models, pipelines, plumbing
-
     for memo in memos().values():
         memo.cache_clear()
     for key in FAMILIES:
         build_family(key, 1)
-    calls = []
-    for module, name in ((plumbing, "relative_square"), (pipelines, "relative_square"),
-                         (models, "class_from_coeffs"), (pipelines, "class_from_coeffs")):
-        core = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, core=core, name=name: calls.append(name) or core(*args))
+    names = ("plumbing.relative_square", "models.class_from_coeffs", "plumbing._transfer")
+    calls = counting(monkeypatch, names)
     warm = {(key, n): build_family(key, n)[1] for key in FAMILIES for n in range(2, 6)}
-    # the SW transfer, the lift searches, the *.lift.relsquare checks and the
-    # vertex, chamber and lift classes all come from the memos
-    assert calls == []
+    # the SW transfer (from the ambient support's blowdown slot), the lift
+    # searches, the *.lift.relsquare checks and the vertex, chamber and lift
+    # classes all come from the memos
+    assert calls == Counter()
     for memo in memos().values():
         memo.cache_clear()
     build_family("qn", 2)
-    assert {"relative_square", "class_from_coeffs"} <= set(calls)  # a cold build is counted
+    assert set(names) <= set(calls)  # a cold build is counted
     monkeypatch.undo()
     for (key, n), rep in warm.items():
         for memo in memos().values():
@@ -158,49 +146,33 @@ def test_one_family_plan_per_family():
 
 
 def test_verify_paper_searches_lifts_once_per_family(monkeypatch):
-    from swsurgery import pipelines, plumbing
-
     for memo in memos().values():
         memo.cache_clear()
-    calls = []
-    search = plumbing.find_characteristic_lifts
-    for module in (plumbing, pipelines):
-        monkeypatch.setattr(module, "find_characteristic_lifts",
-                            lambda emb, *args: calls.append(emb.chain) or search(emb, *args))
+    calls = counting(monkeypatch, ("plumbing.find_characteristic_lifts", "plumbing._transfer"))
     assert verify_paper().all_pass
-    # the plumbing section reads the xn and qn plans that the pipelines section builds on
-    assert len(calls) == len(FAMILIES) == 4
+    # the plumbing section reads the xn and qn plans that the pipelines
+    # section builds on; each family plan takes its ambient's transfer, and
+    # the family's blowdowns read it from the support's slot
+    assert calls == Counter({"plumbing.find_characteristic_lifts": 4, "plumbing._transfer": 4})
+    assert len(FAMILIES) == 4
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))
 def test_warm_build_pair_count(monkeypatch, key):
     # once the memos are warm, a build at an n no build has seen does no
-    # class work: the knot surgery, blowups, chamber and blowdown read their
-    # supports and facts from the memos, so it makes no support, pairs,
-    # squares, images or tests no class (every module that holds lattice.pair,
-    # is_characteristic or gram_image is patched, and square calls the one in
-    # lattice, so squares count as pairs), runs no partner test, and adds
-    # every check with values already canonical; no memo misses, the chain
-    # plan's transfer, period and blown-down support memos among them
-    from swsurgery import lattice, manifold, report
-
+    # class work: the knot surgery, blowups and chamber read their supports
+    # and facts from the memos, and the blowdown from the ambient support's
+    # slot, so it makes no support or transfer, pairs, squares, images or
+    # tests no class (every module that holds lattice.pair, is_characteristic
+    # or gram_image is counted, and square calls the one in lattice, so
+    # squares count as pairs), runs no partner test, adds every check with
+    # values already canonical, and no memo misses
     for cls, method in SHIPPED.items():  # count the shipped, unchecked constructions
         monkeypatch.setattr(cls, "_trusted", method)
     build_family(key, 2)
-    calls = Counter()
-
-    def count(module, name):
-        core = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or core(*args))
-
-    for name in ("pair", "is_characteristic", "gram_image"):
-        core = getattr(lattice, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("swsurgery") and getattr(module, name, None) is core:
-                count(module, name)
-    count(report, "canonical")
-    count(manifold, "_blowup_partners")
-    count(manifold._Support, "__init__")
+    calls = counting(monkeypatch, (
+        "lattice.pair", "lattice.is_characteristic", "lattice.gram_image", "report.canonical",
+        "manifold._blowup_partners", "manifold._Support.__init__", "plumbing._transfer"))
     misses = {name: memo.cache_info().misses for name, memo in memos().items()}
     _, rep = build_family(key, 10 ** 6)
     assert rep.all_pass

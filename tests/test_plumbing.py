@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from swsurgery.exactmat import SingularMatrixError, bareiss_adjugate, hnf_row_basis, matmul
 from swsurgery.lattice import LatticeMismatchError, pair, square
-from swsurgery.manifold import Chamber
+from swsurgery.manifold import Chamber, SWTable
 from swsurgery.models import WN_C7_PROFILE, class_from_coeffs, e6_embedding
 from swsurgery.pipelines import FAMILIES
 from swsurgery.plumbing import (
@@ -490,7 +490,8 @@ def test_blowdown_checks_what_its_table_and_model_constructors_checked(z3, monke
         with pytest.raises(ValueError, match="closed under negation"):
             blowdown(z3)
     transfer = plumbing._transfer
-    # the transfer's record of each pushed-down class, broken in turn
+    # the transfer's record of each pushed-down class, broken in turn; a fresh
+    # public table has a support of its own, whose empty slot takes the transfer
     for broken, error, match in [
             (lambda pushed, k2: (None, False, None), EmbeddingError, "does not descend"),
             (lambda pushed, k2: (pushed, False, k2), ValueError, "not characteristic"),
@@ -499,7 +500,7 @@ def test_blowdown_checks_what_its_table_and_model_constructors_checked(z3, monke
             patch.setattr(plumbing, "_transfer", lambda plan, support, broken=broken: tuple(
                 lift and broken(lift[0], lift[2]) for lift in transfer(plan, support)))
             with pytest.raises(error, match=match):
-                blowdown(z3)
+                blowdown(_with(z3, sw=SWTable(z3.lattice, z3.sw.entries)))
     assert blowdown(z3) == rational_blowdown(z3, emb, spec.chamber(z3), simply_connected=True)
 
 
@@ -524,11 +525,78 @@ def test_blowdown_refuses_a_class_that_pushes_down_to_a_non_characteristic_one(z
                               simply_connected=True)
 
 
+def test_blowdown_refuses_an_ambient_that_skipped_its_d_check(z3):
+    # k_M^2 - shift' = k^2 - shift for the ambient's own shift, so the d
+    # clause sees the ambient's d: euler - 2 makes it 1, odd, which a check
+    # of k^2 - shift mod 4 alone would let through; the slot is warm, so the
+    # clause runs on records read from it
+    spec = FAMILIES["xn"]
+    emb, period = spec.embedding(z3), spec.chamber(z3).period
+    rational_blowdown(z3, emb, Chamber(z3, period), simply_connected=True)
+    X = _with(z3, euler=z3.euler - 2)
+    with pytest.raises(ValueError, match=r"SW class \(-9, 8, 4, -6, 2, 2, 2\) has d = 1; need d >= 0 and even"):
+        rational_blowdown(X, emb, Chamber(X, period), simply_connected=False)
+
+
+def test_blowdown_slot_is_keyed_on_plan_and_period_and_kept_only_on_success(z3):
+    spec = FAMILIES["xn"]
+    emb, period = spec.embedding(z3), spec.chamber(z3).period
+    u0 = emb.vertex_classes[0]
+
+    def blowdown(X, H):
+        return rational_blowdown(X, emb, Chamber(X, H), simply_connected=True)
+
+    # a period's h is its own, whichever period the slot last held
+    h = blowdown(z3, period).marked_class("h")
+    doubled = blowdown(z3, 2 * period)
+    assert doubled.marked_class("h").coords == (2 * h).coords
+    assert blowdown(z3, period).marked_class("h") == h
+    support = z3.sw._support
+    assert support.blowdown[2] == period.coords and support.blowdown[3] == h.coords
+    assert blowdown(z3, 2 * period).sw._support is doubled.sw._support  # one plan, one new support
+    # a warm slot and an empty one (a fresh public table's) are left as found
+    # by every call that raises, and a period the slot does not hold is tested
+    for X in (z3, _with(z3, sw=SWTable(z3.lattice, z3.sw.entries))):
+        found = X.sw._support.blowdown
+        for H in (period, 2 * period):
+            with pytest.raises(ValueError, match="sign"):
+                blowdown(_with(X, sign=X.sign + 1), H)
+            with pytest.raises(ValueError, match="euler"):
+                blowdown(_with(X, euler=X.euler + 1), H)
+            assert X.sw._support.blowdown is found
+        with pytest.raises(ValueError, match="orthogonal to every vertex"):
+            blowdown(X, 10 * period + u0)
+        assert X.sw._support.blowdown is found
+
+
+def test_blowdowns_of_fresh_tables_do_not_evict_a_family(monkeypatch):
+    # what a family's blowdown proved lives on its ambient's support, so
+    # blowdowns of equal public tables (each a support of its own) leave a
+    # warm build of the family with no memo miss and no transfer
+    from swsurgery.pipelines import build_family
+
+    from .trusted import counting, memos
+
+    spec = FAMILIES["xn"]
+    build_family("xn", 2)
+    ambient = spec.ambient(3)
+    emb, period = spec.embedding(ambient), spec.chamber(ambient).period
+    for _ in range(64):
+        X = _with(ambient, sw=SWTable(ambient.lattice, ambient.sw.entries))
+        rational_blowdown(X, emb, Chamber(X, period), simply_connected=True)
+    misses = {name: memo.cache_info().misses for name, memo in memos().items()}
+    calls = counting(monkeypatch, ("plumbing._transfer",))
+    assert build_family("xn", 5)[1].all_pass
+    assert {name: memo.cache_info().misses for name, memo in memos().items()} == misses
+    assert calls == {}
+
+
 def test_blowdowns_of_equal_public_tables_keep_memory_flat(z3):
     # a table from the public constructor has a support of its own, so each
-    # of these blowdowns takes a transfer of its own; the bounded memos keep
-    # memory flat.  The table is the pair of z3's classes that survive the
-    # blowdown, so each call runs the whole transfer at an eighth of the cost
+    # of these blowdowns takes a transfer of its own, kept in that support's
+    # slot, which dies with it; the bounded memos keep memory flat.  The
+    # table is the pair of z3's classes that survive the blowdown, so each
+    # call runs the whole transfer at an eighth of the cost
     from swsurgery.manifold import SWTable
 
     from .trusted import memos

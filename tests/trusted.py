@@ -16,7 +16,10 @@ must hold the product of its surgery history, and the product must be new:
 one that an earlier model holds was passed on (by ``renamed`` or ``blowup``,
 say), which a model with another history could then read.  The validated
 model takes the product too.  Memos are cleared on entry and exit so that
-no object built one way is served under the other.
+no object built one way is served under the other.  A support's blowdown
+slot (``_Support.blowdown``) outlives the memos, but it serves a call only
+for the chain plan it holds, by identity, and plans are memo entries: a
+slot filled on one side of a block serves no blowdown on the other.
 """
 
 from __future__ import annotations
