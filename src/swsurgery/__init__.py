@@ -14,6 +14,7 @@ package, as every CLI command does, compiles none of them.
 """
 
 __version__ = "0.1.0"
+REPORT_VERSION = "1"  # the report schema's; here, so that --version imports no report
 
 _SUBMODULE = {name: module for module, names in {
     "knots": ("alexander_twist", "e1_knot_surgery_sw", "knot_surgery_manifold"),

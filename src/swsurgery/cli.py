@@ -13,8 +13,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from . import __version__
-from .report import REPORT_VERSION
+from . import REPORT_VERSION, __version__
 
 # Each command imports the modules it runs when it runs: a process compiles
 # every module it imports unless bytecode is cached, and runs one command.
@@ -208,7 +207,7 @@ def _check_digits(values, what: str) -> None:
 
 
 def cmd_plumbing_cp(args) -> int:
-    from .plumbing import PlumbingChain, _continuants, boundary_lens_space, cp_chain, intersection_matrix
+    from .plumbing import PlumbingChain, boundary_lens_space, cp_chain, intersection_matrix
     if args.weights is not None:
         try:
             weights = tuple(int(x) for x in args.weights.split(","))
@@ -220,9 +219,9 @@ def cmd_plumbing_cp(args) -> int:
     else:
         _check_chain_size(args.p - 1)
         chain = cp_chain(args.p)
-    # the chain is a path in vertex order: its determinant is the last
-    # leading continuant, and the adjugate is built only to be printed
-    lead, tail = _continuants(chain.weights)
+    # the determinant is the last leading continuant of the chain's path, which
+    # the boundary and the adjugate read too; the adjugate is built only to be printed
+    _, lead, tail = chain._path
     det = lead[-1]
     if args.invert:
         size = chain.size ** 2 * max(abs(x).bit_length() for x in lead + tail)

@@ -50,16 +50,17 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class PlumbingChain:
-    """Weighted graph of sphere plumbings: linear chains and small trees."""
+    """Weighted graph of sphere plumbings: linear chains and small trees.
+
+    Its adjacency and a path's ``_path`` are kept on first use, outside the fields."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(
-            self, "edges", tuple(tuple(sorted((int(a), int(b)))) for a, b in self.edges)
-        )
+        edges = ((int(a), int(b)) for a, b in self.edges)
+        object.__setattr__(self, "edges", tuple((a, b) if a <= b else (b, a) for a, b in edges))
         n = len(self.weights)
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
@@ -81,8 +82,11 @@ class PlumbingChain:
         return len(seen) == n
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.weights)
-        adj = [[] for _ in range(n)]
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adj = [[] for _ in self.weights]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
@@ -97,17 +101,23 @@ class PlumbingChain:
 
     @cached_property
     def _linear(self) -> bool:  # connected, so a tree iff n - 1 edges; a path iff degrees <= 2
-        return len(self.edges) == self.size - 1 and max(map(len, self.adjacency())) <= 2
+        return len(self.edges) == self.size - 1 and max(map(len, self._adjacency)) <= 2
+
+    @cached_property
+    def _path(self) -> tuple[tuple[int, ...], list[int], list[int]]:
+        """(order, lead, tail) of a path: ``_linear_order`` and its ``_continuants``."""
+        order = _linear_order(self)
+        return (order, *_continuants([self.weights[v] for v in order]))
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        m = [[0] * n for _ in range(n)]
-        for i, w in enumerate(self.weights):
-            m[i][i] = w
-        for a, b in self.edges:
-            m[a][b] = 1
-            m[b][a] = 1
-        return freeze(m)
+        rows = []
+        for v, (w, near) in enumerate(zip(self.weights, self._adjacency)):
+            row = [0] * len(self.weights)
+            row[v] = w
+            for u in near:
+                row[u] = 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 @lru_cache(maxsize=64)
@@ -144,10 +154,12 @@ class PlumbingForm(NamedTuple):
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.det == 0:
             raise SingularMatrixError("plumbing matrix is singular")
-        # the adjugate is symmetric with many repeated entries: one Fraction each
-        distinct = {x for row in self.adj for x in row}
-        fractions = {x: Fraction(x, self.det) for x in distinct}
-        return tuple(tuple(map(fractions.__getitem__, row)) for row in self.adj)
+        # the adjugate of a symmetric matrix is symmetric: one Fraction per
+        # entry on or above the diagonal, the rest read from the rows above
+        det, rows = self.det, []
+        for i, row in enumerate(self.adj):
+            rows.append(tuple([r[i] for r in rows] + [Fraction(x, det) for x in row[i:]]))
+        return tuple(rows)
 
 
 @lru_cache(maxsize=256)
@@ -182,22 +194,23 @@ def _continuants(weights) -> tuple[list[int], list[int]]:
 def _continuant_adjugate(chain: PlumbingChain):
     """Determinant and adjugate of a linear chain from its continuants, in O(n^2).
 
-    Along the path v_0, ..., v_{n-1} (``_continuants``), the determinant is
-    lead[n] and, for i <= j, adj[v_i][v_j] = (-1)^(i+j) lead[i] tail[j+1]
+    Along the path v_0, ..., v_{n-1} (the chain's ``_path``), the determinant
+    is lead[n] and, for i <= j, adj[v_i][v_j] = (-1)^(i+j) lead[i] tail[j+1]
     (Neumann, A calculus for plumbing, 1981).  This holds for singular
-    chains too.
+    chains too.  Each row is built once, its part below the diagonal read
+    from the rows above.
     """
-    order = _linear_order(chain)
+    order, lead, tail = chain._path
     n = len(order)
-    lead, tail = _continuants([chain.weights[v] for v in order])
-    signed_lead = [-x if i % 2 else x for i, x in enumerate(lead)]
+    signed_lead = [-lead[i] if i % 2 else lead[i] for i in range(n)]
     signed_tail = [-tail[j + 1] if j % 2 else tail[j + 1] for j in range(n)]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        vi = order[i]
-        for j in range(i, n):
-            adj[vi][order[j]] = adj[order[j]][vi] = signed_lead[i] * signed_tail[j]
-    return lead[n], freeze(adj)
+    rows = []
+    for i, x in enumerate(signed_lead):
+        rows.append(tuple([r[i] for r in rows] + [x * y for y in signed_tail[i:]]))
+    if order != tuple(range(n)):  # reindexed by vertex, at[v] the place of v on the path
+        at = sorted(range(n), key=order.__getitem__)
+        rows = [tuple(map(rows[i].__getitem__, at)) for i in at]
+    return lead[n], tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -225,7 +238,7 @@ def boundary_lens_space(chain: PlumbingChain) -> LensSpace:
     """Boundary of a linear chain with all weights <= -2.
 
     The negative continued fraction [-w_0, -w_1, ...] along the chain is
-    |lead[n]| / |tail[1]| in the continuants of ``_continuants``, already in
+    |lead[n]| / |tail[1]| in the continuants of its ``_path``, already in
     lowest terms as consecutive continuants are coprime; that is the order
     and twist.  The full residue orbit of the twist is reported by the
     LensSpace.
@@ -234,24 +247,19 @@ def boundary_lens_space(chain: PlumbingChain) -> LensSpace:
         raise ValueError("boundary computation implemented for linear chains only")
     if any(w > -2 for w in chain.weights):
         raise ValueError("continued fraction needs all weights <= -2")
-    lead, tail = _continuants([chain.weights[v] for v in _linear_order(chain)])
+    _, lead, tail = chain._path
     return LensSpace(abs(lead[-1]), abs(tail[1]))
 
 
 def _linear_order(chain: PlumbingChain) -> tuple[int, ...]:
-    """Vertices listed along the chain starting from the first endpoint."""
-    if chain.size == 1:
-        return (0,)
+    """Vertices listed along the chain from its first endpoint, or its one vertex."""
     adjacency = chain.adjacency()
-    ends = [v for v in range(chain.size) if len(adjacency[v]) == 1]
-    start = min(ends)
-    order = [start]
-    prev = None
-    current = start
-    while len(order) < chain.size:
-        nxt = next(v for v in adjacency[current] if v != prev)
-        order.append(nxt)
-        prev, current = current, nxt
+    prev = current = next((v for v, near in enumerate(adjacency) if len(near) == 1), 0)
+    order = [current]
+    for _ in range(chain.size - 1):
+        near = adjacency[current]
+        prev, current = current, near[1] if near[0] == prev else near[0]
+        order.append(current)
     return tuple(order)
 
 
@@ -627,7 +635,8 @@ def rational_blowdown(
     coords = tuple(sorted(entries))
     common = squares.pop() if len(squares) == 1 else None
     child = slot[4] if same_plan else None
-    if child is None or child.coords != coords or child.square != common:
+    # under one plan equal coordinates have equal squares, so equal supports
+    if child is None or child.coords != coords:
         child = _Support(coords, common)
     table = SWTable._trusted(new_lattice, child, map(entries.__getitem__, coords),
                              X.sw.convention_note)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-REPORT_VERSION = "1"
+from . import REPORT_VERSION
 
 # provenance of an expected value: stated by the source construction,
 # derived here by an independent route, or a defining/trivial instance

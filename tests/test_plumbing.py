@@ -111,6 +111,9 @@ def _sympy_fraction_rows(matrix):
 @example(PlumbingChain((1, 1), ((0, 1),)))  # singular
 @example(PlumbingChain((1, 1, 1), ((2, 1), (0, 1))))  # lead[2] == 0, nonsingular
 @example(PlumbingChain((1, 1, 1, 1, 1), ((3, 4), (0, 1), (2, 3), (1, 2))))  # singular
+# the path 3, 1, 4, 0, 2 with its edges listed from the far end, each reversed
+@example(PlumbingChain((-3, -5, -2, -4, -6), ((2, 0), (0, 4), (4, 1), (1, 3))))
+@example(PlumbingChain((-2,) * 12, tuple((i, i + 1) for i in range(11))))  # repeated adjugate values
 def test_linear_chain_form_matches_sympy(chain):
     sympy = pytest.importorskip("sympy")
     form = intersection_matrix(chain)
@@ -125,6 +128,31 @@ def test_linear_chain_form_matches_sympy(chain):
             form.inverse()
     else:
         assert form.inverse() == _sympy_fraction_rows(m.inv())
+
+
+@pytest.mark.parametrize("n", [20, 59])
+def test_a_cold_chain_walks_its_path_and_takes_its_continuants_once(e1_model, monkeypatch, n):
+    # the form, the inverse, the boundary and a relative square of one chain
+    # share its path data; the inverse makes one Fraction per entry on or
+    # above the diagonal
+    from swsurgery import plumbing
+
+    from .trusted import counting
+
+    plumbing.intersection_matrix.cache_clear()
+    chain = PlumbingChain((-(n + 3),) + (-2,) * (n - 1), tuple((i, i + 1) for i in range(n - 1)))
+    calls = counting(monkeypatch, ("plumbing._continuants", "plumbing._linear_order"))
+    fractions = []
+    monkeypatch.setattr(plumbing, "Fraction", lambda *args: fractions.append(args) or Fraction(*args))
+    form = intersection_matrix(chain)
+    inverse = form.inverse()
+    assert len(fractions) == n * (n + 1) // 2
+    assert inverse == tuple(tuple(Fraction(x, form.det) for x in row) for row in form.adj)
+    assert boundary_lens_space(chain) == LensSpace(abs(form.det), abs(form.adj[0][0]))
+    emb = ConfigurationEmbedding(ambient=e1_model, chain=chain, profile_gram=form.matrix,
+                                 profile_pairings={"T": (1,) + (0,) * (n - 1)})
+    assert relative_square_of_restriction(emb, {"T": 1}) == inverse[0][0]
+    assert calls == {"plumbing._continuants": 1, "plumbing._linear_order": 1}
 
 
 def test_tree_forms_match_sympy():
@@ -567,6 +595,29 @@ def test_blowdown_slot_is_keyed_on_plan_and_period_and_kept_only_on_success(z3):
         with pytest.raises(ValueError, match="orthogonal to every vertex"):
             blowdown(X, 10 * period + u0)
         assert X.sw._support.blowdown is found
+
+
+@pytest.mark.parametrize("other", ["b8", "b7"])
+def test_blowdowns_by_two_chains_under_one_period_match_cold_ones(z3, other):
+    # a support's slot holds one plan's push-down of the period: a blowdown
+    # by another chain under the same period computes its own
+    from swsurgery.manifold import FourManifoldModel
+
+    from .trusted import memos
+
+    def blowdown(key, ambient):
+        return rational_blowdown(ambient, FAMILIES[key].embedding(ambient),
+                                 FAMILIES["xn"].chamber(ambient), simply_connected=True).to_dict()
+
+    def cold(key):
+        for memo in memos().values():
+            memo.cache_clear()
+        return blowdown(key, FourManifoldModel.from_dict(z3.to_dict()))
+
+    expected = {key: cold(key) for key in (other, "xn")}
+    for keys in ((other, "xn"), ("xn", other)):
+        ambient = FourManifoldModel.from_dict(z3.to_dict())
+        assert [blowdown(key, ambient) for key in keys] == [expected[key] for key in keys]
 
 
 def test_blowdowns_of_fresh_tables_do_not_evict_a_family(monkeypatch):
